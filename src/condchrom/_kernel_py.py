@@ -8,6 +8,19 @@ most one brand-new color per step. C2 is pruned incrementally: a partial
 assignment dies as soon as some vertex can no longer reach
 min{d(v), r} distinct neighbor colors even if all its uncolored neighbors
 receive fresh distinct colors.
+
+The search is iterative: an explicit stack holds one frame per colored
+vertex, so no graph size hits the recursion limit. Per vertex u it keeps
+
+- seen[u]: bit c is set when some colored neighbor of u has color c, so
+  distinct[u] is the popcount of seen[u];
+- slack[u] = distinct[u] + uncol[u] - req[u], the number of uncolored
+  neighbors u can still spare. Every move keeps slack[u] >= 0.
+
+Coloring a neighbor of u with c lowers slack[u] by one unless c is new to u.
+So c is forbidden for v exactly when c is in seen[v] (C1) or some neighbor u
+of v has slack[u] == 0 and c in seen[u] (C2); the allowed colors of a node
+are one bitmask, computed once, and tried in ascending order.
 """
 
 from __future__ import annotations
@@ -36,63 +49,62 @@ def search_coloring(neighbors, req, k, budget):
         return NONE, None, 0
 
     color = [0] * n
-    cnt = [[0] * (k + 1) for _ in range(n)]
-    distinct = [0] * n
-    uncol = deg[:]
+    cnt = [[0] * n for _ in range(k + 1)]  # cnt[c][u]: neighbors of u colored c
+    seen = [0] * n
+    slack = [deg[v] - req[v] for v in range(n)]
+    # DSATUR key distinct*n + deg; a colored vertex sits `sunk` below every
+    # uncolored one, so score.index(max(score)) picks the highest
+    # (distinct, deg) with ties to the lowest id.
+    score = deg[:]
+    sunk = n * (k + 2)
+    stack = []
+    max_used = 0
     nodes = 0
 
-    def select() -> int:
-        best_v = -1
-        best_key = (-1, -1)
-        for v in range(n):
-            if color[v] == 0:
-                key = (distinct[v], deg[v])
-                if key > best_key:
-                    best_key = key
-                    best_v = v
-        return best_v
-
-    def dfs(colored: int, max_used: int) -> int:
-        nonlocal nodes
+    while True:
+        # Expand a new node.
         nodes += 1
         if budget and nodes > budget:
-            return BUDGET
-        if colored == n:
-            return FOUND
-        v = select()
-        limit = max_used + 1 if max_used < k else k
+            return BUDGET, None, nodes
+        if len(stack) == n:
+            return FOUND, color, nodes
+        v = score.index(max(score))
         nb = neighbors[v]
-        for c in range(1, limit + 1):
-            if cnt[v][c] > 0:
-                continue
-            ok = True
-            for u in nb:
-                gain = 1 if cnt[u][c] == 0 else 0
-                if distinct[u] + gain + uncol[u] - 1 < req[u]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            color[v] = c
-            for u in nb:
-                uncol[u] -= 1
-                if cnt[u][c] == 0:
-                    distinct[u] += 1
-                cnt[u][c] += 1
-            st = dfs(colored + 1, max_used if c <= max_used else c)
-            if st == FOUND:
-                return FOUND
+        forbidden = seen[v]
+        for u in nb:
+            if not slack[u]:
+                forbidden |= seen[u]
+        limit = max_used + 1 if max_used < k else k
+        allowed = ((2 << limit) - 2) & ~forbidden
+        # Take the lowest allowed color, backtracking while there is none.
+        while not allowed:
+            if not stack:
+                return NONE, None, nodes
+            v, allowed, max_used, bit = stack.pop()
+            nb = neighbors[v]
+            c = bit.bit_length() - 1
             color[v] = 0
+            score[v] += sunk
+            cc = cnt[c]
             for u in nb:
-                uncol[u] += 1
-                cnt[u][c] -= 1
-                if cnt[u][c] == 0:
-                    distinct[u] -= 1
-            if st == BUDGET:
-                return BUDGET
-        return NONE
-
-    st = dfs(0, 0)
-    if st == FOUND:
-        return FOUND, color, nodes
-    return st, None, nodes
+                cc[u] -= 1
+                if cc[u]:
+                    slack[u] += 1
+                else:
+                    seen[u] ^= bit
+                    score[u] -= n
+        bit = allowed & -allowed
+        c = bit.bit_length() - 1
+        stack.append((v, allowed ^ bit, max_used, bit))
+        color[v] = c
+        score[v] -= sunk
+        cc = cnt[c]
+        for u in nb:
+            if cc[u]:
+                slack[u] -= 1
+            else:
+                seen[u] |= bit
+                score[u] += n
+            cc[u] += 1
+        if c > max_used:
+            max_used = c

@@ -156,10 +156,11 @@ def max_vset_d2r(
     return BoundReport(len(best), VSET, tuple(sorted(best)), exact=not exhausted)
 
 
-def best_lower_bound(
+def lower_bounds(
     g: Graph, r: int, vset_budget: int = DEFAULT_VSET_BUDGET
-) -> BoundReport:
-    """Maximum of the three bounds, with the winning certificate.
+) -> list[BoundReport]:
+    """The clique bound and, on graphs with an edge, the min{r,Delta}+1
+    bound and the Vset-d2r bound, each computed once.
 
     The min{r,Delta}+1 bound is applied only to connected graphs with at
     least that many vertices (the cited statement assumes connectivity);
@@ -171,8 +172,16 @@ def best_lower_bound(
         if g.is_connected() and g.n >= basic.value:
             reports.append(basic)
         reports.append(max_vset_d2r(g, r, budget=vset_budget))
-    best = reports[0]
-    for rep in reports[1:]:
-        if rep.value > best.value:
-            best = rep
-    return best
+    return reports
+
+
+def strongest(reports: list[BoundReport]) -> BoundReport:
+    """The report with the largest value; the earliest one wins a tie."""
+    return max(reports, key=lambda rep: rep.value)
+
+
+def best_lower_bound(
+    g: Graph, r: int, vset_budget: int = DEFAULT_VSET_BUDGET
+) -> BoundReport:
+    """Maximum of `lower_bounds`, with the winning certificate."""
+    return strongest(lower_bounds(g, r, vset_budget))

@@ -124,6 +124,15 @@ def test_bounds_command(capsys):
     assert doc["vset_d2r"]["value"] == 6
     assert doc["best"]["value"] == 6 and doc["best"]["kind"] == "vset-d2r"
 
+    # A small --max-nodes cuts the Vset search; best is picked from the
+    # reports shown, not from a second search under another budget.
+    code, out, _ = run(capsys, "bounds", "M(fr:1)", "-r", "4", "--max-nodes", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["vset_d2r"]["exact"] is False
+    shown = [rep for key, rep in doc.items() if key != "best"]
+    assert doc["best"] == max(shown, key=lambda rep: rep["value"])
+
 
 def test_table_single_prop(capsys):
     code, out, _ = run(capsys, "table", "5", "--n", "4..5")

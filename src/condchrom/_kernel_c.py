@@ -1,0 +1,112 @@
+"""The compiled kernel: `_kernel.c` loaded through ctypes.
+
+On first import the C source is compiled with `cc -O2 -shared -fPIC` into
+$XDG_CACHE_HOME/condchrom/ (default ~/.cache/condchrom/). The library's file
+name carries a CRC of the source, the flags and the interpreter's cache tag,
+so an edited source is rebuilt and a built one is reused. Any failure to
+build or load raises ImportError with the compiler's message, and
+`kernel._load` falls back to the pure kernel.
+
+Semantics are those of _kernel_py.search_coloring, node counts included.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import sys
+import zlib
+from array import array
+from itertools import accumulate, chain
+
+FOUND = 0
+NONE = 1
+BUDGET = 2
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+_FLAGS = ("-O2", "-shared", "-fPIC")
+_INT64_MAX = 2**63 - 1
+
+
+def _cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    return os.path.join(base, "condchrom")
+
+
+def _build() -> str:
+    """Path of the compiled library, compiling it on a cache miss."""
+    with open(_SOURCE, "rb") as fh:
+        key = fh.read() + " ".join(_FLAGS).encode()
+    key += str(sys.implementation.cache_tag).encode()
+    cache = _cache_dir()
+    lib = os.path.join(cache, f"_kernel-{zlib.crc32(key):08x}.so")
+    if os.path.exists(lib):
+        return lib
+    import subprocess
+
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    tmp = f"{lib}.{os.getpid()}.tmp"
+    try:
+        proc = subprocess.run(
+            ["cc", *_FLAGS, "-o", tmp, _SOURCE], capture_output=True, text=True
+        )
+        if proc.returncode != 0:
+            raise ImportError(
+                f"cc exited {proc.returncode} compiling {_SOURCE}:\n{proc.stderr}"
+            )
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return lib
+
+
+def _load():
+    try:
+        lib = ctypes.CDLL(_build())
+    except OSError as e:
+        raise ImportError(f"cannot build or load the C kernel: {e}") from e
+    fn = lib.condchrom_search
+    # Pointers are passed as the addresses of array.array buffers, which
+    # search_coloring keeps alive for the call.
+    ptr = ctypes.c_void_p
+    fn.argtypes = [ctypes.c_int32, ptr, ptr, ptr, ctypes.c_int64,
+                   ctypes.c_int64, ptr, ptr]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+_search = _load()
+
+
+def search_coloring(neighbors, req, k, budget):
+    """(status, colors or None, nodes); see _kernel_py.search_coloring."""
+    n = len(neighbors)
+    if len(req) != n:
+        raise ValueError(f"req has {len(req)} entries for {n} vertices")
+    indices = array("i", chain.from_iterable(neighbors))
+    if indices and not (0 <= min(indices) and max(indices) < n):
+        raise ValueError("neighbor id out of range")
+    indptr = array("i", accumulate(map(len, neighbors), initial=0))
+    req = array("q", req)
+    colors = array("i", bytes(4 * n))
+    nodes = array("q", [0])
+    # Every k < 1 fails at once and every budget < 0 stops at the first
+    # node, so clamping both into int64 keeps the result.
+    status = _search(
+        n,
+        indptr.buffer_info()[0],
+        indices.buffer_info()[0],
+        req.buffer_info()[0],
+        max(0, min(k, _INT64_MAX)),
+        max(-1, min(budget, _INT64_MAX)),
+        colors.buffer_info()[0],
+        nodes.buffer_info()[0],
+    )
+    if status < 0:
+        raise MemoryError("C kernel: allocation failed")
+    if status == FOUND:
+        return FOUND, colors.tolist(), nodes[0]
+    return status, None, nodes[0]

@@ -1,6 +1,6 @@
 """Pure-Python backtracking kernel for the conditional coloring decision
-problem. Reference semantics: the compiled kernel (_kernel_cy) must produce
-byte-identical results, including node counts.
+problem. Reference semantics: the compiled kernel (_kernel.c, loaded by
+_kernel_c) must produce byte-identical results, including node counts.
 
 Search: DSATUR-style dynamic vertex order (max saturation, then max degree,
 then min id), colors tried ascending, and symmetry breaking by allowing at

@@ -107,7 +107,7 @@ def max_vset_d2r(
     nodes = 0
     exhausted = False
 
-    def coverable(chosen: list[int], pool: set[int]) -> bool:
+    def coverable(chosen: tuple[int, ...], pool: set[int]) -> bool:
         # Every chosen pair must be adjacent or still have a potential
         # witness (a set member, present or future) adjacent to both.
         for i, u1 in enumerate(chosen):
@@ -118,7 +118,7 @@ def max_vset_d2r(
                     return False
         return True
 
-    def valid_now(chosen: list[int]) -> bool:
+    def valid_now(chosen: tuple[int, ...]) -> bool:
         cs = set(chosen)
         for i, u1 in enumerate(chosen):
             for u2 in chosen[i + 1 :]:
@@ -126,31 +126,32 @@ def max_vset_d2r(
                     return False
         return True
 
-    def search(idx: int, chosen: list[int]) -> None:
-        nonlocal best, nodes, exhausted
-        if exhausted:
-            return
+    # Depth-first over (next candidate index, chosen so far); the include
+    # child is pushed last so that it is expanded first. Both children are
+    # tested when their parent is expanded: `coverable` reads neither `best`
+    # nor the budget, so the order of tests does not change the search.
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    while stack:
+        idx, chosen = stack.pop()
         nodes += 1
         if nodes > budget:
             exhausted = True
-            return
+            break
         if len(chosen) > len(best) and valid_now(chosen):
             best = list(chosen)
         if idx == len(cands):
-            return
+            continue
         if len(chosen) + (len(cands) - idx) <= len(best):
-            return
+            continue
         v = cands[idx]
         pool = set(chosen) | set(cands[idx:])
-        chosen.append(v)
-        if coverable(chosen, pool):
-            search(idx + 1, chosen)
-        chosen.pop()
+        with_v = chosen + (v,)
+        include = coverable(with_v, pool)
         pool.discard(v)
         if coverable(chosen, pool):
-            search(idx + 1, chosen)
-
-    search(0, [])
+            stack.append((idx + 1, chosen))
+        if include:
+            stack.append((idx + 1, with_v))
     if best:
         assert check_vset_d2r(g, best, r)
     return BoundReport(len(best), VSET, tuple(sorted(best)), exact=not exhausted)

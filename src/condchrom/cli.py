@@ -43,19 +43,29 @@ def _default_budget() -> int:
     return int(os.environ.get("CONDCHROM_MAX_NODES", "0"))
 
 
+def _read_text(path: str) -> str:
+    with open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise InputError(f"{path}: not a text file ({e.reason})") from None
+
+
 def _load_graph(args) -> Graph:
     if getattr(args, "file", None):
-        with open(args.file) as fh:
-            return from_dimacs(fh.read())
+        return from_dimacs(_read_text(args.file))
     g, _ = families.build(args.spec)
     return g
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(text)]
+    except ValueError:
+        raise InputError(f"bad range {text!r}: expected N or LO..HI") from None
 
 
 def cmd_generate(args) -> int:
@@ -99,10 +109,12 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.graph) as fh:
-        g = from_dimacs(fh.read())
-    with open(args.coloring) as fh:
-        c = Coloring.from_json_dict(json.load(fh))
+    g = from_dimacs(_read_text(args.graph))
+    try:
+        doc = json.loads(_read_text(args.coloring))
+    except json.JSONDecodeError as e:
+        raise InputError(f"{args.coloring}: not valid JSON ({e})") from None
+    c = Coloring.from_json_dict(doc)
     if len(c.colors) != g.n:
         raise InputError(
             f"coloring has {len(c.colors)} entries, graph has {g.n} vertices"

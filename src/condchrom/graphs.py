@@ -100,6 +100,13 @@ def to_dimacs(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dimacs_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InputError(f"line {lineno}: {token!r} is not an integer") from None
+
+
 def from_dimacs(text: str) -> Graph:
     n = None
     edges: list[tuple[int, int]] = []
@@ -111,11 +118,11 @@ def from_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise InputError(f"line {lineno}: bad problem line {line!r}")
-            n = int(parts[2])
+            n = _dimacs_int(parts[2], lineno)
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: bad edge line {line!r}")
-            u, v = int(parts[1]), int(parts[2])
+            u, v = _dimacs_int(parts[1], lineno), _dimacs_int(parts[2], lineno)
             if u < 1 or v < 1:
                 raise InputError(f"line {lineno}: endpoints are 1-based")
             edges.append((u - 1, v - 1))

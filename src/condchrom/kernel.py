@@ -1,8 +1,9 @@
 """Backend selection for the coloring search kernel.
 
-The compiled kernel is preferred when available; CONDCHROM_BACKEND=pure
-forces the Python reference, CONDCHROM_BACKEND=c fails loudly if the
-extension is missing. Both backends implement identical semantics.
+The compiled kernel (_kernel_c, built from _kernel.c on first use) is
+preferred when it builds and loads; CONDCHROM_BACKEND=pure forces the Python
+reference without touching the compiler, CONDCHROM_BACKEND=c fails loudly if
+the C kernel cannot be built. Both backends implement identical semantics.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ def _load():
         raise ValueError(f"CONDCHROM_BACKEND must be auto|c|pure, got {choice!r}")
     if choice in ("auto", "c"):
         try:
-            from . import _kernel_cy
+            from . import _kernel_c
 
-            return _kernel_cy, "c"
+            return _kernel_c, "c"
         except ImportError:
             if choice == "c":
                 raise
@@ -43,9 +44,9 @@ def backends():
     """All importable backends, for benchmarks and equivalence tests."""
     out = {"pure": _kernel_py}
     try:
-        from . import _kernel_cy
+        from . import _kernel_c
 
-        out["c"] = _kernel_cy
+        out["c"] = _kernel_c
     except ImportError:
         pass
     return out

@@ -43,7 +43,15 @@ class Coloring:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Coloring":
-        return cls(tuple(d["colors"]), int(d["k"]))
+        """Parse {"k": int, "colors": [int, ...]}; InputError on any other shape."""
+        if not isinstance(d, dict) or "k" not in d or "colors" not in d:
+            raise InputError('coloring must be a JSON object with "k" and "colors"')
+        k, colors = d["k"], d["colors"]
+        if not isinstance(colors, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in [k, *colors]
+        ):
+            raise InputError('coloring "k" and "colors" must be integers')
+        return cls(tuple(colors), k)
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,15 @@ def test_max_vset_budget_flag():
         assert check_vset_d2r(g, rep.certificate, g.max_degree())
 
 
+def test_max_vset_handles_deep_graphs():
+    # Every vertex of a long cycle is a candidate, so the search runs one
+    # level deeper per vertex; 5,000 nodes go past the recursion limit.
+    g, _ = build("cyc:1500")
+    rep = max_vset_d2r(g, 2, budget=5000)
+    assert rep.value == 3 and not rep.exact
+    assert check_vset_d2r(g, rep.certificate, 2)
+
+
 def test_max_vset_monotone_in_r(corpus):
     for spec, g in corpus[:8]:
         values = [max_vset_d2r(g, r).value for r in range(1, g.max_degree() + 1)]

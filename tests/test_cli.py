@@ -116,6 +116,32 @@ def test_verify_command(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "coloring",
+    ['{"k": 4, "colors": [1, 2', '{"k": 4}', '{"k": 4, "colors": [1, "2", 3, 4]}'],
+    ids=["malformed-json", "missing-colors", "non-integer-color"],
+)
+def test_verify_rejects_bad_coloring_file(tmp_path, capsys, coloring):
+    gfile = tmp_path / "g.col"
+    run(capsys, "generate", "cyc:4", "-o", str(gfile))
+    cfile = tmp_path / "c.json"
+    cfile.write_text(coloring)
+    code, _, err = run(capsys, "verify", str(gfile), str(cfile), "-r", "2")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_dimacs_non_integer_endpoint(tmp_path, capsys):
+    gfile = tmp_path / "g.col"
+    gfile.write_text("p edge 2 1\ne 1 x\n")
+    code, _, err = run(capsys, "solve", "--file", str(gfile), "-r", "1")
+    assert code == 2 and err.startswith("error:") and "line 2" in err
+
+
+def test_table_bad_range(capsys):
+    code, _, err = run(capsys, "table", "1", "--n", "1..x")
+    assert code == 2 and err.startswith("error:")
+
+
 def test_bounds_command(capsys):
     code, out, _ = run(capsys, "bounds", "M(fr:1)", "-r", "4")
     assert code == 0

@@ -1,10 +1,17 @@
 """Kernel semantics pinned row by row: status, node count and coloring of
 every corpus graph at every r <= Delta, every k <= n and budgets
-{0, 1, 7, 50}, plus two budget-cut rows on the hard tail."""
+{0, 1, 7, 50}, plus two budget-cut rows on the hard tail. The backends are
+also compared on random graphs, and the loader's fallback is checked with no
+compiler on PATH."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from test_graphs import graphs
 
 from condchrom import build, check_conditional, kernel
 from condchrom.verify import Coloring
@@ -39,8 +46,41 @@ def test_kernel_matches_golden_pins(name):
     assert mismatches == []
 
 
-def test_kernel_handles_deep_graphs():
+@pytest.mark.parametrize("name", sorted(kernel.backends()))
+def test_kernel_handles_deep_graphs(name):
     g, _ = build("cyc:1500")
-    status, colors, _ = kernel.search_coloring(g.adjacency_lists(), [2] * g.n, 4, 0)
+    search = kernel.backends()[name].search_coloring
+    status, colors, _ = search(g.adjacency_lists(), [2] * g.n, 4, 0)
     assert status == kernel.FOUND
     assert check_conditional(g, Coloring(tuple(colors), 4), 2).valid
+
+
+@pytest.mark.skipif(len(kernel.backends()) < 2, reason="only one backend loads")
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=10))
+def test_backends_agree_on_random_graphs(g):
+    adj, mods = g.adjacency_lists(), kernel.backends()
+    for r in range(1, max(g.max_degree(), 1) + 1):
+        req = [min(g.degree(v), r) for v in range(g.n)]
+        for k in range(1, g.n + 1):
+            for budget in (0, 1, 7, 50):
+                results = {name: mod.search_coloring(adj, req, k, budget)
+                           for name, mod in mods.items()}
+                assert len(set(map(repr, results.values()))) == 1, (r, k, budget, results)
+
+
+def _import_backend(tmp_path, backend):
+    env = dict(os.environ, PATH="", XDG_CACHE_HOME=str(tmp_path),
+               PYTHONPATH=str(Path(kernel.__file__).parents[1]),
+               CONDCHROM_BACKEND=backend)
+    return subprocess.run(
+        [sys.executable, "-c", "import condchrom; print(condchrom.BACKEND_NAME)"],
+        env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_without_a_compiler_auto_falls_back_and_c_fails(tmp_path):
+    auto = _import_backend(tmp_path, "auto")
+    assert auto.returncode == 0 and auto.stdout == "pure\n" and auto.stderr == ""
+    forced = _import_backend(tmp_path, "c")
+    assert forced.returncode != 0
+    assert "ImportError" in forced.stderr and "'cc'" in forced.stderr

@@ -39,8 +39,26 @@ EXIT_BUDGET = 3
 DEFAULT_SIZE_CAP = 24
 
 
-def _default_budget() -> int:
-    return int(os.environ.get("CONDCHROM_MAX_NODES", "0"))
+# The instances `condchrom table P` checks, from the --k and --n values or
+# the defaults here; each is listed at every r in 1..Delta where a case of P
+# covers it.
+TABLE_GRIDS = {
+    1: lambda ks, ns: [f"wd:{k},{n}" for k in ks or (3, 4) for n in ns or (1, 2, 3)],
+    2: lambda ks, ns: [f"L(wd:{k},{n})" for k in ks or (3,) for n in ns or (1, 2, 3)],
+    3: lambda ks, ns: [f"L(fr:{n})" for n in ns or (1, 2, 3)],
+    4: lambda ks, ns: [f"M(kpart:{s})" for s in ("1,1,1", "1,2", "2,2", "1,1,2")],
+    5: lambda ks, ns: [f"M(cyc:{n})" for n in ns or (4, 5, 6, 7)],
+    6: lambda ks, ns: [f"M(fr:{n})" for n in ns or (1, 2)],
+    7: lambda ks, ns: [f"M(kpart:{s})" for s in ("1,2", "2,2")],
+}
+# F_1 = K_{1,1,1}: after M(F_1), M(kpart:1,1,1) is checked through proposition 4.
+CROSS_CHECKS = {"M(fr:1)": [("M(kpart:1,1,1)", 4)]}
+
+
+def _default_budget() -> str:
+    # A string default goes through type=int when the option is parsed, so a
+    # bad value is a usage error (exit 2) of the commands that take it.
+    return os.environ.get("CONDCHROM_MAX_NODES", "0")
 
 
 def _read_text(path: str) -> str:
@@ -143,66 +161,25 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _table_entries(prop: int, ks, ns) -> list[tuple[str, int]]:
-    entries: list[tuple[str, int]] = []
-
-    def delta(spec: str) -> int:
-        g, _ = families.build(spec)
-        return g.max_degree()
-
-    if prop == 1:
-        for k in ks or [3, 4]:
-            for n in ns or [1, 2, 3]:
-                spec = f"wd:{k},{n}"
-                entries.extend((spec, r) for r in range(2, delta(spec) + 1))
-    elif prop == 2:
-        for k in ks or [3]:
-            for n in ns or [1, 2, 3]:
-                spec = f"L(wd:{k},{n})"
-                entries.append((spec, delta(spec)))
-    elif prop == 3:
-        for n in ns or [1, 2, 3]:
-            spec = f"L(fr:{n})"
-            entries.extend((spec, r) for r in range(2, delta(spec) + 1))
-    elif prop == 4:
-        for sizes in ([1, 1, 1], [1, 2], [2, 2], [1, 1, 2]):
-            spec = "M(kpart:" + ",".join(map(str, sizes)) + ")"
-            entries.append((spec, delta(spec)))
-    elif prop == 5:
-        for n in ns or [4, 5, 6, 7]:
-            entries.extend((f"M(cyc:{n})", r) for r in (2, 3))
-    elif prop == 6:
-        for n in ns or [1, 2]:
-            spec = f"M(fr:{n})"
-            entries.extend((spec, r) for r in range(2, delta(spec) + 1))
-            if n == 1:
-                # F_1 = K_{1,1,1}: cross-check the multipartite closed form
-                # on the same graph at r = Delta.
-                entries.append(("M(kpart:1,1,1)", delta(spec)))
-    elif prop == 7:
-        for n1, n2 in ((1, 2), (2, 2)):
-            spec = f"M(kpart:{n1},{n2})"
-            entries.extend((spec, r) for r in range(1, n2 + 2))
-    else:
-        raise InputError(f"unknown proposition id {prop}")
-    return entries
-
-
 def cmd_table(args) -> int:
-    props = range(1, 8) if args.proposition == "all" else [int(args.proposition)]
+    props = [p for p in TABLE_GRIDS if args.proposition in ("all", str(p))]
+    if not props:
+        raise InputError(f"unknown proposition id {args.proposition!r} (1..7 or 'all')")
     ks = _parse_range(args.k) if args.k else None
     ns = _parse_range(args.n) if args.n else None
     rows = []
     for prop in props:
-        for spec, r in _table_entries(prop, ks, ns):
-            t0 = time.perf_counter()
-            (row,) = solver.sweep(
-                [(spec, r)], budget=args.max_nodes, size_cap=args.size_cap
-            )
-            row = {"proposition": prop, **row}
-            if args.timing:
-                row["ms"] = round((time.perf_counter() - t0) * 1000.0, 1)
-            rows.append(row)
+        for instance in TABLE_GRIDS[prop](ks, ns):
+            for spec, cases_of in [(instance, prop), *CROSS_CHECKS.get(instance, [])]:
+                for r in constructions.covered_levels(spec, cases_of):
+                    t0 = time.perf_counter()
+                    (row,) = solver.sweep(
+                        [(spec, r)], budget=args.max_nodes, size_cap=args.size_cap
+                    )
+                    row = {"proposition": prop, **row}
+                    if args.timing:
+                        row["ms"] = round((time.perf_counter() - t0) * 1000.0, 1)
+                    rows.append(row)
 
     mismatch = any(row["match"] is False for row in rows)
     if args.format == "json":

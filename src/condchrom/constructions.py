@@ -6,14 +6,18 @@ maps the result onto internal vertex ids. Formulas are reproduced as
 printed, never repaired: where a formula fails for a parameter value the
 verifier reports the violation and callers surface it.
 
-predicted_chi_r dispatches a (family, r) pair to the matching closed form
-and returns None outside every stated case.
+CASES holds one row per proposition: its family, the r its cases cover,
+their values and its constructor. construct, predicted_chi_r and
+`condchrom table` all read it; outside every case they refuse instead of
+extrapolating.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
+from typing import Callable, NamedTuple
 
 from . import families
 from .errors import ParameterError, UnsupportedCaseError
@@ -312,116 +316,132 @@ def color_middle_bipartite(n1: int, n2: int, r: int) -> ClaimedColoring:
     return _from_paper_formula(g, prov, formula, n2 + 2, (n2 + 1,), 7, "r=n2+1")
 
 
-def _delta_of(spec: FamilySpec) -> int:
-    g, _ = families.build(spec)
-    return g.max_degree()
+class _Wd(NamedTuple):
+    k: int
+    n: int
+
+
+# Family matchers: the parameters a proposition reads off a spec, or None.
+def _windmill(spec: FamilySpec) -> _Wd | None:
+    """Wd(k, n) for k >= 3, as the propositions state it; F_n is Wd(3, n)."""
+    p = (3, *spec.params) if spec.tag == "fr" else spec.params
+    return _Wd(*p) if spec.tag in ("wd", "fr") and len(p) == 2 and p[0] >= 3 else None
+
+
+def _friendship(spec: FamilySpec) -> int | None:
+    wd = _windmill(spec)
+    return wd.n if wd is not None and wd.k == 3 else None
+
+
+def _cycle(spec: FamilySpec) -> int | None:
+    return spec.params[0] if spec.tag == "cyc" and len(spec.params) == 1 else None
+
+
+def _parts(spec: FamilySpec) -> tuple | None:
+    """Part sizes, ascending, of K_{n1..nk} for k >= 2."""
+    ok = spec.tag == "kpart" and len(spec.params) >= 2
+    return tuple(sorted(spec.params)) if ok else None
+
+
+def _of(transform: str, match):
+    """`match` applied to G in L(G) or M(G)."""
+    return lambda spec: match(spec.inner) if spec.tag == transform else None
+
+
+class Case(NamedTuple):
+    """The cases of one proposition: `family(spec)` gives its parameters
+    (None for other families); `applies(params, r, delta)` and
+    `value(params, r, delta)` get Delta as a function, called only where a
+    case reads it; `build(params, r)` calls the constructor. A case stated
+    at r = Delta covers every r >= Delta."""
+
+    proposition: int
+    label: str
+    family: Callable
+    applies: Callable
+    value: Callable
+    build: Callable
+
+
+# construct and predicted_chi_r take the first row that covers (family, r);
+# `condchrom table P` lists each r where the row of P covers an instance.
+# So 2 comes before 3 (both state L(F_n) at r = Delta) and 7 before 4 (both
+# state M(K_{1,n2}) at r = n2 + 1 = Delta).
+CASES = (
+    Case(1, "r >= 2", _windmill, lambda w, r, d: r >= 2,
+         lambda w, r, d: w.k if r < w.k else min(r, w.n * (w.k - 1)) + 1,
+         lambda w, r: chi_windmill(*w, r)[1]),
+    Case(2, "r = Delta", _of("L", _windmill), lambda w, r, d: r >= d(),
+         lambda w, r, d: w.n * (w.k - 1) + comb(w.k - 1, 2),
+         lambda w, r: color_line_windmill_delta(*w)),
+    Case(3, "2 <= r < Delta for n >= 2, r = Delta", _of("L", _friendship),
+         lambda n, r, d: n >= 2 and 2 <= r or r >= d(),
+         lambda n, r, d: 2 * n + (r >= d()), color_line_friendship),
+    Case(5, "r in {2, 3} for n >= 4", _of("M", _cycle),
+         lambda n, r, d: n >= 4 and r in (2, 3), lambda n, r, d: r + 1,
+         color_middle_cycle),
+    Case(6, "2 <= r <= 2n+1, r = Delta", _of("M", _friendship),
+         lambda n, r, d: 2 <= r <= 2 * n + 1 or r >= d(),
+         lambda n, r, d: 2 * n + (1 if r <= 2 * n else 2 if r == 2 * n + 1 else 4),
+         color_middle_friendship),
+    Case(7, "1 <= r <= n2+1 for two parts", _of("M", _parts),
+         lambda s, r, d: len(s) == 2 and 1 <= r <= s[1] + 1,
+         lambda s, r, d: s[1] + 1 + (r > s[1]),
+         lambda s, r: color_middle_bipartite(*s, r)),
+    # k parts and l = (n^2 - sum of n_i^2) / 2 edges: k + l colors.
+    Case(4, "r = Delta", _of("M", _parts), lambda s, r, d: r >= d(),
+         lambda s, r, d: len(s) + (sum(s) ** 2 - sum(x * x for x in s)) // 2,
+         lambda s, r: color_middle_multipartite_delta(list(s))),
+)
+
+
+def _parsed(spec: str | FamilySpec) -> FamilySpec:
+    return parse_spec(spec) if isinstance(spec, str) else spec
+
+
+def _max_degree(spec: FamilySpec) -> int:
+    """Delta of the spec's graph. Edge uv of G has degree d(u) + d(v) - 2 in
+    L(G) and d(u) + d(v) in M(G), the most there, so one build of G does."""
+    if spec.tag not in ("L", "M"):
+        return families.build(spec)[0].max_degree()
+    g, _ = families.build(spec.inner)
+    return max(g.degree(u) + g.degree(v) for u, v in g.edges()) - 2 * (spec.tag == "L")
+
+
+def _covering_case(spec: FamilySpec, r: int):
+    """(row, params, delta) of the first row that covers (spec, r), or None."""
+    delta = functools.cache(lambda: _max_degree(spec))
+    return next(((c, p, delta) for c in CASES if (p := c.family(spec)) is not None
+                 and c.applies(p, r, delta)), None)
 
 
 def construct(spec: str | FamilySpec, r: int) -> ClaimedColoring:
-    """Dispatch (family, r) to the matching proposition's constructor."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
-    if spec.tag in ("wd", "fr"):
-        k, n = spec.params if spec.tag == "wd" else (3, spec.params[0])
-        return chi_windmill(k, n, r)[1]
-    if spec.tag == "L" and spec.inner.tag in ("wd", "fr"):
-        inner = spec.inner
-        k, n = inner.params if inner.tag == "wd" else (3, inner.params[0])
-        delta = _delta_of(spec)
-        if min(r, delta) == delta:
-            return color_line_windmill_delta(k, n)
-        if k == 3:
-            return color_line_friendship(n, r)
-        raise UnsupportedCaseError(
-            "only r = Delta is covered for line graphs of windmills with "
-            "k > 3 (nearest case: L(Wd(k,n)) at r = Delta)"
-        )
-    if spec.tag == "M" and spec.inner.tag == "cyc":
-        return color_middle_cycle(spec.inner.params[0], r)
-    if spec.tag == "M" and (
-        spec.inner.tag == "fr"
-        or (spec.inner.tag == "wd" and spec.inner.params[0] == 3)
-    ):
-        return color_middle_friendship(spec.inner.params[-1], r)
-    if spec.tag == "M" and spec.inner.tag == "kpart":
-        sizes = sorted(spec.inner.params)
-        delta = _delta_of(spec)
-        if len(sizes) == 2 and r <= sizes[1] + 1:
-            return color_middle_bipartite(sizes[0], sizes[1], r)
-        if min(r, delta) == delta:
-            return color_middle_multipartite_delta(list(sizes))
-        raise UnsupportedCaseError(
-            f"no stated case covers r = {r} here (nearest: middle graphs "
-            "of complete multipartite graphs at r = Delta)"
-        )
-    raise UnsupportedCaseError(f"no proposition covers family {spec}")
+    """The coloring of the first stated case that covers (family, r)."""
+    spec = _parsed(spec)
+    hit = _covering_case(spec, r)
+    if hit is None:
+        stated = "; ".join(f"proposition {c.proposition} at {c.label}"
+                           for c in CASES if c.family(spec) is not None)
+        raise UnsupportedCaseError(f"no stated case covers {spec} at r = {r}; " + (
+            f"stated: {stated}" if stated else "no proposition covers the family"))
+    return hit[0].build(hit[1], r)
 
 
 def predicted_chi_r(spec: str | FamilySpec, r: int) -> int | None:
     """Closed-form chi_r when (family, r) falls inside a stated case.
 
-    Returns None outside every case; never extrapolates. r is capped at
-    Delta only for the cases a proposition states in terms of Delta.
+    Returns None outside every case; never extrapolates.
     """
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
-    if r < 1:
-        return None
+    hit = _covering_case(_parsed(spec), r)
+    return None if hit is None else hit[0].value(hit[1], r, hit[2])
 
-    if spec.tag in ("wd", "fr"):
-        k, n = spec.params if spec.tag == "wd" else (3, spec.params[0])
-        if r < 2:
-            return None
-        if 2 <= r <= k - 1:
-            return k
-        if r >= k:
-            return min(r, n * (k - 1)) + 1
-        return None
 
-    if spec.tag == "L" and spec.inner.tag in ("wd", "fr"):
-        inner = spec.inner
-        k, n = inner.params if inner.tag == "wd" else (3, inner.params[0])
-        delta = _delta_of(spec)
-        r = min(r, delta)
-        if r == delta:
-            return n * (k - 1) + comb(k - 1, 2)
-        if k == 3 and n >= 2 and 2 <= r < delta:
-            return 2 * n
-        return None
-
-    if spec.tag == "M" and spec.inner.tag == "cyc":
-        n = spec.inner.params[0]
-        if n >= 4 and r in (2, 3):
-            return 3 if r == 2 else 4
-        return None
-
-    if spec.tag == "M" and (
-        spec.inner.tag == "fr"
-        or (spec.inner.tag == "wd" and spec.inner.params[0] == 3)
-    ):
-        n = spec.inner.params[-1]
-        delta = 2 * n + 2
-        r = min(r, delta)
-        if r <= 2 * n:
-            return 2 * n + 1
-        if r == 2 * n + 1:
-            return 2 * n + 2
-        return 2 * n + 4  # r = Delta
-
-    if spec.tag == "M" and spec.inner.tag == "kpart":
-        sizes = sorted(spec.inner.params)
-        k_parts = len(sizes)
-        n = sum(sizes)
-        l = sum(s * (n - s) for s in sizes) // 2
-        if k_parts == 2:
-            n2 = sizes[1]
-            if r <= n2:
-                return n2 + 1
-            if r == n2 + 1:
-                return n2 + 2
-        delta = _delta_of(spec)
-        if min(r, delta) == delta:
-            return k_parts + l
-        return None
-
-    return None
+def covered_levels(spec: str | FamilySpec, proposition: int) -> list[int]:
+    """The r in 1..Delta at which the row of `proposition` covers `spec`."""
+    spec = _parsed(spec)
+    (row,) = [c for c in CASES if c.proposition == proposition]
+    params = row.family(spec)
+    if params is None:
+        return []
+    delta = _max_degree(spec)
+    return [r for r in range(1, delta + 1) if row.applies(params, r, lambda: delta)]

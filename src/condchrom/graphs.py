@@ -108,7 +108,7 @@ def _dimacs_int(token: str, lineno: int) -> int:
 
 
 def from_dimacs(text: str) -> Graph:
-    n = None
+    n = m = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -118,7 +118,7 @@ def from_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise InputError(f"line {lineno}: bad problem line {line!r}")
-            n = _dimacs_int(parts[2], lineno)
+            n, m = _dimacs_int(parts[2], lineno), _dimacs_int(parts[3], lineno)
         elif parts[0] == "e":
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: bad edge line {line!r}")
@@ -130,6 +130,8 @@ def from_dimacs(text: str) -> Graph:
             raise InputError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise InputError("missing 'p edge' line")
+    if m != len(edges):
+        raise InputError(f"'p edge' line declares {m} edges, found {len(edges)}")
     return Graph(n, edges)
 
 

@@ -137,38 +137,37 @@ def random_c2_colorings(
         distinct = [0] * n
         uncol = [len(adj[v]) for v in range(n)]
 
-        def dfs(pos: int) -> bool:
-            if pos == n:
-                return True
-            v = order[pos]
-            cs = list(range(1, k + 1))
-            rng.shuffle(cs)
-            for c in cs:
-                ok = True
-                for u in adj[v]:
-                    gain = 1 if cnt[u][c] == 0 else 0
-                    if distinct[u] + gain + uncol[u] - 1 < req[u]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                color[v] = c
-                for u in adj[v]:
-                    uncol[u] -= 1
-                    if cnt[u][c] == 0:
-                        distinct[u] += 1
-                    cnt[u][c] += 1
-                if dfs(pos + 1):
-                    return True
-                color[v] = 0
-                for u in adj[v]:
-                    uncol[u] += 1
-                    cnt[u][c] -= 1
-                    if cnt[u][c] == 0:
-                        distinct[u] -= 1
-            return False
+        def move(v: int, c: int, step: int) -> None:
+            """step 1 colours v with c, step -1 takes c off v again."""
+            for u in adj[v]:
+                uncol[u] -= step
+                cnt[u][c] += step
+                if cnt[u][c] == (step == 1):  # c newly seen, or no longer
+                    distinct[u] += step
 
-        return color if dfs(0) else None
+        # tries[pos]: the shuffled colours left to try at position pos; one
+        # shuffle per position entered, in the order a recursive search
+        # would make them, so a seed gives the same samples.
+        tries = []
+        pos = 0
+        while 0 <= pos < n:
+            v = order[pos]
+            if len(tries) > pos:  # back from a dead end
+                move(v, color[v], -1)
+            else:
+                cs = list(range(1, k + 1))
+                rng.shuffle(cs)
+                tries.append(iter(cs))
+            color[v] = next((c for c in tries[pos] if all(
+                distinct[u] + (cnt[u][c] == 0) + uncol[u] - 1 >= req[u]
+                for u in adj[v])), 0)
+            if color[v]:
+                move(v, color[v], 1)
+                pos += 1
+            else:
+                tries.pop()
+                pos -= 1
+        return color if pos == n else None
 
     for _ in range(count):
         colors = sample()

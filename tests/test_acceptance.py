@@ -1,8 +1,7 @@
 """End-to-end acceptance suite.
 
 Each test covers one numbered criterion and prints a single PASS line on
-success (run with -s or read test_output.txt); pytest reports any failure
-in the usual way.
+success (run with -s); pytest reports any failure in the usual way.
 """
 
 from condchrom import (

@@ -193,3 +193,15 @@ def test_table_json_format(capsys):
 def test_table_bad_proposition(capsys):
     code, _, err = run(capsys, "table", "9")
     assert code == 2 and "proposition" in err
+    code, _, err = run(capsys, "table", "x")
+    assert code == 2 and err.startswith("error:") and "proposition" in err
+
+
+def test_bad_budget_variable(capsys, monkeypatch):
+    monkeypatch.setenv("CONDCHROM_MAX_NODES", "abc")
+    with pytest.raises(SystemExit) as exit_:
+        main(["solve", "wd:3,2", "-r", "2"])
+    assert exit_.value.code == 2 and "error:" in capsys.readouterr().err
+    # Commands without --max-nodes do not read it.
+    code, _, _ = run(capsys, "construct", "wd:3,2", "-r", "2")
+    assert code == 0

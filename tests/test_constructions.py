@@ -15,6 +15,7 @@ from condchrom import (
     predicted_chi_r,
 )
 from condchrom.errors import ParameterError, UnsupportedCaseError
+from conftest import CORPUS_SPECS
 
 
 def assert_claim_valid(claim, r):
@@ -167,6 +168,8 @@ def test_construct_dispatcher():
         construct("cyc:5", 2)
     with pytest.raises(UnsupportedCaseError):
         construct("M(kpart:1,1,1)", 2)
+    with pytest.raises(UnsupportedCaseError):
+        construct("M(fr:2)", 1)  # the M(F_n) cases start at r = 2
 
 
 def test_predicted_chi_r_examples():
@@ -190,6 +193,8 @@ def test_predicted_chi_r_never_extrapolates():
     assert predicted_chi_r("L(wd:4,2)", 2) is None
     assert predicted_chi_r("M(kpart:1,1,2)", 2) is None
     assert predicted_chi_r("cyc:6", 2) is None
+    assert predicted_chi_r("M(fr:2)", 1) is None
+    assert predicted_chi_r("M(wd:3,2)", 1) is None
 
 
 def test_predictions_match_solver_on_corpus(corpus):
@@ -199,3 +204,22 @@ def test_predictions_match_solver_on_corpus(corpus):
             if pred is None:
                 continue
             assert pred == chi_r_exact(g, r).chi_r, (spec, r)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    CORPUS_SPECS
+    + ["wd:5,2", "L(wd:4,3)", "M(cyc:3)", "M(wd:3,2)", "M(wd:4,2)", "M(kpart:3,1)"],
+)
+def test_construct_covers_exactly_the_predicted_cases(spec):
+    g, _ = build(spec)
+    delta = g.max_degree()
+    for r in range(1, delta + 3):
+        pred = predicted_chi_r(spec, r)
+        try:
+            claim = construct(spec, r)
+        except (ParameterError, UnsupportedCaseError):
+            assert pred is None, (spec, r)
+            continue
+        assert claim.claimed_k == pred, (spec, r)
+        assert r in claim.r_values or min(r, delta) in claim.r_values, (spec, r)

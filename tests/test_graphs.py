@@ -97,6 +97,12 @@ def test_dimacs_parse_errors():
         from_dimacs("p edge 2 1\ne 0 1\n")  # 0-based endpoint
     with pytest.raises(InputError):
         from_dimacs("p edge 2 1\nq 1 2\n")
+    with pytest.raises(InputError, match="line 1"):
+        from_dimacs("p edge 3 x\ne 1 2\n")  # non-integer edge count
+    with pytest.raises(InputError, match="declares 5 edges, found 1"):
+        from_dimacs("p edge 3 5\ne 1 2\n")
+    with pytest.raises(InputError, match="declares 0 edges, found 1"):
+        from_dimacs("p edge 3 0\ne 1 2\n")
 
 
 def test_dot_output():

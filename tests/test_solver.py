@@ -120,11 +120,13 @@ def test_backends_agree(corpus):
     bks = backends()
     if len(bks) < 2:
         pytest.skip("compiled backend not built")
-    for spec, g in corpus[:8]:
-        r = g.max_degree()
+    # Full k-ladders on two graphs that neither the corpus nor the kernel pins hold.
+    cases = [(spec, g, g.max_degree()) for spec, g in corpus[:8]]
+    cases += [(spec, build(spec)[0], r) for spec, r in (("M(cyc:7)", 3), ("wd:4,3", 9))]
+    for spec, g, r in cases:
         adj = g.adjacency_lists()
         req = [min(g.degree(v), r) for v in range(g.n)]
-        for k in range(2, g.n + 1):
+        for k in range(1, g.n + 1):
             results = {
                 name: mod.search_coloring(adj, req, k, 0)
                 for name, mod in bks.items()
@@ -140,6 +142,12 @@ def test_random_c2_colorings_satisfy_c2():
     assert len(samples) == 20
     for c in samples:
         assert not check_conditional(g, c, r).c2_violations
+
+
+def test_random_c2_colorings_handles_deep_graphs():
+    g, _ = build("cyc:1500")
+    (sample,) = random_c2_colorings(g, 2, 3, 1)
+    assert not check_conditional(g, sample, 2).c2_violations
 
 
 def test_random_c2_colorings_deterministic():

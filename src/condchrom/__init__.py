@@ -12,6 +12,7 @@ from .constructions import (
     color_middle_friendship,
     color_middle_multipartite_delta,
     construct,
+    paper_indexing,
     predicted_chi_r,
 )
 from .errors import InputError, ParameterError, PreconditionError, UnsupportedCaseError
@@ -24,7 +25,6 @@ from .families import (
     friendship,
     line_graph,
     middle_graph,
-    paper_indexing,
     parse_spec,
     windmill,
 )

@@ -87,7 +87,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_generate(args) -> int:
-    g, prov = families.build(args.spec)
+    g, prov = constructions.numbered_build(args.spec)
     out = to_dot(g) if args.format == "dot" else to_dimacs(g)
     if args.output:
         with open(args.output, "w") as fh:

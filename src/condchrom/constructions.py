@@ -1,27 +1,31 @@
 """Explicit coloring constructions, one per closed-form proposition.
 
-Each constructor evaluates the published case formula literally over the
-paper's 1-based vertex numbering (see families.Provenance.paper_pos) and
-maps the result onto internal vertex ids. Formulas are reproduced as
-printed, never repaired: where a formula fails for a parameter value the
-verifier reports the violation and callers surface it.
+Each proposition states its formula over its own 1-based numbering v_1,
+v_2, ... of the vertices. A Numbering writes that numbering once, as the
+origins of the vertices in paper order; `_numbered` turns it into
+Provenance.paper_pos of the graph families.build returns (the builders
+number nothing). Each constructor evaluates the published case formula
+literally over that numbering and maps the result onto internal vertex ids.
+Formulas are reproduced as printed, never repaired: where a formula fails
+for a parameter value the verifier reports the violation and callers
+surface it.
 
 CASES holds one row per proposition: its family, the r its cases cover,
-their values and its constructor. construct, predicted_chi_r and
-`condchrom table` all read it; outside every case they refuse instead of
-extrapolating.
+their values, its numbering and its constructor. construct,
+predicted_chi_r, paper_indexing and `condchrom table` all read it; outside
+every case they refuse instead of extrapolating.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Callable, NamedTuple
 
 from . import families
 from .errors import ParameterError, UnsupportedCaseError
-from .families import FamilySpec, Provenance, parse_spec
+from .families import EDGE, VERTEX, FamilySpec, Provenance, parse_spec
 from .graphs import Graph
 from .verify import Coloring
 
@@ -53,6 +57,62 @@ class ClaimedColoring:
             }
         )
         return d
+
+
+class Numbering(NamedTuple):
+    """A proposition's v_1, v_2, ...: `order(params)` lists the vertex
+    origins ("vertex", v) / ("edge", (u, w)) in paper order. Without an
+    order the paper's numbering is the order the builder emits: windmill
+    blades and parts are consecutive id ranges, edges lexicographic."""
+
+    scheme: str
+    order: Callable | None = None
+
+
+def _middle_cycle_order(n: int) -> list:
+    """M(C_n): v_1..v_n the cycle vertices, v_{n+i} the edge joining v_i
+    and v_{(i mod n)+1}."""
+    return ([(VERTEX, v) for v in range(n)]
+            + [(EDGE, (v, v + 1)) for v in range(n - 1)] + [(EDGE, (0, n - 1))])
+
+
+def _middle_friendship_order(n: int) -> list:
+    """M(F_n): v_{2i-1}, v_{2i} the center-incident edges of copy i;
+    v_{2n+1} the center; v_{2(n+i)}, v_{2(n+i)+1} the outer vertices of
+    copy i; v_{4n+1+i} the outer edge of copy i."""
+    blades = [(2 * i - 1, 2 * i) for i in range(1, n + 1)]
+    return ([(EDGE, (0, v)) for b in blades for v in b] + [(VERTEX, 0)]
+            + [(VERTEX, v) for b in blades for v in b] + [(EDGE, b) for b in blades])
+
+
+def _middle_multipartite_order(sizes) -> list:
+    """M(K_{n1..nk}) at r = Delta: v_1..v_l the edges (lexicographic), then
+    the vertices part by part."""
+    part = [p for p, size in enumerate(sizes) for _ in range(size)]
+    edges = [(EDGE, (u, w)) for u in range(len(part))
+             for w in range(u + 1, len(part)) if part[u] != part[w]]
+    return edges + [(VERTEX, v) for v in range(len(part))]
+
+
+IDENTITY = Numbering("identity")
+LINE_WINDMILL = Numbering("line-windmill")
+MIDDLE_CYCLE = Numbering("middle-cycle", _middle_cycle_order)
+MIDDLE_FRIENDSHIP = Numbering("middle-friendship", _middle_friendship_order)
+MIDDLE_BIPARTITE = Numbering("middle-bipartite")
+MIDDLE_MULTIPARTITE = Numbering("middle-multipartite", _middle_multipartite_order)
+
+
+def _numbered(built: tuple, numbering: Numbering, params=None) -> tuple:
+    """(graph, provenance) of `built` with paper_pos as `numbering` states
+    it for `params`; raises ValueError if its order is not a permutation of
+    the graph's vertex origins."""
+    g, prov = built
+    order = prov.origin if numbering.order is None else tuple(numbering.order(params))
+    if len(order) != len(prov.origin) or set(order) != set(prov.origin):
+        raise ValueError(f"the {numbering.scheme} numbering does not fit {prov.spec}")
+    pos = {o: i for i, o in enumerate(order, 1)}
+    paper_pos = tuple(pos[o] for o in prov.origin)
+    return g, replace(prov, paper_pos=paper_pos, scheme=numbering.scheme)
 
 
 def _from_paper_formula(
@@ -99,7 +159,7 @@ def color_line_windmill_delta(k: int, n: int) -> ClaimedColoring:
     """L(Wd(k,n)) at r = Delta: z = n(k-1) + C(k-1,2) colors."""
     if k < 3 or n < 1:
         raise ParameterError(f"need k >= 3 and n >= 1, got ({k},{n})")
-    g, prov = families.build(f"L(wd:{k},{n})")
+    g, prov = _numbered(families.build(f"L(wd:{k},{n})"), LINE_WINDMILL)
     z = n * (k - 1) + comb(k - 1, 2)
     inner = comb(k - 1, 2)
 
@@ -123,7 +183,7 @@ def color_line_friendship(n: int, r: int) -> ClaimedColoring:
             "n >= 2 required: at n = 1 the published small-r formula "
             "degenerates (L(F_1) = K_3 has clique number 3 > 2n)"
         )
-    g, prov = families.build(f"L(fr:{n})")
+    g, prov = _numbered(families.build(f"L(fr:{n})"), LINE_WINDMILL)
     delta = g.max_degree()
     r = min(r, delta)
     if r < 2:
@@ -157,8 +217,9 @@ def color_middle_multipartite_delta(sizes: list[int]) -> ClaimedColoring:
     if len(sizes) < 2:
         raise ParameterError("need at least two parts")
     spec = "M(kpart:" + ",".join(str(s) for s in sizes) + ")"
-    g, prov = families.build(spec, scheme="middle-multipartite")
-    part_sizes = prov.notes["base"]["sizes"]
+    built = families.build(spec)
+    part_sizes = built[1].notes["base"]["sizes"]  # two parts come sorted
+    g, prov = _numbered(built, MIDDLE_MULTIPARTITE, part_sizes)
     k_parts = len(part_sizes)
     l = g.n - sum(part_sizes)
     prefix = [0]
@@ -187,7 +248,7 @@ def color_middle_cycle(n: int, r: int) -> ClaimedColoring:
         raise UnsupportedCaseError(
             f"no closed-form case for r = {r} on M(C_n) (only r in {{2,3}})"
         )
-    g, prov = families.build(f"M(cyc:{n})")
+    g, prov = _numbered(families.build(f"M(cyc:{n})"), MIDDLE_CYCLE, n)
     if r == 2:
         if n % 2 == 0:
 
@@ -251,7 +312,7 @@ def color_middle_friendship(n: int, r: int) -> ClaimedColoring:
     if r < 1:
         raise ParameterError(f"r must be >= 1, got {r}")
     r = min(r, delta)
-    g, prov = families.build(f"M(fr:{n})")
+    g, prov = _numbered(families.build(f"M(fr:{n})"), MIDDLE_FRIENDSHIP, n)
     if r <= 2 * n:
         return _from_paper_formula(
             g,
@@ -297,7 +358,7 @@ def color_middle_bipartite(n1: int, n2: int, r: int) -> ClaimedColoring:
             f"no closed-form case for r = {r} > n2+1 on M(K_{{n1,n2}}); "
             "use the solver"
         )
-    g, prov = families.build(f"M(kpart:{n1},{n2})")
+    g, prov = _numbered(families.build(f"M(kpart:{n1},{n2})"), MIDDLE_BIPARTITE)
     n = n1 + n2
 
     def case1(i: int) -> int:
@@ -322,10 +383,12 @@ class _Wd(NamedTuple):
 
 
 # Family matchers: the parameters a proposition reads off a spec, or None.
+# They take only parameters that families.build accepts.
 def _windmill(spec: FamilySpec) -> _Wd | None:
     """Wd(k, n) for k >= 3, as the propositions state it; F_n is Wd(3, n)."""
     p = (3, *spec.params) if spec.tag == "fr" else spec.params
-    return _Wd(*p) if spec.tag in ("wd", "fr") and len(p) == 2 and p[0] >= 3 else None
+    ok = spec.tag in ("wd", "fr") and len(p) == 2 and p[0] >= 3 and p[1] >= 1
+    return _Wd(*p) if ok else None
 
 
 def _friendship(spec: FamilySpec) -> int | None:
@@ -334,13 +397,20 @@ def _friendship(spec: FamilySpec) -> int | None:
 
 
 def _cycle(spec: FamilySpec) -> int | None:
-    return spec.params[0] if spec.tag == "cyc" and len(spec.params) == 1 else None
+    ok = spec.tag == "cyc" and len(spec.params) == 1 and spec.params[0] >= 3
+    return spec.params[0] if ok else None
 
 
 def _parts(spec: FamilySpec) -> tuple | None:
-    """Part sizes, ascending, of K_{n1..nk} for k >= 2."""
-    ok = spec.tag == "kpart" and len(spec.params) >= 2
-    return tuple(sorted(spec.params)) if ok else None
+    """Part sizes, in the order given, of K_{n1..nk} for k >= 2."""
+    ok = spec.tag == "kpart" and len(spec.params) >= 2 and min(spec.params) >= 1
+    return spec.params if ok else None
+
+
+def _two_parts(spec: FamilySpec) -> tuple | None:
+    """Part sizes n1 <= n2 of K_{n1,n2}."""
+    p = _parts(spec)
+    return tuple(sorted(p)) if p is not None and len(p) == 2 else None
 
 
 def _of(transform: str, match):
@@ -352,46 +422,48 @@ class Case(NamedTuple):
     """The cases of one proposition: `family(spec)` gives its parameters
     (None for other families); `applies(params, r, delta)` and
     `value(params, r, delta)` get Delta as a function, called only where a
-    case reads it; `build(params, r)` calls the constructor. A case stated
-    at r = Delta covers every r >= Delta."""
+    case reads it; `numbering` is the v_1, v_2, ... its formulas use;
+    `build(params, r)` calls the constructor. A case stated at r = Delta
+    covers every r >= Delta."""
 
     proposition: int
     label: str
     family: Callable
     applies: Callable
     value: Callable
+    numbering: Numbering
     build: Callable
 
 
-# construct and predicted_chi_r take the first row that covers (family, r);
-# `condchrom table P` lists each r where the row of P covers an instance.
-# So 2 comes before 3 (both state L(F_n) at r = Delta) and 7 before 4 (both
-# state M(K_{1,n2}) at r = n2 + 1 = Delta).
+# construct and predicted_chi_r take the first row that covers (family, r),
+# paper_indexing the first row that states the family; `condchrom table P`
+# lists each r where the row of P covers an instance. So 2 comes before 3
+# (both state L(F_n) at r = Delta) and 7 before 4 (both state M(K_{1,n2})
+# at r = n2 + 1 = Delta).
 CASES = (
     Case(1, "r >= 2", _windmill, lambda w, r, d: r >= 2,
          lambda w, r, d: w.k if r < w.k else min(r, w.n * (w.k - 1)) + 1,
-         lambda w, r: chi_windmill(*w, r)[1]),
+         IDENTITY, lambda w, r: chi_windmill(*w, r)[1]),
     Case(2, "r = Delta", _of("L", _windmill), lambda w, r, d: r >= d(),
          lambda w, r, d: w.n * (w.k - 1) + comb(w.k - 1, 2),
-         lambda w, r: color_line_windmill_delta(*w)),
+         LINE_WINDMILL, lambda w, r: color_line_windmill_delta(*w)),
     Case(3, "2 <= r < Delta for n >= 2, r = Delta", _of("L", _friendship),
          lambda n, r, d: n >= 2 and 2 <= r or r >= d(),
-         lambda n, r, d: 2 * n + (r >= d()), color_line_friendship),
+         lambda n, r, d: 2 * n + (r >= d()), LINE_WINDMILL, color_line_friendship),
     Case(5, "r in {2, 3} for n >= 4", _of("M", _cycle),
          lambda n, r, d: n >= 4 and r in (2, 3), lambda n, r, d: r + 1,
-         color_middle_cycle),
+         MIDDLE_CYCLE, color_middle_cycle),
     Case(6, "2 <= r <= 2n+1, r = Delta", _of("M", _friendship),
          lambda n, r, d: 2 <= r <= 2 * n + 1 or r >= d(),
          lambda n, r, d: 2 * n + (1 if r <= 2 * n else 2 if r == 2 * n + 1 else 4),
-         color_middle_friendship),
-    Case(7, "1 <= r <= n2+1 for two parts", _of("M", _parts),
-         lambda s, r, d: len(s) == 2 and 1 <= r <= s[1] + 1,
-         lambda s, r, d: s[1] + 1 + (r > s[1]),
-         lambda s, r: color_middle_bipartite(*s, r)),
+         MIDDLE_FRIENDSHIP, color_middle_friendship),
+    Case(7, "1 <= r <= n2+1", _of("M", _two_parts),
+         lambda s, r, d: 1 <= r <= s[1] + 1, lambda s, r, d: s[1] + 1 + (r > s[1]),
+         MIDDLE_BIPARTITE, lambda s, r: color_middle_bipartite(*s, r)),
     # k parts and l = (n^2 - sum of n_i^2) / 2 edges: k + l colors.
     Case(4, "r = Delta", _of("M", _parts), lambda s, r, d: r >= d(),
          lambda s, r, d: len(s) + (sum(s) ** 2 - sum(x * x for x in s)) // 2,
-         lambda s, r: color_middle_multipartite_delta(list(s))),
+         MIDDLE_MULTIPARTITE, lambda s, r: color_middle_multipartite_delta(list(s))),
 )
 
 
@@ -409,10 +481,34 @@ def _max_degree(spec: FamilySpec) -> int:
 
 
 def _covering_case(spec: FamilySpec, r: int):
-    """(row, params, delta) of the first row that covers (spec, r), or None."""
+    """(row, params, delta) of the first row that covers (spec, r), or None.
+    Raises ParameterError where families.build rejects the spec."""
     delta = functools.cache(lambda: _max_degree(spec))
-    return next(((c, p, delta) for c in CASES if (p := c.family(spec)) is not None
-                 and c.applies(p, r, delta)), None)
+    hit = next(((c, p, delta) for c in CASES if (p := c.family(spec)) is not None
+                and c.applies(p, r, delta)), None)
+    if hit is None:
+        families.build(spec)  # the matchers take only valid parameters
+    return hit
+
+
+def numbered_build(spec: str | FamilySpec) -> tuple[Graph, Provenance]:
+    """families.build(spec) with the numbering of the first proposition that
+    states the family; the builder's identity numbering where none does."""
+    spec = _parsed(spec)
+    built = families.build(spec)
+    stated = next(((c.numbering, p) for c in CASES if (p := c.family(spec)) is not None),
+                  None)
+    return built if stated is None else _numbered(built, *stated)
+
+
+def paper_indexing(spec: str | FamilySpec) -> Provenance:
+    """Provenance (including the v_i bijection) for a supported family.
+    Raises ParameterError for a line or middle graph no proposition states."""
+    spec = _parsed(spec)
+    _, prov = numbered_build(spec)
+    if prov.scheme == "identity" and spec.tag in ("L", "M"):
+        raise ParameterError(f"no proposition indexing for {spec}")
+    return prov
 
 
 def construct(spec: str | FamilySpec, r: int) -> ClaimedColoring:
@@ -442,6 +538,7 @@ def covered_levels(spec: str | FamilySpec, proposition: int) -> list[int]:
     (row,) = [c for c in CASES if c.proposition == proposition]
     params = row.family(spec)
     if params is None:
+        families.build(spec)  # ParameterError where the builders reject spec
         return []
     delta = _max_degree(spec)
     return [r for r in range(1, delta + 1) if row.applies(params, r, lambda: delta)]

@@ -1,10 +1,10 @@
 """Parameterized graph families and the line/middle graph transforms.
 
 Each builder returns a Graph together with a Provenance that records where
-every vertex came from and which 1-based index v_i it plays under the
-relevant proposition's vertex-numbering convention. All internal edge
-enumeration is lexicographic by endpoint ids; proposition-specific numbering
-lives entirely in the indexing functions here.
+every vertex came from. All internal edge enumeration is lexicographic by
+endpoint ids, and the builders number nothing: paper_pos is the identity.
+The numbering each proposition states its formula over lives in
+constructions, next to that proposition's case (constructions.paper_indexing).
 
 Family spec grammar (used by the CLI):
 
@@ -13,8 +13,7 @@ Family spec grammar (used by the CLI):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import dataclass, field, replace
 
 from .errors import ParameterError
 from .graphs import Graph
@@ -30,7 +29,7 @@ class Provenance:
     origin[v] is ("vertex", source_id) or ("edge", (u, w)) with u < w;
     for base families it is the identity vertex origin.
     paper_pos[v] is the 1-based index i such that internal vertex v plays
-    the role of v_i under `scheme`.
+    the role of v_i under `scheme`; the builders give the identity.
     """
 
     spec: str
@@ -42,9 +41,6 @@ class Provenance:
     def internal_of(self, i: int) -> int:
         """Internal id of the paper's v_i (1-based)."""
         return self.paper_pos.index(i)
-
-    def paper_of(self, v: int) -> int:
-        return self.paper_pos[v]
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,14 +104,12 @@ def _parse_at(text: str, pos: int) -> tuple[FamilySpec, int]:
     raise ParameterError(f"unknown family at position {pos}: {text[pos:]!r}")
 
 
-def _identity_provenance(spec: str, n: int, notes: dict) -> Provenance:
-    return Provenance(
-        spec=spec,
-        origin=tuple((VERTEX, v) for v in range(n)),
-        paper_pos=tuple(range(1, n + 1)),
-        scheme="identity",
-        notes=notes,
-    )
+def _identity_provenance(spec: str, origin: tuple, notes: dict) -> Provenance:
+    return Provenance(spec, origin, tuple(range(1, len(origin) + 1)), "identity", notes)
+
+
+def _vertices(n: int) -> tuple:
+    return tuple((VERTEX, v) for v in range(n))
 
 
 def windmill(k: int, n: int) -> tuple[Graph, Provenance]:
@@ -132,10 +126,8 @@ def windmill(k: int, n: int) -> tuple[Graph, Provenance]:
             for b in blade[a_idx + 1 :]:
                 edges.append((a, b))
     g = Graph(n * (k - 1) + 1, edges)
-    prov = _identity_provenance(
-        f"wd:{k},{n}", g.n, {"k": k, "n": n, "center": 0, "blades": tuple(blades)}
-    )
-    return g, prov
+    notes = {"k": k, "n": n, "center": 0, "blades": tuple(blades)}
+    return g, _identity_provenance(f"wd:{k},{n}", _vertices(g.n), notes)
 
 
 def friendship(n: int) -> tuple[Graph, Provenance]:
@@ -143,14 +135,14 @@ def friendship(n: int) -> tuple[Graph, Provenance]:
     if n < 1:
         raise ParameterError(f"friendship requires n >= 1, got {n}")
     g, prov = windmill(3, n)
-    return g, Provenance(f"fr:{n}", prov.origin, prov.paper_pos, "identity", prov.notes)
+    return g, replace(prov, spec=f"fr:{n}")
 
 
 def cycle(n: int) -> tuple[Graph, Provenance]:
     if n < 3:
         raise ParameterError(f"cycle requires n >= 3, got {n}")
     g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
-    return g, _identity_provenance(f"cyc:{n}", n, {"n": n})
+    return g, _identity_provenance(f"cyc:{n}", _vertices(n), {"n": n})
 
 
 def complete_multipartite(sizes: list[int]) -> tuple[Graph, Provenance]:
@@ -183,7 +175,7 @@ def complete_multipartite(sizes: list[int]) -> tuple[Graph, Provenance]:
     g = Graph(n, edges)
     notes.update({"sizes": tuple(sizes), "parts": tuple(parts)})
     spec = f"kpart:{','.join(str(s) for s in sizes)}"
-    return g, _identity_provenance(spec, n, notes)
+    return g, _identity_provenance(spec, _vertices(n), notes)
 
 
 def line_graph(g: Graph, prov: Provenance | None = None) -> tuple[Graph, Provenance]:
@@ -202,14 +194,11 @@ def line_graph(g: Graph, prov: Provenance | None = None) -> tuple[Graph, Provena
     lg = Graph(len(src_edges), edges)
     origin = tuple((EDGE, e) for e in src_edges)
     spec = f"L({prov.spec})" if prov is not None else "L(?)"
-    paper_pos, scheme = _transform_indexing("L", origin, prov)
     notes = {"base": prov.notes} if prov is not None else {}
-    return lg, Provenance(spec, origin, paper_pos, scheme, notes)
+    return lg, _identity_provenance(spec, origin, notes)
 
 
-def middle_graph(
-    g: Graph, prov: Provenance | None = None, scheme: str | None = None
-) -> tuple[Graph, Provenance]:
+def middle_graph(g: Graph, prov: Provenance | None = None) -> tuple[Graph, Provenance]:
     """M(G): vertices V(G) u E(G); line-graph adjacency plus incidence."""
     if g.m < 1:
         raise ParameterError("middle graph of an edgeless graph is undefined")
@@ -227,157 +216,13 @@ def middle_graph(
             for b in ids[a_idx + 1 :]:
                 edges.append((min(a, b), max(a, b)))
     mg = Graph(g.n + len(src_edges), edges)
-    origin = tuple((VERTEX, v) for v in range(g.n)) + tuple(
-        (EDGE, e) for e in src_edges
-    )
+    origin = _vertices(g.n) + tuple((EDGE, e) for e in src_edges)
     spec = f"M({prov.spec})" if prov is not None else "M(?)"
-    paper_pos, used_scheme = _transform_indexing("M", origin, prov, scheme)
     notes = {"base": prov.notes} if prov is not None else {}
-    return mg, Provenance(spec, origin, paper_pos, used_scheme, notes)
+    return mg, _identity_provenance(spec, origin, notes)
 
 
-def _base_family(prov: Provenance | None) -> tuple[str, tuple] | None:
-    if prov is None:
-        return None
-    try:
-        spec = parse_spec(prov.spec)
-    except ParameterError:
-        return None
-    if spec.tag in ("L", "M"):
-        return None
-    return spec.tag, spec.params
-
-
-def _transform_indexing(
-    kind: str, origin: tuple, prov: Provenance | None, scheme: str | None = None
-) -> tuple[tuple, str]:
-    """Pick and apply the proposition numbering for a transformed graph."""
-    base = _base_family(prov)
-    if base is not None:
-        tag, params = base
-        if kind == "L" and (tag == "wd" or tag == "fr"):
-            k, n = params if tag == "wd" else (3, params[0])
-            return _index_line_windmill(origin, prov.notes, k, n), "line-windmill"
-        if kind == "M" and tag == "cyc":
-            return _index_middle_cycle(origin, params[0]), "middle-cycle"
-        if kind == "M" and (tag == "fr" or (tag == "wd" and params[0] == 3)):
-            n = params[0] if tag == "fr" else params[1]
-            return _index_middle_friendship(origin, n), "middle-friendship"
-        if kind == "M" and tag == "kpart":
-            sizes = prov.notes["sizes"]
-            if scheme == "middle-multipartite" or (scheme is None and len(sizes) > 2):
-                return _index_middle_multipartite(origin, sizes), "middle-multipartite"
-            if len(sizes) == 2:
-                return _index_middle_bipartite(origin, sizes), "middle-bipartite"
-            return _index_middle_multipartite(origin, sizes), "middle-multipartite"
-    return tuple(range(1, len(origin) + 1)), "identity"
-
-
-def _index_line_windmill(origin: tuple, notes: dict, k: int, n: int) -> tuple:
-    """Numbering used for L(Wd(k,n)): first the n(k-1) center-incident edge
-    vertices grouped by copy, then each copy's C(k-1,2) remaining edge
-    vertices in lexicographic order."""
-    blades = notes["blades"]
-    blade_of = {}
-    for i, blade in enumerate(blades):
-        for v in blade:
-            blade_of[v] = i
-    inner_rank: dict[tuple, int] = {}
-    for blade in blades:
-        inner = sorted(
-            (a, b) for ai, a in enumerate(blade) for b in blade[ai + 1 :]
-        )
-        for r, e in enumerate(inner):
-            inner_rank[e] = r
-    inner_per_copy = comb(k - 1, 2)
-    pos = []
-    for kind, (u, v) in origin:
-        assert kind == EDGE
-        if u == 0:
-            i = blade_of[v]
-            pos.append(i * (k - 1) + (v - blades[i][0]) + 1)
-        else:
-            i = blade_of[u]
-            pos.append(n * (k - 1) + i * inner_per_copy + inner_rank[(u, v)] + 1)
-    return tuple(pos)
-
-
-def _index_middle_cycle(origin: tuple, n: int) -> tuple:
-    """M(C_n): v_1..v_n are the cycle vertices, v_{n+i} the edge joining
-    v_i and v_{(i mod n)+1}."""
-    pos = []
-    for kind, src in origin:
-        if kind == VERTEX:
-            pos.append(src + 1)
-        else:
-            u, v = src
-            if u == 0 and v == n - 1:
-                pos.append(2 * n)
-            else:
-                pos.append(n + u + 1)
-    return tuple(pos)
-
-
-def _index_middle_friendship(origin: tuple, n: int) -> tuple:
-    """M(F_n): v_{2i-1}, v_{2i} the center-incident edges of copy i;
-    v_{2n+1} the center; v_{2(n+i)}, v_{2(n+i)+1} the outer vertices of
-    copy i; v_{4n+1+i} the outer edge of copy i."""
-    pos = []
-    for kind, src in origin:
-        if kind == VERTEX:
-            if src == 0:
-                pos.append(2 * n + 1)
-            else:
-                i = (src - 1) // 2 + 1
-                first = (src - 1) % 2 == 0
-                pos.append(2 * (n + i) if first else 2 * (n + i) + 1)
-        else:
-            u, v = src
-            if u == 0:
-                i = (v - 1) // 2 + 1
-                first = (v - 1) % 2 == 0
-                pos.append(2 * i - 1 if first else 2 * i)
-            else:
-                i = (u - 1) // 2 + 1
-                pos.append(4 * n + 1 + i)
-    return tuple(pos)
-
-
-def _index_middle_multipartite(origin: tuple, sizes: tuple) -> tuple:
-    """M(K_{n1..nk}): v_1..v_l the edges (lexicographic), then partition
-    vertices in partition order."""
-    l = sum(1 for kind, _ in origin if kind == EDGE)
-    edge_rank = 0
-    pos = []
-    for kind, src in origin:
-        if kind == EDGE:
-            edge_rank += 1
-            pos.append(edge_rank)
-        else:
-            pos.append(l + src + 1)
-    return tuple(pos)
-
-
-def _index_middle_bipartite(origin: tuple, sizes: tuple) -> tuple:
-    """M(K_{n1,n2}) with n1 <= n2: v_1..v_n the original vertices,
-    v_{n+(i-1)n2+j} the edge joining part-1 vertex i and part-2 vertex j."""
-    n1, n2 = sizes
-    n = n1 + n2
-    pos = []
-    for kind, src in origin:
-        if kind == VERTEX:
-            pos.append(src + 1)
-        else:
-            u, w = src
-            i = u + 1
-            j = w - n1 + 1
-            pos.append(n + (i - 1) * n2 + j)
-    return tuple(pos)
-
-
-def build(
-    spec: str | FamilySpec, scheme: str | None = None
-) -> tuple[Graph, Provenance]:
+def build(spec: str | FamilySpec) -> tuple[Graph, Provenance]:
     """Build a graph from a family spec (string or parsed)."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
@@ -400,15 +245,6 @@ def build(
         return line_graph(g, prov)
     if spec.tag == "M":
         g, prov = build(spec.inner)
-        return middle_graph(g, prov, scheme=scheme)
+        return middle_graph(g, prov)
     raise ParameterError(f"unsupported family tag {spec.tag!r}")
 
-
-def paper_indexing(spec: str | FamilySpec, scheme: str | None = None) -> Provenance:
-    """Provenance (including the v_i bijection) for a supported family."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
-    _, prov = build(spec, scheme=scheme)
-    if prov.scheme == "identity" and spec.tag in ("L", "M"):
-        raise ParameterError(f"no proposition indexing for {spec}")
-    return prov

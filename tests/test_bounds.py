@@ -8,6 +8,7 @@ from condchrom import (
     clique_number,
     cycle,
     max_vset_d2r,
+    paper_indexing,
 )
 from condchrom.errors import ParameterError
 from condchrom.graphs import Graph
@@ -29,7 +30,8 @@ def test_clique_number_examples():
 
 def test_clique_certificate_is_paper_clique_for_line_friendship():
     # the center-incident edge vertices v_1..v_2n form the maximum clique
-    g, prov = build("L(fr:2)")
+    g, _ = build("L(fr:2)")
+    prov = paper_indexing("L(fr:2)")
     expected = {prov.internal_of(i) for i in (1, 2, 3, 4)}
     assert set(clique_number(g).certificate) == expected
 
@@ -50,7 +52,8 @@ def test_basic_lower_bound():
 
 
 def test_max_vset_line_windmill():
-    g, prov = build("L(wd:3,2)")
+    g, _ = build("L(wd:3,2)")
+    prov = paper_indexing("L(wd:3,2)")
     r = g.max_degree()
     rep = max_vset_d2r(g, r)
     assert rep.exact

@@ -33,6 +33,21 @@ def test_generate_to_file_writes_provenance(tmp_path, capsys):
     assert len(sidecar["paper_pos"]) == 6
 
 
+@pytest.mark.parametrize("spec, scheme, paper_pos", [
+    ("L(wd:4,2)", "line-windmill", list(range(1, 13))),
+    ("M(cyc:5)", "middle-cycle", [1, 2, 3, 4, 5, 6, 10, 7, 8, 9]),
+    ("M(fr:2)", "middle-friendship", [5, 6, 7, 8, 9, 1, 2, 3, 4, 10, 11]),
+    ("M(kpart:1,1,2)", "middle-multipartite", [6, 7, 8, 9, 1, 2, 3, 4, 5]),
+    ("M(kpart:2,3)", "middle-bipartite", list(range(1, 12))),
+    ("wd:3,2", "identity", [1, 2, 3, 4, 5]),
+])
+def test_generate_sidecar_numbering(tmp_path, capsys, spec, scheme, paper_pos):
+    target = tmp_path / "g.col"
+    assert run(capsys, "generate", spec, "-o", str(target))[0] == 0
+    sidecar = json.loads((tmp_path / "g.col.provenance.json").read_text())
+    assert (sidecar["scheme"], sidecar["paper_pos"]) == (scheme, paper_pos)
+
+
 def test_generate_bad_spec(capsys):
     code, _, err = run(capsys, "generate", "zz:3")
     assert code == 2

@@ -14,6 +14,7 @@ from condchrom import (
     construct,
     predicted_chi_r,
 )
+from condchrom.constructions import MIDDLE_CYCLE, MIDDLE_MULTIPARTITE, _numbered
 from condchrom.errors import ParameterError, UnsupportedCaseError
 from conftest import CORPUS_SPECS
 
@@ -71,7 +72,8 @@ def test_line_friendship():
 
 
 def test_middle_multipartite_delta():
-    for sizes, expect in (([1, 1, 1], 6), ([1, 2], 4), ([2, 2], 6), ([1, 1, 2], 8)):
+    for sizes, expect in (([1, 1, 1], 6), ([1, 2], 4), ([2, 2], 6), ([1, 1, 2], 8),
+                          ([2, 1, 1], 8), ([3, 1, 2], 14), ([3, 2], 8)):
         claim = color_middle_multipartite_delta(sizes)
         assert claim.claimed_k == expect  # k + l
         assert_claim_valid(claim, claim.graph.max_degree())
@@ -195,6 +197,14 @@ def test_predicted_chi_r_never_extrapolates():
     assert predicted_chi_r("cyc:6", 2) is None
     assert predicted_chi_r("M(fr:2)", 1) is None
     assert predicted_chi_r("M(wd:3,2)", 1) is None
+    # specs the builders reject raise, as construct and build do
+    for spec, r in (("wd:3,0", 2), ("fr:0", 5), ("M(kpart:0,2)", 1),
+                    ("L(wd:3,0)", 2), ("cyc:2", 2), ("M(cyc:2)", 2), ("kpart:3", 1),
+                    ("L(L(kpart:1,1))", 1)):
+        with pytest.raises(ParameterError):
+            predicted_chi_r(spec, r)
+        with pytest.raises(ParameterError):
+            construct(spec, r)
 
 
 def test_predictions_match_solver_on_corpus(corpus):
@@ -209,7 +219,8 @@ def test_predictions_match_solver_on_corpus(corpus):
 @pytest.mark.parametrize(
     "spec",
     CORPUS_SPECS
-    + ["wd:5,2", "L(wd:4,3)", "M(cyc:3)", "M(wd:3,2)", "M(wd:4,2)", "M(kpart:3,1)"],
+    + ["wd:5,2", "L(wd:4,3)", "M(cyc:3)", "M(wd:3,2)", "M(wd:4,2)", "M(kpart:3,1)"]
+    + ["M(kpart:2,1,1)", "M(kpart:1,2,1)", "M(kpart:3,1,2)"],
 )
 def test_construct_covers_exactly_the_predicted_cases(spec):
     g, _ = build(spec)
@@ -223,3 +234,14 @@ def test_construct_covers_exactly_the_predicted_cases(spec):
             continue
         assert claim.claimed_k == pred, (spec, r)
         assert r in claim.r_values or min(r, delta) in claim.r_values, (spec, r)
+        assert claim.graph == g, (spec, r)  # the graph `generate` emits
+
+
+def test_numbering_must_permute_the_vertices():
+    built = build("M(cyc:5)")
+    _numbered(built, MIDDLE_CYCLE, 5)
+    for n in (4, 6):
+        with pytest.raises(ValueError):
+            _numbered(built, MIDDLE_CYCLE, n)
+    with pytest.raises(ValueError):
+        _numbered(build("M(kpart:1,2,1)"), MIDDLE_MULTIPARTITE, (1, 1, 2))

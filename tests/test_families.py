@@ -2,6 +2,7 @@ import pytest
 
 from condchrom import (
     build,
+    color_middle_multipartite_delta,
     complete_multipartite,
     cycle,
     friendship,
@@ -145,12 +146,20 @@ def test_paper_index_is_bijection():
     for spec in ("L(wd:4,2)", "M(cyc:5)", "M(fr:2)", "M(kpart:2,3)", "M(kpart:1,1,2)"):
         prov = paper_indexing(spec)
         assert sorted(prov.paper_pos) == list(range(1, len(prov.paper_pos) + 1))
+    # The builders emit windmill blades and parts as consecutive id ranges and
+    # edges lexicographically, which is the numbering of these propositions.
+    for spec in ("L(wd:3,1)", "L(wd:4,2)", "L(wd:5,3)", "L(fr:4)", "M(kpart:1,2)",
+                 "M(kpart:2,3)", "M(kpart:3,5)", "M(kpart:4,4)", "M(kpart:3,1)"):
+        prov = paper_indexing(spec)
+        assert prov.paper_pos == tuple(range(1, len(prov.paper_pos) + 1)), spec
+        assert prov.scheme in ("line-windmill", "middle-bipartite")
 
 
 def test_middle_cycle_indexing_matches_incidence():
     # v_{n+i} must be incident with v_i and v_{(i mod n)+1}.
     n = 4
-    g, prov = build(f"M(cyc:{n})")
+    g, _ = build(f"M(cyc:{n})")
+    prov = paper_indexing(f"M(cyc:{n})")
     for i in range(1, n + 1):
         e = prov.internal_of(n + i)
         a = prov.internal_of(i)
@@ -161,7 +170,7 @@ def test_middle_cycle_indexing_matches_incidence():
 
 def test_line_friendship_indexing():
     # v_1..v_4 are the center-incident edge vertices, v_5, v_6 the outer edges.
-    g, prov = build("L(fr:2)")
+    prov = paper_indexing("L(fr:2)")
     for i in (1, 2, 3, 4):
         kind, (a, b) = prov.origin[prov.internal_of(i)]
         assert a == 0
@@ -176,7 +185,7 @@ def test_line_friendship_indexing():
 def test_middle_friendship_indexing_roles():
     # n=1: v_1, v_2 center-incident edges, v_3 the center, v_4, v_5 the
     # outer vertices, v_6 the outer edge.
-    g, prov = build("M(fr:1)")
+    prov = paper_indexing("M(fr:1)")
     assert prov.origin[prov.internal_of(1)] == ("edge", (0, 1))
     assert prov.origin[prov.internal_of(2)] == ("edge", (0, 2))
     assert prov.origin[prov.internal_of(3)] == ("vertex", 0)
@@ -188,7 +197,8 @@ def test_middle_friendship_indexing_roles():
 def test_middle_bipartite_indexing():
     # v_{n+(i-1)n2+j} is the edge joining part-1 vertex i and part-2 vertex j.
     n1, n2 = 2, 3
-    g, prov = build(f"M(kpart:{n1},{n2})")
+    g, _ = build(f"M(kpart:{n1},{n2})")
+    prov = paper_indexing(f"M(kpart:{n1},{n2})")
     n = n1 + n2
     for i in range(1, n1 + 1):
         for j in range(1, n2 + 1):
@@ -199,7 +209,8 @@ def test_middle_bipartite_indexing():
 
 
 def test_middle_multipartite_indexing_scheme():
-    g, prov = build("M(kpart:1,2)", scheme="middle-multipartite")
+    claim = color_middle_multipartite_delta([1, 2])
+    g, prov = claim.graph, claim.provenance
     # v_1..v_l are the edge vertices, then the partition vertices in order.
     l = 2
     for i in range(1, l + 1):
@@ -210,9 +221,9 @@ def test_middle_multipartite_indexing_scheme():
 
 def test_line_windmill_indexing_blocks():
     k, n = 4, 2
-    g, prov = build(f"L(wd:{k},{n})")
+    prov = paper_indexing(f"L(wd:{k},{n})")
     ncenter = n * (k - 1)
-    for i in range(1, g.n + 1):
+    for i in range(1, len(prov.paper_pos) + 1):
         kind, (a, b) = prov.origin[prov.internal_of(i)]
         if i <= ncenter:
             assert a == 0
@@ -224,3 +235,12 @@ def test_paper_indexing_rejects_unsupported_transform():
     # line graphs of cycles have no proposition numbering
     with pytest.raises(ParameterError):
         paper_indexing("L(cyc:5)")
+    with pytest.raises(ParameterError):
+        paper_indexing("L(wd:2,2)")  # Wd(2,n) is a star; no proposition states it
+
+
+def test_builders_number_nothing():
+    for spec in ("L(wd:4,2)", "M(cyc:5)", "M(fr:2)", "M(kpart:1,1,2)"):
+        _, prov = build(spec)
+        assert prov.scheme == "identity"
+        assert prov.paper_pos == tuple(range(1, len(prov.paper_pos) + 1))

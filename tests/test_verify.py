@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from condchrom import build, check_c3, check_conditional, check_proper, check_vset_d2r, lemma2_conclusion
+from condchrom import (
+    build,
+    check_c3,
+    check_conditional,
+    check_proper,
+    check_vset_d2r,
+    lemma2_conclusion,
+    paper_indexing,
+)
 from condchrom.constructions import color_middle_cycle
 from condchrom.errors import InputError, ParameterError, PreconditionError
 from condchrom.graphs import Graph
@@ -103,13 +111,15 @@ def test_check_vset_d2r():
 
 def test_check_vset_paper_certificate_middle_friendship():
     # S = {v_1..v_5, v_6} at n=1, r = Delta = 4
-    g, prov = build("M(fr:1)")
+    g, _ = build("M(fr:1)")
+    prov = paper_indexing("M(fr:1)")
     s = {prov.internal_of(i) for i in (1, 2, 3, 4, 5, 6)}
     assert check_vset_d2r(g, s, 4)
 
 
 def test_vset_monotone_in_r():
-    g, prov = build("L(wd:3,2)")
+    g, _ = build("L(wd:3,2)")
+    prov = paper_indexing("L(wd:3,2)")
     s = {prov.internal_of(i) for i in (1, 2, 3, 4, 5)}
     hit = [r for r in range(1, 8) if check_vset_d2r(g, s, r)]
     assert hit == list(range(hit[0], 8))  # once true, stays true
@@ -117,7 +127,6 @@ def test_vset_monotone_in_r():
 
 def test_lemma2_conclusion():
     assert lemma2_conclusion(k3(), Coloring((1, 2, 3), 3), 2)
-    g, prov = build("M(kpart:1,1,1)", scheme="middle-multipartite")
     from condchrom.constructions import color_middle_multipartite_delta
 
     claim = color_middle_multipartite_delta([1, 1, 1])

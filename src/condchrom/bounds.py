@@ -1,8 +1,10 @@
 """Lower bounds on the conditional chromatic number.
 
-Three sources: the clique number (omega <= chi_r), the cited
-min{r, Delta} + 1 bound, and maximization of Vset-d2r certificates
-(a Vset-d2r of size s forces chi_r >= s).
+Three sources, each sound on every graph it applies to: the clique number
+(omega <= chi_r), the cited min{r, Delta} + 1 bound on any graph with an
+edge (a vertex of degree Delta sees min{r, Delta} colors, none of them its
+own), and maximization of Vset-d2r certificates (a Vset-d2r of size s
+forces chi_r >= s).
 """
 
 from __future__ import annotations
@@ -36,49 +38,46 @@ class BoundReport:
         }
 
 
-def clique_number(g: Graph, size_guard: int | None = None) -> BoundReport:
+def clique_number(g: Graph) -> BoundReport:
     """Exact maximum clique via branch and bound with a greedy-coloring
     bound (Tomita-style). Intended for desk-scale graphs."""
-    if size_guard is not None and g.n > size_guard:
-        raise ParameterError(f"graph has {g.n} > {size_guard} vertices")
     if g.n == 0:
         return BoundReport(0, CLIQUE, ())
     adj = [g.neighbors(v) for v in range(g.n)]
     best: list[int] = []
 
-    def greedy_color_order(cands: list[int]) -> list[tuple[int, int]]:
-        # Returns (vertex, color-class index) pairs, colors ascending.
+    def branches(cands: list[int]) -> list:
+        # [(vertex, color-class index) pairs, highest color first; cands].
         classes: list[list[int]] = []
         for v in cands:
-            for ci, cls in enumerate(classes):
-                if all(u not in adj[v] for u in cls):
+            for cls in classes:
+                if adj[v].isdisjoint(cls):
                     cls.append(v)
                     break
             else:
                 classes.append([v])
-        out = []
-        for ci, cls in enumerate(classes, start=1):
-            out.extend((v, ci) for v in cls)
-        return out
+        ordered = [(v, ci) for ci, cls in enumerate(classes, start=1) for v in cls]
+        return [reversed(ordered), cands]
 
-    def expand(current: list[int], cands: list[int]) -> None:
-        nonlocal best
-        ordered = greedy_color_order(cands)
-        for v, bound in reversed(ordered):
-            if len(current) + bound <= len(best):
-                return
-            current.append(v)
-            nxt = [u for u in cands if u in adj[v] and u != v]
-            if not nxt:
-                if len(current) > len(best):
-                    best = list(current)
-            else:
-                expand(current, nxt)
-            current.pop()
-            cands = [u for u in cands if u != v]
-
-    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
-    expand([], order)
+    # Depth-first on an explicit stack: the frame at depth i branches on the
+    # vertices that extend current[:i]; when a branch is done, its vertex
+    # leaves the candidates of the frame below.
+    current: list[int] = []
+    stack = [branches(sorted(range(g.n), key=lambda v: (-len(adj[v]), v)))]
+    while stack:
+        frame = stack[-1]
+        step = next(frame[0], None)
+        if step is None or len(current) + step[1] <= len(best):
+            stack.pop()
+            if stack:
+                done = current.pop()
+                stack[-1][1] = [u for u in stack[-1][1] if u != done]
+            continue
+        current.append(step[0])
+        nxt = [u for u in frame[1] if u in adj[step[0]]]
+        if not nxt and len(current) > len(best):
+            best = list(current)
+        stack.append(branches(nxt))
     return BoundReport(len(best), CLIQUE, tuple(sorted(best)))
 
 
@@ -118,14 +117,6 @@ def max_vset_d2r(
                     return False
         return True
 
-    def valid_now(chosen: tuple[int, ...]) -> bool:
-        cs = set(chosen)
-        for i, u1 in enumerate(chosen):
-            for u2 in chosen[i + 1 :]:
-                if u2 not in adj[u1] and not (adj[u1] & adj[u2] & cs):
-                    return False
-        return True
-
     # Depth-first over (next candidate index, chosen so far); the include
     # child is pushed last so that it is expanded first. Both children are
     # tested when their parent is expanded: `coverable` reads neither `best`
@@ -137,7 +128,7 @@ def max_vset_d2r(
         if nodes > budget:
             exhausted = True
             break
-        if len(chosen) > len(best) and valid_now(chosen):
+        if len(chosen) > len(best) and coverable(chosen, set(chosen)):
             best = list(chosen)
         if idx == len(cands):
             continue
@@ -160,19 +151,13 @@ def max_vset_d2r(
 def lower_bounds(
     g: Graph, r: int, vset_budget: int = DEFAULT_VSET_BUDGET
 ) -> list[BoundReport]:
-    """The clique bound and, on graphs with an edge, the min{r,Delta}+1
-    bound and the Vset-d2r bound, each computed once.
-
-    The min{r,Delta}+1 bound is applied only to connected graphs with at
-    least that many vertices (the cited statement assumes connectivity);
-    otherwise it is skipped.
-    """
+    """Every sound lower bound, each computed once: the clique bound, the
+    min{r,Delta}+1 bound when the graph has an edge, and the Vset-d2r bound,
+    in that order."""
     reports = [clique_number(g)]
     if g.m >= 1:
-        basic = basic_lower_bound(g, r)
-        if g.is_connected() and g.n >= basic.value:
-            reports.append(basic)
-        reports.append(max_vset_d2r(g, r, budget=vset_budget))
+        reports.append(basic_lower_bound(g, r))
+    reports.append(max_vset_d2r(g, r, budget=vset_budget))
     return reports
 
 

@@ -2,7 +2,7 @@
 
 Commands: generate | solve | construct | verify | bounds | table.
 Exit codes: 0 success/valid, 1 invalid coloring or formula mismatch,
-2 input error, 3 search budget exhausted.
+2 input error, 3 the node budget left the solve bracket open (lo < hi).
 """
 
 from __future__ import annotations
@@ -17,14 +17,9 @@ import time
 
 from . import constructions, families, solver
 from .bounds import (  # noqa: F401  (condbench/tracer.py patches cli.clique_number)
-    BASIC,
-    CLIQUE,
     DEFAULT_VSET_BUDGET,
-    VSET,
-    basic_lower_bound,
     clique_number,
     lower_bounds,
-    max_vset_d2r,
     strongest,
 )
 from .errors import InputError, ParameterError, PreconditionError, UnsupportedCaseError
@@ -56,9 +51,17 @@ CROSS_CHECKS = {"M(fr:1)": [("M(kpart:1,1,1)", 4)]}
 
 
 def _default_budget() -> str:
-    # A string default goes through type=int when the option is parsed, so a
-    # bad value is a usage error (exit 2) of the commands that take it.
+    # A string default goes through the option's type when it is parsed, so
+    # a bad value is a usage error (exit 2) of the commands that take it.
     return os.environ.get("CONDCHROM_MAX_NODES", "0")
+
+
+def node_budget(text: str) -> int:
+    """argparse type of --max-nodes: an integer >= 0 (0 = unlimited)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"node budget must be >= 0, got {value}")
+    return value
 
 
 def _read_text(path: str) -> str:
@@ -146,17 +149,14 @@ def cmd_bounds(args) -> int:
     g = _load_graph(args)
     budget = args.max_nodes or DEFAULT_VSET_BUDGET
     reports = lower_bounds(g, args.r, vset_budget=budget)
-    by_kind = {rep.kind: rep for rep in reports}
-    vset = by_kind[VSET] if g.m >= 1 else max_vset_d2r(g, args.r, budget=budget)
+    clique, *basic, vset = reports
     out = {
-        "clique": by_kind[CLIQUE].to_json_dict(),
+        "clique": clique.to_json_dict(),
         "vset_d2r": vset.to_json_dict(),
         "best": strongest(reports).to_json_dict(),
     }
-    if g.m >= 1:
-        # Shown even where `lower_bounds` skips it (disconnected graphs).
-        basic = by_kind[BASIC] if BASIC in by_kind else basic_lower_bound(g, args.r)
-        out["basic_r_delta"] = basic.to_json_dict()
+    if basic:
+        out["basic_r_delta"] = basic[0].to_json_dict()
     print(json.dumps(out, indent=2))
     return EXIT_OK
 
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("spec", nargs="?", help="family spec")
     s.add_argument("--file", help="DIMACS col file instead of a spec")
     s.add_argument("-r", type=int, required=True)
-    s.add_argument("--max-nodes", type=int, default=_default_budget())
+    s.add_argument("--max-nodes", type=node_budget, default=_default_budget())
     s.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     s.add_argument("--force", action="store_true", help="ignore the size cap")
     s.set_defaults(func=cmd_solve)
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("spec", nargs="?")
     b.add_argument("--file")
     b.add_argument("-r", type=int, required=True)
-    b.add_argument("--max-nodes", type=int, default=_default_budget())
+    b.add_argument("--max-nodes", type=node_budget, default=_default_budget())
     b.set_defaults(func=cmd_bounds)
 
     t = sub.add_parser("table", help="formula-vs-exact comparison table")
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--k", help="range like 3..4")
     t.add_argument("--n", help="range like 1..3")
     t.add_argument("--format", choices=("csv", "json"), default="csv")
-    t.add_argument("--max-nodes", type=int, default=_default_budget())
+    t.add_argument("--max-nodes", type=node_budget, default=_default_budget())
     t.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     t.add_argument(
         "--timing",

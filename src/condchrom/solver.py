@@ -1,9 +1,10 @@
 """Exact computation of the r-th order conditional chromatic number.
 
 chi_r(G) is found by iterating the color budget k upward from the best
-lower bound and running the backtracking decision kernel at each level;
-the first feasible level is chi_r, proven whenever every smaller level was
-refuted (by search or by a sound certificate).
+lower bound and running the backtracking decision kernel at each level.
+The result is a bracket (lo, hi): every level below lo is refuted by a
+sound bound or by search, and the witness coloring uses hi colors. chi_r is
+proven exactly when lo == hi.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import kernel
-from .bounds import DEFAULT_VSET_BUDGET, BoundReport, best_lower_bound
+from .bounds import BoundReport, best_lower_bound
 from .errors import ParameterError
 from .graphs import Graph
 from .verify import Coloring
@@ -20,14 +21,21 @@ from .verify import Coloring
 
 @dataclass(frozen=True)
 class SolveResult:
-    chi_r: int  # best known upper bound; equals chi_r when proven
     r: int
     witness: Coloring
     nodes_expanded: int
     lower_bound_used: BoundReport
-    proven: bool
-    bracket: tuple  # (lo, hi); lo == hi == chi_r when proven
+    bracket: tuple  # (lo, hi): lo <= chi_r <= hi, hi colors in the witness
     backend: str = kernel.BACKEND_NAME
+
+    @property
+    def chi_r(self) -> int:
+        """The best known upper bound; chi_r itself when proven."""
+        return self.bracket[1]
+
+    @property
+    def proven(self) -> bool:
+        return self.bracket[0] == self.bracket[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -68,47 +76,41 @@ def exists_conditional_coloring(
     return ("none" if status == kernel.NONE else "unknown"), None, nodes
 
 
-def chi_r_exact(
-    g: Graph,
-    r: int,
-    budget: int = 0,
-    vset_budget: int = DEFAULT_VSET_BUDGET,
-) -> SolveResult:
+def chi_r_exact(g: Graph, r: int, budget: int = 0) -> SolveResult:
     """Minimum number of distinct colors admitting a conditional coloring
-    at level r (r is capped at Delta first; C2 saturates at d(v))."""
+    at level r (r is capped at Delta first; C2 saturates at d(v)).
+
+    Levels k climb from the best lower bound until the kernel finds a
+    coloring, runs out of nodes, or the node budget (0 = unlimited) is
+    spent. lo is the first level not refuted; hi is the number of colors of
+    the kernel's witness, or else n for the all-distinct coloring. The
+    result is proven when lo == hi.
+    """
     if g.n < 1:
         raise ParameterError("graph must have at least one vertex")
     r_eff = _normalized_r(g, r)
     if g.m == 0:
         witness = Coloring((1,) * g.n, 1)
-        lb = BoundReport(1, "clique", (0,))
-        return SolveResult(1, r, witness, 0, lb, True, (1, 1))
+        return SolveResult(r, witness, 0, BoundReport(1, "clique", (0,)), (1, 1))
 
-    lb = best_lower_bound(g, r_eff, vset_budget=vset_budget)
+    lb = best_lower_bound(g, r_eff)
     adj = g.adjacency_lists()
     req = _requirements(g, r_eff)
     total_nodes = 0
-    for k in range(max(lb.value, 1), g.n + 1):
+    status = kernel.BUDGET  # no search ran: a spent or negative budget
+    for lo in range(lb.value, g.n + 1):
         remaining = budget - total_nodes if budget else 0
         if budget and remaining <= 0:
             break
-        status, colors, nodes = kernel.search_coloring(adj, req, k, remaining)
+        status, colors, nodes = kernel.search_coloring(adj, req, lo, remaining)
         total_nodes += nodes
-        if status == kernel.FOUND:
-            chi = max(colors)
-            witness = Coloring(tuple(colors), chi)
-            return SolveResult(
-                chi, r, witness, total_nodes, lb, True, (chi, chi)
-            )
-        if status == kernel.BUDGET:
-            # Levels below k were all refuted, so chi_r >= k; the trivial
-            # all-distinct coloring is always a valid upper bound.
-            witness = Coloring(tuple(range(1, g.n + 1)), g.n)
-            return SolveResult(
-                g.n, r, witness, total_nodes, lb, False, (k, g.n)
-            )
-    witness = Coloring(tuple(range(1, g.n + 1)), g.n)
-    return SolveResult(g.n, r, witness, total_nodes, lb, False, (lb.value, g.n))
+        if status != kernel.NONE:
+            break
+    if status == kernel.FOUND:
+        witness = Coloring(tuple(colors), max(colors))
+    else:
+        witness = Coloring(tuple(range(1, g.n + 1)), g.n)
+    return SolveResult(r, witness, total_nodes, lb, (lo, witness.k))
 
 
 def random_c2_colorings(

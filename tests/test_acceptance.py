@@ -165,8 +165,7 @@ def test_criterion_10_cited_bound_invariants(corpus):
         assert values == sorted(values), spec
         for r, chi in enumerate(values, start=1):
             assert omega <= chi, (spec, r)
-            if g.is_connected() and g.n >= min(r, delta) + 1:
-                assert chi >= min(r, delta) + 1, (spec, r)
+            assert chi >= min(r, delta) + 1, (spec, r)
     print(
         "[PASS] criterion 10: omega <= chi_r1 <= chi_r2 and "
         "chi_r >= min{r,Delta}+1 across the exact-solved corpus"

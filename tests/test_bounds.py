@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 
 from condchrom import (
@@ -10,6 +13,7 @@ from condchrom import (
     max_vset_d2r,
     paper_indexing,
 )
+from condchrom.bounds import lower_bounds
 from condchrom.errors import ParameterError
 from condchrom.graphs import Graph
 
@@ -36,10 +40,16 @@ def test_clique_certificate_is_paper_clique_for_line_friendship():
     assert set(clique_number(g).certificate) == expected
 
 
-def test_clique_size_guard():
-    g, _ = build("M(fr:1)")
-    with pytest.raises(ParameterError):
-        clique_number(g, size_guard=3)
+def test_clique_number_handles_deep_graphs():
+    # K_100 branches 100 levels deep; the search must not use the call stack.
+    g = Graph(100, [(u, v) for u in range(100) for v in range(u + 1, 100)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        rep = clique_number(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rep.value == 100 and rep.certificate == tuple(range(100))
 
 
 def test_basic_lower_bound():
@@ -108,6 +118,18 @@ def test_best_lower_bound_winners():
 
     k4, _ = build("wd:4,1")
     assert best_lower_bound(k4, 3).value == 4
+
+    # Disconnected: K_{1,4} plus an isolated vertex still has min{r,4}+1.
+    star = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    rep = best_lower_bound(star, 3)
+    assert rep.value == 4 and rep.kind == "basic-r-delta"
+
+
+def test_lower_bounds_lists_every_bound():
+    kinds = [rep.kind for rep in lower_bounds(Graph(4, [(0, 1)]), 2)]
+    assert kinds == ["clique", "basic-r-delta", "vset-d2r"]
+    kinds = [rep.kind for rep in lower_bounds(Graph(3, []), 2)]
+    assert kinds == ["clique", "vset-d2r"]
 
 
 def test_certificates_revalidate(corpus):

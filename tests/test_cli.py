@@ -80,6 +80,12 @@ def test_solve_budget_exit(capsys):
     code, out, _ = run(capsys, "solve", "M(fr:2)", "-r", "5", "--max-nodes", "3")
     assert code == 3
     assert json.loads(out)["proven"] is False
+    # The budget runs out at k = 5, but the exact Vset-d2r bound 5 meets the
+    # all-distinct coloring of C_5: the bracket is closed, so exit 0.
+    code, out, _ = run(capsys, "solve", "cyc:5", "-r", "2", "--max-nodes", "1")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["bracket"] == [5, 5] and doc["proven"] is True and doc["chi_r"] == 5
 
 
 def test_solve_requires_input(capsys):
@@ -175,6 +181,24 @@ def test_bounds_command(capsys):
     assert doc["best"] == max(shown, key=lambda rep: rep["value"])
 
 
+def test_basic_bound_on_a_disconnected_graph(tmp_path, capsys):
+    # K_{1,4} plus an isolated vertex: min{r, Delta} + 1 holds on any graph
+    # with an edge, and at r = 3 it beats the clique (2) and the Vset (2).
+    path = tmp_path / "star.col"
+    path.write_text("p edge 6 4\ne 1 2\ne 1 3\ne 1 4\ne 1 5\n")
+    code, out, _ = run(capsys, "bounds", "--file", str(path), "-r", "3")
+    doc = json.loads(out)
+    assert code == 0
+    assert list(doc) == ["clique", "vset_d2r", "best", "basic_r_delta"]
+    assert doc["best"] == {"value": 4, "kind": "basic-r-delta",
+                           "certificate": None, "exact": True}
+    code, out, _ = run(capsys, "solve", "--file", str(path), "-r", "3")
+    doc = json.loads(out)
+    assert code == 0 and doc["chi_r"] == 4 and doc["proven"] is True
+    assert doc["lower_bound"]["kind"] == "basic-r-delta"
+    assert doc["lower_bound"]["value"] == 4
+
+
 def test_table_single_prop(capsys):
     code, out, _ = run(capsys, "table", "5", "--n", "4..5")
     assert code == 0
@@ -217,6 +241,18 @@ def test_bad_budget_variable(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exit_:
         main(["solve", "wd:3,2", "-r", "2"])
     assert exit_.value.code == 2 and "error:" in capsys.readouterr().err
+    monkeypatch.setenv("CONDCHROM_MAX_NODES", "-5")
+    with pytest.raises(SystemExit) as exit_:
+        main(["solve", "wd:3,2", "-r", "2"])
+    assert exit_.value.code == 2 and "error:" in capsys.readouterr().err
+    monkeypatch.delenv("CONDCHROM_MAX_NODES")
+    # A negative budget is a usage error on every command that takes one.
+    for argv in (["solve", "cyc:5", "-r", "2"], ["bounds", "cyc:5", "-r", "2"],
+                 ["table", "5"]):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--max-nodes", "-1"])
+        assert exit_.value.code == 2, argv
+        assert "error:" in capsys.readouterr().err
     # Commands without --max-nodes do not read it.
     code, _, _ = run(capsys, "construct", "wd:3,2", "-r", "2")
     assert code == 0

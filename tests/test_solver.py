@@ -102,6 +102,28 @@ def test_budget_exhaustion():
     assert status == "unknown" and witness is None
 
 
+def test_bracket_counts_a_level_refuted_on_the_last_node():
+    # Refuting k = 6 takes exactly the 815 budgeted nodes; k = 6 is refuted
+    # all the same, so the bracket starts at 7.
+    res = chi_r_exact(build("M(kpart:3,3)")[0], 5, budget=815)
+    assert res.bracket == (7, 15) and res.nodes_expanded == 815
+    assert not res.proven and res.chi_r == 15
+    res = chi_r_exact(build("cyc:7")[0], 2, budget=7)
+    assert res.bracket == (4, 7) and not res.proven
+
+
+def test_budgeted_brackets_hold_chi_and_proven_means_closed(corpus):
+    for spec, g in corpus:
+        r = g.max_degree()
+        chi = chi_r_exact(g, r).chi_r
+        for budget in (1, 7):
+            res = chi_r_exact(g, r, budget=budget)
+            lo, hi = res.bracket
+            assert lo <= chi <= hi and res.witness.k == hi, (spec, budget)
+            assert res.proven == (lo == hi) and res.chi_r == hi, (spec, budget)
+            assert check_conditional(g, res.witness, r).valid
+
+
 def test_parameter_errors():
     g, _ = build("cyc:4")
     with pytest.raises(ParameterError):

@@ -93,18 +93,25 @@ def basic_lower_bound(g: Graph, r: int) -> BoundReport:
 def max_vset_d2r(
     g: Graph, r: int, budget: int = DEFAULT_VSET_BUDGET
 ) -> BoundReport:
-    """Largest Vset-d2r found by include/exclude branch and bound.
+    """Largest Vset-d2r found by include/exclude branch and bound, run once
+    per anchor.
 
-    The certificate always validates; `exact` is False when the node budget
-    ran out before the search space was exhausted.
+    Every member of a Vset-d2r S is adjacent to the smallest member a or
+    shares a neighbour with it inside S, and that neighbour is a member
+    above a too. So the search for the sets whose smallest member is a
+    includes a and branches only on the candidates (degree <= r) above a
+    that are adjacent to a or to a candidate neighbour of a above a.
+    Anchors run in id order and share the incumbent; an anchor with no more
+    candidates than the incumbent has members is skipped. `budget` counts
+    nodes over all anchors together. The certificate always validates;
+    `exact` is False when the budget ran out before every anchor was done.
     """
     if r < 1:
         raise ParameterError(f"r must be >= 1, got {r}")
-    cands = [v for v in range(g.n) if g.degree(v) <= r]
     adj = [g.neighbors(v) for v in range(g.n)]
+    low = [len(adj[v]) <= r for v in range(g.n)]
     best: list[int] = []
     nodes = 0
-    exhausted = False
 
     def coverable(chosen: tuple[int, ...], pool: set[int]) -> bool:
         # Every chosen pair must be adjacent or still have a potential
@@ -117,35 +124,42 @@ def max_vset_d2r(
                     return False
         return True
 
-    # Depth-first over (next candidate index, chosen so far); the include
-    # child is pushed last so that it is expanded first. Both children are
-    # tested when their parent is expanded: `coverable` reads neither `best`
-    # nor the budget, so the order of tests does not change the search.
-    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-    while stack:
-        idx, chosen = stack.pop()
-        nodes += 1
+    for a in (v for v in range(g.n) if low[v]):
+        reach = adj[a].union(*(adj[w] for w in adj[a] if low[w] and w > a))
+        cands = [a, *sorted(v for v in reach if low[v] and v > a)]
+        if len(cands) <= len(best):
+            continue
+        # Depth-first over (next candidate index, chosen so far); the
+        # include child is pushed last so that it is expanded first. Both
+        # children are tested when their parent is expanded: `coverable`
+        # reads neither `best` nor the budget, so the order of tests does
+        # not change the search.
+        stack: list[tuple[int, tuple[int, ...]]] = [(1, (a,))]
+        while stack:
+            idx, chosen = stack.pop()
+            nodes += 1
+            if nodes > budget:
+                break
+            if len(chosen) > len(best) and coverable(chosen, set(chosen)):
+                best = list(chosen)
+            if idx == len(cands):
+                continue
+            if len(chosen) + (len(cands) - idx) <= len(best):
+                continue
+            v = cands[idx]
+            pool = set(chosen) | set(cands[idx:])
+            with_v = chosen + (v,)
+            include = coverable(with_v, pool)
+            pool.discard(v)
+            if coverable(chosen, pool):
+                stack.append((idx + 1, chosen))
+            if include:
+                stack.append((idx + 1, with_v))
         if nodes > budget:
-            exhausted = True
             break
-        if len(chosen) > len(best) and coverable(chosen, set(chosen)):
-            best = list(chosen)
-        if idx == len(cands):
-            continue
-        if len(chosen) + (len(cands) - idx) <= len(best):
-            continue
-        v = cands[idx]
-        pool = set(chosen) | set(cands[idx:])
-        with_v = chosen + (v,)
-        include = coverable(with_v, pool)
-        pool.discard(v)
-        if coverable(chosen, pool):
-            stack.append((idx + 1, chosen))
-        if include:
-            stack.append((idx + 1, with_v))
     if best:
         assert check_vset_d2r(g, best, r)
-    return BoundReport(len(best), VSET, tuple(sorted(best)), exact=not exhausted)
+    return BoundReport(len(best), VSET, tuple(sorted(best)), exact=nodes <= budget)
 
 
 def lower_bounds(

@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-import time
 
 from . import constructions, families, solver
 from .bounds import (  # noqa: F401  (condbench/tracer.py patches cli.clique_number)
@@ -167,19 +166,22 @@ def cmd_table(args) -> int:
         raise InputError(f"unknown proposition id {args.proposition!r} (1..7 or 'all')")
     ks = _parse_range(args.k) if args.k else None
     ns = _parse_range(args.n) if args.n else None
+    listed = [
+        (prop, spec, r)
+        for prop in props
+        for instance in TABLE_GRIDS[prop](ks, ns)
+        for spec, cases_of in [(instance, prop), *CROSS_CHECKS.get(instance, [])]
+        for r in constructions.covered_levels(spec, cases_of)
+    ]
+    swept = solver.sweep([(spec, r) for _, spec, r in listed],
+                         budget=args.max_nodes, size_cap=args.size_cap)
     rows = []
-    for prop in props:
-        for instance in TABLE_GRIDS[prop](ks, ns):
-            for spec, cases_of in [(instance, prop), *CROSS_CHECKS.get(instance, [])]:
-                for r in constructions.covered_levels(spec, cases_of):
-                    t0 = time.perf_counter()
-                    (row,) = solver.sweep(
-                        [(spec, r)], budget=args.max_nodes, size_cap=args.size_cap
-                    )
-                    row = {"proposition": prop, **row}
-                    if args.timing:
-                        row["ms"] = round((time.perf_counter() - t0) * 1000.0, 1)
-                    rows.append(row)
+    for (prop, _, _), row in zip(listed, swept):
+        ms = row.pop("ms")
+        row = {"proposition": prop, **row}
+        if args.timing:
+            row["ms"] = ms
+        rows.append(row)
 
     mismatch = any(row["match"] is False for row in rows)
     if args.format == "json":

@@ -10,6 +10,7 @@ proven exactly when lo == hi.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 
 from . import kernel
@@ -181,43 +182,39 @@ def random_c2_colorings(
 def sweep(entries, budget: int = 0, size_cap: int = 24) -> list[dict]:
     """Cross-check closed-form predictions against the exact solver.
 
-    entries: iterable of (family-spec string, r). Rows for instances above
-    the size cap keep the formula value and mark the exact column skipped.
+    entries: iterable of (family-spec string, r). Each spec is built once,
+    however many of its levels are listed. Rows for instances above the size
+    cap keep the formula value and mark the exact column skipped. A row's
+    "ms" (the only field that is not deterministic) is the wall time of its
+    prediction and solve, and of the build for the first row of a spec.
     """
     from . import constructions, families
 
+    graphs: dict[str, Graph] = {}
     rows = []
     for spec_str, r in entries:
-        g, _ = families.build(spec_str)
+        t0 = time.perf_counter()
+        if spec_str not in graphs:
+            graphs[spec_str] = families.build(spec_str)[0]
+        g = graphs[spec_str]
         formula = constructions.predicted_chi_r(spec_str, r)
-        if g.n > size_cap:
-            rows.append(
-                {
-                    "instance": spec_str,
-                    "n_vertices": g.n,
-                    "r": r,
-                    "formula": formula,
-                    "exact": None,
-                    "match": None,
-                    "proven": "skipped",
-                    "nodes": 0,
-                }
-            )
-            continue
-        res = chi_r_exact(g, r, budget=budget)
-        match = None
-        if formula is not None and res.proven:
-            match = formula == res.chi_r
-        rows.append(
-            {
-                "instance": spec_str,
-                "n_vertices": g.n,
-                "r": r,
-                "formula": formula,
-                "exact": res.chi_r if res.proven else None,
-                "match": match,
-                "proven": "yes" if res.proven else "budget",
-                "nodes": res.nodes_expanded,
-            }
-        )
+        row = {
+            "instance": spec_str,
+            "n_vertices": g.n,
+            "r": r,
+            "formula": formula,
+            "exact": None,
+            "match": None,
+            "proven": "skipped",
+            "nodes": 0,
+        }
+        if g.n <= size_cap:
+            res = chi_r_exact(g, r, budget=budget)
+            if formula is not None and res.proven:
+                row["match"] = formula == res.chi_r
+            row["exact"] = res.chi_r if res.proven else None
+            row["proven"] = "yes" if res.proven else "budget"
+            row["nodes"] = res.nodes_expanded
+        row["ms"] = round((time.perf_counter() - t0) * 1000.0, 1)
+        rows.append(row)
     return rows

@@ -1,11 +1,11 @@
 """Independent brute-force oracles used only by the tests.
 
-These deliberately share no code with condchrom.solver: plain recursive
-enumeration in vertex-id order, no saturation ordering, no incremental
-C2 counters.
+These deliberately share no code with condchrom.solver or condchrom.bounds:
+plain recursive enumeration in vertex-id order, no saturation ordering, no
+incremental C2 counters, no branch and bound.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 from condchrom.verify import Coloring, check_conditional
 
@@ -52,3 +52,22 @@ def chi_r_bruteforce(g, r):
             if check_conditional(g, c, r).valid:
                 return k
     raise AssertionError("unreachable")
+
+
+def max_vset_d2r_bruteforce(g, r):
+    """Size of the largest Vset-d2r (vertices of degree <= r, each pair
+    adjacent or with a common neighbour inside the set), by trying every
+    subset of the vertices; only for graphs of at most 9 vertices."""
+    assert g.n <= 9, "subset enumeration is for tiny graphs only"
+    best = 0
+    for mask in range(1 << g.n):
+        members = [v for v in range(g.n) if mask >> v & 1]
+        if len(members) <= best or any(g.degree(v) > r for v in members):
+            continue
+        inside = set(members)
+        if all(
+            g.has_edge(u, v) or g.neighbors(u) & g.neighbors(v) & inside
+            for u, v in combinations(members, 2)
+        ):
+            best = len(members)
+    return best

@@ -1,7 +1,11 @@
 import inspect
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from oracles import max_vset_d2r_bruteforce
+from test_graphs import graphs
 
 from condchrom import (
     basic_lower_bound,
@@ -93,12 +97,35 @@ def test_max_vset_budget_flag():
 
 
 def test_max_vset_handles_deep_graphs():
-    # Every vertex of a long cycle is a candidate, so the search runs one
-    # level deeper per vertex; 5,000 nodes go past the recursion limit.
+    # Every vertex of a long cycle is a candidate, but each anchor searches
+    # only its 2-ball: anchor 0 finds {0, 1, 2} and every later anchor has
+    # at most 3 candidates, so it is skipped and the search is exact.
     g, _ = build("cyc:1500")
     rep = max_vset_d2r(g, 2, budget=5000)
-    assert rep.value == 3 and not rep.exact
+    assert rep.exact and rep.value == 3
     assert check_vset_d2r(g, rep.certificate, 2)
+
+
+def test_max_vset_search_does_not_depend_on_vertex_ids():
+    # A shuffled cycle puts 2-ball neighbours far apart in id order; the
+    # search per anchor must still finish in 2,000 nodes.
+    g, _ = build("cyc:200")
+    perm = list(range(g.n))
+    random.Random(0).shuffle(perm)
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    rep = max_vset_d2r(h, 2, budget=2000)
+    assert rep.exact and rep.value == 3
+    assert check_vset_d2r(h, rep.certificate, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=9))
+def test_max_vset_matches_bruteforce(g):
+    for r in range(1, g.max_degree() + 2):
+        rep = max_vset_d2r(g, r)
+        assert rep.exact
+        assert rep.value == max_vset_d2r_bruteforce(g, r)
+        assert check_vset_d2r(g, rep.certificate, r)
 
 
 def test_max_vset_monotone_in_r(corpus):

@@ -5,6 +5,7 @@ from condchrom import (
     check_conditional,
     chi_r_exact,
     exists_conditional_coloring,
+    families,
     random_c2_colorings,
     sweep,
 )
@@ -179,10 +180,16 @@ def test_random_c2_colorings_deterministic():
     assert a == b
 
 
-def test_sweep_rows():
+def test_sweep_rows(monkeypatch):
+    built = []
+    real_build = families.build
+    monkeypatch.setattr(families, "build",
+                        lambda spec: built.append(str(spec)) or real_build(spec))
     rows = sweep([("M(cyc:4)", 2), ("M(cyc:4)", 3)])
     assert [row["exact"] for row in rows] == [3, 4]
     assert all(row["match"] for row in rows)
+    assert built.count("M(cyc:4)") == 1  # one build for both levels
+    assert all(row["ms"] >= 0 for row in rows)
     rows = sweep([("M(cyc:30)", 2)], size_cap=24)
     assert rows[0]["proven"] == "skipped"
     assert rows[0]["formula"] == 3

@@ -1,12 +1,14 @@
 """Kernel semantics pinned row by row: status, node count and coloring of
 every corpus graph at every r <= Delta, every k <= n and budgets
 {0, 1, 7, 50}, plus two budget-cut rows on the hard tail. The backends are
-also compared on random graphs, and the loader's fallback is checked with no
-compiler on PATH."""
+also compared on random graphs and on graphs that need more than 64 colours,
+and the loader's fallback is checked with no compiler on PATH."""
 
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from test_graphs import graphs
 
 from condchrom import build, check_conditional, kernel
+from condchrom.graphs import Graph
 from condchrom.verify import Coloring
 
 PINS = Path(__file__).parent / "data" / "kernel_pins.txt"
@@ -67,6 +70,38 @@ def test_backends_agree_on_random_graphs(g):
                 results = {name: mod.search_coloring(adj, req, k, budget)
                            for name, mod in mods.items()}
                 assert len(set(map(repr, results.values()))) == 1, (r, k, budget, results)
+
+
+_rng = random.Random(1)
+DENSE = Graph(100, [e for e in combinations(range(100), 2) if _rng.random() < 0.5])
+
+# (graph, r, ks): colour sets wider than one 64-bit mask word. K_70 at r = 1
+# needs 70 colours. On the seeded random graph (Delta 59), r = 45 refutes
+# k = 65..80 after 202..1,028 nodes and finds k = 100 with colours up to 96;
+# r = 40 finds k = 80 and 100 with colours up to 76.
+MANY_COLOUR_CASES = [
+    (Graph(70, combinations(range(70), 2)), 1, (63, 64, 65, 69, 70, 71)),
+    (DENSE, 45, (65, 66, 70, 80, 100)),
+    (DENSE, 40, (80, 100)),
+]
+
+
+@pytest.mark.parametrize("name", sorted(kernel.backends()))
+@pytest.mark.parametrize("g, r, ks", MANY_COLOUR_CASES, ids=["K70", "dense-r45", "dense-r40"])
+def test_backends_agree_beyond_64_colours(name, g, r, ks):
+    adj = g.adjacency_lists()
+    req = [min(g.degree(v), r) for v in range(g.n)]
+    search, pure = kernel.backends()[name].search_coloring, kernel.backends()["pure"].search_coloring
+    top = 0  # highest colour in a FOUND colouring
+    for k in ks:
+        for budget in (0, 1, 7, 5000):
+            got = search(adj, req, k, budget)
+            assert got == pure(adj, req, k, budget), (k, budget)
+            status, colors, _ = got
+            if status == kernel.FOUND:
+                top = max(top, *colors)
+                assert check_conditional(g, Coloring(tuple(colors), k), r).valid, (k, budget)
+    assert top > 64
 
 
 def _import_backend(tmp_path, backend):

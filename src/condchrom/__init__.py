@@ -22,6 +22,7 @@ from .families import (
     build,
     complete_multipartite,
     cycle,
+    declared_size,
     friendship,
     line_graph,
     middle_graph,

@@ -3,14 +3,20 @@
 Commands: generate | solve | construct | verify | bounds | table.
 Exit codes: 0 success/valid, 1 invalid coloring or formula mismatch,
 2 input error, 3 the node budget left the solve bracket open (lo < hi).
+
+`main` builds the argument parser once per process, on its first call, and
+reuses it; CONDCHROM_MAX_NODES is read on every call that leaves out
+--max-nodes.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import os
 import sys
 
@@ -47,12 +53,6 @@ TABLE_GRIDS = {
 }
 # F_1 = K_{1,1,1}: after M(F_1), M(kpart:1,1,1) is checked through proposition 4.
 CROSS_CHECKS = {"M(fr:1)": [("M(kpart:1,1,1)", 4)]}
-
-
-def _default_budget() -> str:
-    # A string default goes through the option's type when it is parsed, so
-    # a bad value is a usage error (exit 2) of the commands that take it.
-    return os.environ.get("CONDCHROM_MAX_NODES", "0")
 
 
 def node_budget(text: str) -> int:
@@ -103,10 +103,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    g = _load_graph(args)
-    if g.n > args.size_cap and not args.force:
+    cap = math.inf if args.force else args.size_cap
+    if args.file:
+        g = _load_graph(args)
+        n, g = g.n, (g if g.n <= cap else None)
+    else:
+        # A spec's vertex count is compared with the cap before it is built.
+        n, g = families.build_within(args.spec, cap)
+    if g is None:
         raise InputError(
-            f"instance has {g.n} > {args.size_cap} vertices; pass --force"
+            f"instance has {n} > {args.size_cap} vertices; pass --force"
         )
     res = solver.chi_r_exact(g, args.r, budget=args.max_nodes)
     print(json.dumps(res.to_json_dict(), indent=2))
@@ -220,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("spec", nargs="?", help="family spec")
     s.add_argument("--file", help="DIMACS col file instead of a spec")
     s.add_argument("-r", type=int, required=True)
-    s.add_argument("--max-nodes", type=node_budget, default=_default_budget())
+    s.add_argument("--max-nodes", type=node_budget)
     s.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     s.add_argument("--force", action="store_true", help="ignore the size cap")
     s.set_defaults(func=cmd_solve)
@@ -241,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("spec", nargs="?")
     b.add_argument("--file")
     b.add_argument("-r", type=int, required=True)
-    b.add_argument("--max-nodes", type=node_budget, default=_default_budget())
+    b.add_argument("--max-nodes", type=node_budget)
     b.set_defaults(func=cmd_bounds)
 
     t = sub.add_parser("table", help="formula-vs-exact comparison table")
@@ -249,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--k", help="range like 3..4")
     t.add_argument("--n", help="range like 1..3")
     t.add_argument("--format", choices=("csv", "json"), default="csv")
-    t.add_argument("--max-nodes", type=node_budget, default=_default_budget())
+    t.add_argument("--max-nodes", type=node_budget)
     t.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
     t.add_argument(
         "--timing",
@@ -260,8 +266,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+def _env_budget(parser: argparse.ArgumentParser) -> int:
+    """--max-nodes when the command line leaves it out; a bad value is a
+    usage error (exit 2)."""
+    text = os.environ.get("CONDCHROM_MAX_NODES", "0")
+    try:
+        return node_budget(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        parser.error(f"CONDCHROM_MAX_NODES: invalid node budget {text!r} "
+                     "(expected an integer >= 0)")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "max_nodes", 0) is None:
+        args.max_nodes = _env_budget(parser)
     if getattr(args, "spec", None) is None and getattr(args, "file", None) is None:
         if args.command in ("solve", "bounds"):
             print("error: provide a family spec or --file", file=sys.stderr)

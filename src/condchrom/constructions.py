@@ -471,9 +471,12 @@ def _parsed(spec: str | FamilySpec) -> FamilySpec:
     return parse_spec(spec) if isinstance(spec, str) else spec
 
 
+@functools.lru_cache(maxsize=1024)
 def _max_degree(spec: FamilySpec) -> int:
-    """Delta of the spec's graph. Edge uv of G has degree d(u) + d(v) - 2 in
-    L(G) and d(u) + d(v) in M(G), the most there, so one build of G does."""
+    """Delta of the spec's graph, worked out once per spec: covered_levels,
+    predicted_chi_r and construct all read it. Edge uv of G has degree
+    d(u) + d(v) - 2 in L(G) and d(u) + d(v) in M(G), the most there, so one
+    build of G does."""
     if spec.tag not in ("L", "M"):
         return families.build(spec)[0].max_degree()
     g, _ = families.build(spec.inner)
@@ -483,7 +486,7 @@ def _max_degree(spec: FamilySpec) -> int:
 def _covering_case(spec: FamilySpec, r: int):
     """(row, params, delta) of the first row that covers (spec, r), or None.
     Raises ParameterError where families.build rejects the spec."""
-    delta = functools.cache(lambda: _max_degree(spec))
+    delta = functools.partial(_max_degree, spec)
     hit = next(((c, p, delta) for c in CASES if (p := c.family(spec)) is not None
                 and c.applies(p, r, delta)), None)
     if hit is None:

@@ -9,14 +9,20 @@ constructions, next to that proposition's case (constructions.paper_indexing).
 Family spec grammar (used by the CLI):
 
     wd:k,n | fr:n | cyc:n | kpart:n1,...,nk | L(<spec>) | M(<spec>)
+
+Every builder works out the vertex and edge counts of its graph before it
+allocates anything, and refuses a graph above graphs.VERTEX_LIMIT vertices
+or graphs.EDGE_LIMIT edges; declared_size gives those counts for a spec
+without building it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import comb
 
 from .errors import ParameterError
-from .graphs import Graph
+from .graphs import EDGE_LIMIT, VERTEX_LIMIT, Graph
 
 VERTEX = "vertex"
 EDGE = "edge"
@@ -112,10 +118,66 @@ def _vertices(n: int) -> tuple:
     return tuple((VERTEX, v) for v in range(n))
 
 
-def windmill(k: int, n: int) -> tuple[Graph, Provenance]:
-    """Wd(k,n): n copies of K_k sharing one center vertex (id 0)."""
+# A degree sequence is a list of (degree, number of vertices) pairs.
+def _size(degrees: list) -> tuple[int, int]:
+    """(n, m) of a graph with the degree sequence `degrees`."""
+    return sum(c for _, c in degrees), sum(d * c for d, c in degrees) // 2
+
+
+def _degree_sequence(g: Graph) -> list:
+    return [(g.degree(v), 1) for v in g]
+
+
+def _transform_size(tag: str, degrees: list) -> tuple[int, int]:
+    """(n, m) of L(G) (tag "L") or M(G) (tag "M") for G with the degree
+    sequence `degrees`: L(G) has a vertex per edge of G and an edge per pair
+    of edges that meet at a vertex; M(G) adds the vertices of G and two
+    incidences per edge."""
+    n, m = _size(degrees)
+    if m < 1:
+        kind = "line" if tag == "L" else "middle"
+        raise ParameterError(f"{kind} graph of an edgeless graph is undefined")
+    meets = sum(c * comb(d, 2) for d, c in degrees)
+    return (m, meets) if tag == "L" else (n + m, 2 * m + meets)
+
+
+def _check_size(spec: str, size: tuple[int, int]) -> None:
+    n, m = size
+    if n > VERTEX_LIMIT or m > EDGE_LIMIT:
+        raise ParameterError(f"{spec} has {n} vertices and {m} edges; the limits "
+                             f"are {VERTEX_LIMIT} vertices and {EDGE_LIMIT} edges")
+
+
+def _windmill_degrees(k: int, n: int) -> list:
     if k < 2 or n < 1:
         raise ParameterError(f"windmill requires k >= 2 and n >= 1, got ({k},{n})")
+    return [(n * (k - 1), 1), (k - 1, n * (k - 1))]
+
+
+def _friendship_degrees(n: int) -> list:
+    if n < 1:
+        raise ParameterError(f"friendship requires n >= 1, got {n}")
+    return _windmill_degrees(3, n)
+
+
+def _cycle_degrees(n: int) -> list:
+    if n < 3:
+        raise ParameterError(f"cycle requires n >= 3, got {n}")
+    return [(2, n)]
+
+
+def _multipartite_degrees(sizes: list[int]) -> list:
+    if len(sizes) < 2:
+        raise ParameterError("complete multipartite graph needs at least two parts")
+    if any(s < 1 for s in sizes):
+        raise ParameterError(f"part sizes must be >= 1, got {sizes}")
+    return [(sum(sizes) - s, s) for s in sizes]
+
+
+def windmill(k: int, n: int) -> tuple[Graph, Provenance]:
+    """Wd(k,n): n copies of K_k sharing one center vertex (id 0)."""
+    spec = f"wd:{k},{n}"
+    _check_size(spec, _size(_windmill_degrees(k, n)))
     blades = []
     edges = []
     for i in range(n):
@@ -127,22 +189,21 @@ def windmill(k: int, n: int) -> tuple[Graph, Provenance]:
                 edges.append((a, b))
     g = Graph(n * (k - 1) + 1, edges)
     notes = {"k": k, "n": n, "center": 0, "blades": tuple(blades)}
-    return g, _identity_provenance(f"wd:{k},{n}", _vertices(g.n), notes)
+    return g, _identity_provenance(spec, _vertices(g.n), notes)
 
 
 def friendship(n: int) -> tuple[Graph, Provenance]:
     """F_n = Wd(3,n)."""
-    if n < 1:
-        raise ParameterError(f"friendship requires n >= 1, got {n}")
+    _friendship_degrees(n)  # checks n; windmill checks the size
     g, prov = windmill(3, n)
     return g, replace(prov, spec=f"fr:{n}")
 
 
 def cycle(n: int) -> tuple[Graph, Provenance]:
-    if n < 3:
-        raise ParameterError(f"cycle requires n >= 3, got {n}")
+    spec = f"cyc:{n}"
+    _check_size(spec, _size(_cycle_degrees(n)))
     g = Graph(n, [(i, (i + 1) % n) for i in range(n)])
-    return g, _identity_provenance(f"cyc:{n}", _vertices(n), {"n": n})
+    return g, _identity_provenance(spec, _vertices(n), {"n": n})
 
 
 def complete_multipartite(sizes: list[int]) -> tuple[Graph, Provenance]:
@@ -152,10 +213,8 @@ def complete_multipartite(sizes: list[int]) -> tuple[Graph, Provenance]:
     assume n1 <= n2); the reordering is recorded in the provenance notes.
     """
     sizes = list(sizes)
-    if len(sizes) < 2:
-        raise ParameterError("complete multipartite graph needs at least two parts")
-    if any(s < 1 for s in sizes):
-        raise ParameterError(f"part sizes must be >= 1, got {sizes}")
+    _check_size(f"kpart:{','.join(map(str, sizes))}",
+                _size(_multipartite_degrees(sizes)))
     notes: dict = {}
     if len(sizes) == 2 and sizes[0] > sizes[1]:
         notes["original_sizes"] = tuple(sizes)
@@ -180,8 +239,8 @@ def complete_multipartite(sizes: list[int]) -> tuple[Graph, Provenance]:
 
 def line_graph(g: Graph, prov: Provenance | None = None) -> tuple[Graph, Provenance]:
     """L(G): one vertex per edge, adjacent iff the edges share an endpoint."""
-    if g.m < 1:
-        raise ParameterError("line graph of an edgeless graph is undefined")
+    spec = f"L({prov.spec})" if prov is not None else "L(?)"
+    _check_size(spec, _transform_size("L", _degree_sequence(g)))
     src_edges = g.edges()
     index = {e: i for i, e in enumerate(src_edges)}
     edges = []
@@ -193,15 +252,14 @@ def line_graph(g: Graph, prov: Provenance | None = None) -> tuple[Graph, Provena
                 edges.append((min(a, b), max(a, b)))
     lg = Graph(len(src_edges), edges)
     origin = tuple((EDGE, e) for e in src_edges)
-    spec = f"L({prov.spec})" if prov is not None else "L(?)"
     notes = {"base": prov.notes} if prov is not None else {}
     return lg, _identity_provenance(spec, origin, notes)
 
 
 def middle_graph(g: Graph, prov: Provenance | None = None) -> tuple[Graph, Provenance]:
     """M(G): vertices V(G) u E(G); line-graph adjacency plus incidence."""
-    if g.m < 1:
-        raise ParameterError("middle graph of an edgeless graph is undefined")
+    spec = f"M({prov.spec})" if prov is not None else "M(?)"
+    _check_size(spec, _transform_size("M", _degree_sequence(g)))
     src_edges = g.edges()
     edge_id = {e: g.n + i for i, e in enumerate(src_edges)}
     edges = []
@@ -217,34 +275,69 @@ def middle_graph(g: Graph, prov: Provenance | None = None) -> tuple[Graph, Prove
                 edges.append((min(a, b), max(a, b)))
     mg = Graph(g.n + len(src_edges), edges)
     origin = _vertices(g.n) + tuple((EDGE, e) for e in src_edges)
-    spec = f"M({prov.spec})" if prov is not None else "M(?)"
     notes = {"base": prov.notes} if prov is not None else {}
     return mg, _identity_provenance(spec, origin, notes)
+
+
+def _base(spec: FamilySpec) -> tuple:
+    """(builder, degrees, args) of a wd, fr, cyc or kpart spec: degrees(*args)
+    is the degree sequence of builder(*args), from the parameters alone, and
+    raises the builder's ParameterError."""
+    if spec.tag == "wd":
+        if len(spec.params) != 2:
+            raise ParameterError("wd takes parameters k,n")
+        return windmill, _windmill_degrees, spec.params
+    if spec.tag == "fr":
+        if len(spec.params) != 1:
+            raise ParameterError("fr takes one parameter n")
+        return friendship, _friendship_degrees, spec.params
+    if spec.tag == "cyc":
+        if len(spec.params) != 1:
+            raise ParameterError("cyc takes one parameter n")
+        return cycle, _cycle_degrees, spec.params
+    if spec.tag == "kpart":
+        return complete_multipartite, _multipartite_degrees, (list(spec.params),)
+    raise ParameterError(f"unsupported family tag {spec.tag!r}")
 
 
 def build(spec: str | FamilySpec) -> tuple[Graph, Provenance]:
     """Build a graph from a family spec (string or parsed)."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    if spec.tag == "wd":
-        if len(spec.params) != 2:
-            raise ParameterError("wd takes parameters k,n")
-        return windmill(*spec.params)
-    if spec.tag == "fr":
-        if len(spec.params) != 1:
-            raise ParameterError("fr takes one parameter n")
-        return friendship(spec.params[0])
-    if spec.tag == "cyc":
-        if len(spec.params) != 1:
-            raise ParameterError("cyc takes one parameter n")
-        return cycle(spec.params[0])
-    if spec.tag == "kpart":
-        return complete_multipartite(list(spec.params))
-    if spec.tag == "L":
+    if spec.tag in ("L", "M"):
         g, prov = build(spec.inner)
-        return line_graph(g, prov)
-    if spec.tag == "M":
-        g, prov = build(spec.inner)
-        return middle_graph(g, prov)
-    raise ParameterError(f"unsupported family tag {spec.tag!r}")
+        return (line_graph if spec.tag == "L" else middle_graph)(g, prov)
+    builder, _, args = _base(spec)
+    return builder(*args)
 
+
+def declared_size(spec: str | FamilySpec) -> tuple[int, int]:
+    """(n, m) of build(spec) without building it: from the parameters, and
+    for L(G) or M(G) from the degrees of G (built only when G is itself a
+    line or middle graph). Raises the ParameterError build would."""
+    if isinstance(spec, str):
+        spec = parse_spec(spec)
+    if spec.tag in ("L", "M"):
+        return _transform_size(spec.tag, _degrees(spec.inner))
+    return _size(_degrees(spec))
+
+
+def build_within(spec: str | FamilySpec, max_n: float) -> tuple[int, Graph | None]:
+    """(n, G): the vertex count of build(spec) and its graph, or None in place
+    of the graph when n > max_n, without building it. A line or middle graph
+    of a line or middle graph is built either way, since sizing it builds its
+    inner graph; the builders' limits bound it."""
+    if isinstance(spec, str):
+        spec = parse_spec(spec)
+    if spec.tag in ("L", "M") and spec.inner.tag in ("L", "M"):
+        g = build(spec)[0]
+        return g.n, (g if g.n <= max_n else None)
+    n = declared_size(spec)[0]
+    return n, (build(spec)[0] if n <= max_n else None)
+
+
+def _degrees(spec: FamilySpec) -> list:
+    if spec.tag in ("L", "M"):
+        return _degree_sequence(build(spec)[0])
+    _, degrees, args = _base(spec)
+    return degrees(*args)

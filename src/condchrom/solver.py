@@ -183,24 +183,25 @@ def sweep(entries, budget: int = 0, size_cap: int = 24) -> list[dict]:
     """Cross-check closed-form predictions against the exact solver.
 
     entries: iterable of (family-spec string, r). Each spec is built once,
-    however many of its levels are listed. Rows for instances above the size
-    cap keep the formula value and mark the exact column skipped. A row's
-    "ms" (the only field that is not deterministic) is the wall time of its
-    prediction and solve, and of the build for the first row of a spec.
+    however many of its levels are listed. Instances above the size cap are
+    not built (families.build_within): their rows keep the formula value and
+    mark the exact column skipped. A row's "ms" (the only field that is not deterministic) is the
+    wall time of its prediction and solve, and of the build for the first
+    row of a spec.
     """
     from . import constructions, families
 
-    graphs: dict[str, Graph] = {}
+    built: dict[str, tuple[int, Graph | None]] = {}
     rows = []
     for spec_str, r in entries:
         t0 = time.perf_counter()
-        if spec_str not in graphs:
-            graphs[spec_str] = families.build(spec_str)[0]
-        g = graphs[spec_str]
+        if spec_str not in built:
+            built[spec_str] = families.build_within(spec_str, size_cap)
+        n, g = built[spec_str]
         formula = constructions.predicted_chi_r(spec_str, r)
         row = {
             "instance": spec_str,
-            "n_vertices": g.n,
+            "n_vertices": n,
             "r": r,
             "formula": formula,
             "exact": None,
@@ -208,7 +209,7 @@ def sweep(entries, budget: int = 0, size_cap: int = 24) -> list[dict]:
             "proven": "skipped",
             "nodes": 0,
         }
-        if g.n <= size_cap:
+        if g is not None:
             res = chi_r_exact(g, r, budget=budget)
             if formula is not None and res.proven:
                 row["match"] = formula == res.chi_r

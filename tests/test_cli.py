@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from condchrom import cli, constructions, families
 from condchrom.cli import main
 
 
@@ -74,6 +80,24 @@ def test_solve_from_file(tmp_path, capsys):
 def test_solve_size_cap(capsys):
     code, _, err = run(capsys, "solve", "M(cyc:30)", "-r", "2")
     assert code == 2 and "--force" in err
+
+
+def test_solve_builds_each_graph_once(capsys, monkeypatch):
+    # A spec is sized before it is built; sizing a line or middle graph of a
+    # line or middle graph would build its inner graph, so that is built once,
+    # whole, and sized afterwards.
+    build, calls = families.build, []
+
+    def counted(spec):
+        calls.append(str(spec))
+        return build(spec)
+
+    monkeypatch.setattr(families, "build", counted)
+    for spec, code, builds in (("M(cyc:5)", 0, 2), ("M(cyc:30)", 2, 0),
+                               ("L(L(cyc:5))", 0, 3), ("L(L(cyc:30))", 2, 3)):
+        calls.clear()
+        assert run(capsys, "solve", spec, "-r", "2")[0] == code, spec
+        assert len(calls) == builds, (spec, calls)
 
 
 def test_solve_budget_exit(capsys):
@@ -256,3 +280,95 @@ def test_bad_budget_variable(capsys, monkeypatch):
     # Commands without --max-nodes do not read it.
     code, _, _ = run(capsys, "construct", "wd:3,2", "-r", "2")
     assert code == 0
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    build_parser, built = cli.build_parser, []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        for argv in (["solve", "cyc:5", "-r", "2"], ["construct", "wd:3,2", "-r", "2"],
+                     ["table", "5", "--n", "4"], ["bounds", "cyc:5", "-r", "2"]):
+            assert run(capsys, *argv)[0] == 0, argv
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_budget_variable_is_read_on_every_call(capsys, monkeypatch):
+    def solve(*extra):
+        code, out, _ = run(capsys, "solve", "M(fr:3)", "-r", "7", *extra)
+        doc = json.loads(out)
+        return code, doc["bracket"], doc["nodes_expanded"]
+
+    monkeypatch.setenv("CONDCHROM_MAX_NODES", "5")
+    assert solve() == (3, [8, 16], 6)
+    monkeypatch.delenv("CONDCHROM_MAX_NODES")
+    code, bracket, _ = solve()
+    assert (code, bracket) == (0, [8, 8])
+    # --max-nodes on the command line wins over the variable, good or bad.
+    monkeypatch.setenv("CONDCHROM_MAX_NODES", "5")
+    assert solve("--max-nodes", "0")[:2] == (0, [8, 8])
+    for bad in ("abc", "-5"):
+        monkeypatch.setenv("CONDCHROM_MAX_NODES", bad)
+        assert solve("--max-nodes", "5") == (3, [8, 16], 6)
+        with pytest.raises(SystemExit) as exit_:
+            main(["solve", "M(fr:3)", "-r", "7"])
+        assert exit_.value.code == 2 and "error:" in capsys.readouterr().err
+
+
+def test_help_twice(capsys):
+    outs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].startswith("usage: condchrom")
+
+
+def test_table_all_builds_each_delta_once(capsys, monkeypatch):
+    # covered_levels, predicted_chi_r and construct share one Delta per spec.
+    build, calls = families.build, []
+
+    def counted(spec):
+        calls.append(spec)
+        return build(spec)
+
+    constructions._max_degree.cache_clear()
+    monkeypatch.setattr(families, "build", counted)
+    golden = Path(__file__).parents[1] / "condbench" / "table_all.csv"
+    code, out, _ = run(capsys, "table", "all")
+    assert code == 0 and out == golden.read_text()
+    assert len(calls) <= 63
+
+
+def _capped_cli(*argv):
+    """The CLI in a child process under a 512 MB address-space limit, so an
+    input that allocates without bound fails there, not in the test runner."""
+    limit = 512 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "condchrom.cli", *argv],
+                          env=env, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_oversized_inputs_exit_2_before_building(tmp_path):
+    huge = tmp_path / "huge.col"
+    huge.write_text("p edge 99999999999 0\n")
+    for argv in (["solve", "wd:3,99999999", "-r", "1"],
+                 ["solve", "wd:3,99999999", "-r", "1", "--force"],
+                 ["bounds", "--file", str(huge), "-r", "1"]):
+        proc = _capped_cli(*argv)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert _capped_cli("solve", "M(cyc:5)", "-r", "2").returncode == 0

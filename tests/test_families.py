@@ -5,6 +5,7 @@ from condchrom import (
     color_middle_multipartite_delta,
     complete_multipartite,
     cycle,
+    declared_size,
     friendship,
     line_graph,
     middle_graph,
@@ -13,7 +14,8 @@ from condchrom import (
     windmill,
 )
 from condchrom.errors import ParameterError
-from condchrom.graphs import Graph
+from condchrom.graphs import EDGE_LIMIT, VERTEX_LIMIT, Graph
+from conftest import CORPUS_SPECS
 
 
 def test_windmill_counts():
@@ -140,6 +142,36 @@ def test_nested_transform_allowed():
     g, prov = build("L(L(cyc:5))")
     assert g.n == 5
     assert prov.scheme == "identity"
+
+
+@pytest.mark.parametrize("spec", [*CORPUS_SPECS, "wd:2,1", "kpart:2,1,3", "L(L(cyc:5))",
+                                  "M(L(wd:4,2))", "L(M(kpart:1,2))", "cyc:1500",
+                                  "L(kpart:1,500)"])
+def test_declared_size_is_the_built_size(spec):
+    g, _ = build(spec)
+    assert declared_size(spec) == (g.n, g.m)
+
+
+@pytest.mark.parametrize("spec, n, m", [
+    ("wd:3,99999999", 199999999, 299999997),
+    (f"cyc:{VERTEX_LIMIT + 1}", VERTEX_LIMIT + 1, VERTEX_LIMIT + 1),
+    # The line graph of K_{1,1500} is K_1500: m alone is over.
+    ("L(kpart:1,1500)", 1500, 1124250),
+    ("kpart:1000,1001", 2001, EDGE_LIMIT + 1000),
+])
+def test_build_refuses_a_graph_above_the_limit(spec, n, m):
+    assert declared_size(spec) == (n, m)
+    with pytest.raises(ParameterError, match=f"{n} vertices and {m} edges"):
+        build(spec)
+
+
+def test_declared_size_rejects_what_build_rejects():
+    for bad in ("fr:0", "cyc:2", "kpart:3", "wd:3", "L(L(wd:2,1))", "zz:1"):
+        with pytest.raises(ParameterError) as built:
+            build(bad)
+        with pytest.raises(ParameterError) as declared:
+            declared_size(bad)
+        assert str(declared.value) == str(built.value), bad
 
 
 def test_paper_index_is_bijection():

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from condchrom import build, cycle, friendship, middle_graph, windmill
 from condchrom.errors import InputError
-from condchrom.graphs import Graph, from_dimacs, to_dimacs, to_dot
+from condchrom.graphs import VERTEX_LIMIT, Graph, from_dimacs, to_dimacs, to_dot
 
 
 @st.composite
@@ -103,6 +103,20 @@ def test_dimacs_parse_errors():
         from_dimacs("p edge 3 5\ne 1 2\n")
     with pytest.raises(InputError, match="declares 0 edges, found 1"):
         from_dimacs("p edge 3 0\ne 1 2\n")
+    # The declared vertex count is checked before any vertex is allocated.
+    with pytest.raises(InputError, match="limit"):
+        from_dimacs("p edge 99999999999 0\n")
+    assert from_dimacs(f"p edge {VERTEX_LIMIT} 0\n").n == VERTEX_LIMIT
+
+
+def test_dimacs_edge_count_is_not_limited():
+    # The edges are the file's own lines, so their count is not checked: K_450
+    # has 101,025 edges, more than the vertex limit.
+    n = 450
+    lines = [f"e {u} {v}" for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    assert len(lines) > VERTEX_LIMIT
+    g = from_dimacs(f"p edge {n} {len(lines)}\n" + "\n".join(lines))
+    assert (g.n, g.m, g.max_degree()) == (n, len(lines), n - 1)
 
 
 def test_dot_output():

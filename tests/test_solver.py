@@ -190,7 +190,10 @@ def test_sweep_rows(monkeypatch):
     assert all(row["match"] for row in rows)
     assert built.count("M(cyc:4)") == 1  # one build for both levels
     assert all(row["ms"] >= 0 for row in rows)
-    rows = sweep([("M(cyc:30)", 2)], size_cap=24)
-    assert rows[0]["proven"] == "skipped"
+    built.clear()
+    rows = sweep([("M(cyc:30)", 2), ("M(cyc:4)", 2), ("M(cyc:30)", 3)], size_cap=24)
+    assert [row["n_vertices"] for row in rows] == [60, 8, 60]
+    assert [row["proven"] for row in rows] == ["skipped", "yes", "skipped"]
     assert rows[0]["formula"] == 3
     assert rows[0]["exact"] is None
+    assert "M(cyc:30)" not in built  # above the cap: sized, not built

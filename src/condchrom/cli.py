@@ -82,10 +82,14 @@ def _parse_range(text: str) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(text)]
     except ValueError:
         raise InputError(f"bad range {text!r}: expected N or LO..HI") from None
+    if not values:
+        raise InputError(f"empty range {text!r}: LO must not exceed HI")
+    return values
 
 
 def cmd_generate(args) -> int:

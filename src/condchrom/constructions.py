@@ -4,22 +4,26 @@ Each proposition states its formula over its own 1-based numbering v_1,
 v_2, ... of the vertices. A Numbering writes that numbering once, as the
 origins of the vertices in paper order; `_numbered` turns it into
 Provenance.paper_pos of the graph families.build returns (the builders
-number nothing). Each constructor evaluates the published case formula
-literally over that numbering and maps the result onto internal vertex ids.
-Formulas are reproduced as printed, never repaired: where a formula fails
-for a parameter value the verifier reports the violation and callers
-surface it.
+number nothing). Formulas are reproduced as printed, never repaired: where
+a formula fails for a parameter value the verifier reports the violation
+and callers surface it.
 
-CASES holds one row per proposition: its family, the r its cases cover,
-their values, its numbering and its constructor. construct,
-predicted_chi_r, paper_indexing and `condchrom table` all read it; outside
-every case they refuse instead of extrapolating.
+CASES holds one row per proposition, the only place its facts live: its
+family, the r its cases cover, their values, its numbering and its color
+formulas. `_claim` is the one path from a row to a ClaimedColoring: it
+builds the spec asked for, numbers it and evaluates the row's formula at
+each v_i. construct takes the first row that covers (family, r); each
+public color_* constructor checks its own parameters and then asks its own
+row. construct, predicted_chi_r, paper_indexing and `condchrom table` all
+read CASES; outside every case they refuse instead of extrapolating.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -115,268 +119,6 @@ def _numbered(built: tuple, numbering: Numbering, params=None) -> tuple:
     return g, replace(prov, paper_pos=paper_pos, scheme=numbering.scheme)
 
 
-def _from_paper_formula(
-    g: Graph, prov: Provenance, formula, claimed_k: int, r_values, prop: int, case: str
-) -> ClaimedColoring:
-    colors = tuple(formula(prov.paper_pos[v]) for v in range(g.n))
-    coloring = Coloring(colors, max(max(colors), claimed_k))
-    return ClaimedColoring(
-        g, prov, coloring, claimed_k, tuple(r_values), prop, case
-    )
-
-
-def chi_windmill(k: int, n: int, r: int) -> tuple[int, ClaimedColoring]:
-    """Closed form for Wd(k,n) plus a certified witness coloring.
-
-    The published statement proves existence without exhibiting colorings;
-    the witness here colors blades with reused color blocks (small r) or
-    walks min{r,Delta} colors around the center (large r).
-    """
-    if k < 3 or n < 1:
-        raise ParameterError(f"need k >= 3 and n >= 1, got ({k},{n})")
-    if r < 2:
-        raise ParameterError("the case analysis starts at r = 2; use the solver")
-    g, prov = families.windmill(k, n)
-    delta = n * (k - 1)
-    if r <= k - 1:
-        value = k
-        case = "2<=r<=k-1"
-        r_values = range(2, k)
-        colors = [1] + [2 + (v - 1) % (k - 1) for v in range(1, g.n)]
-    else:
-        value = min(r, delta) + 1
-        case = "r>=k"
-        r_values = (r,)
-        # Consecutive color runs of length k-1 around the center tile all
-        # of 2..value, so the center sees value-1 distinct colors.
-        colors = [1] + [2 + (v - 1) % (value - 1) for v in range(1, g.n)]
-    coloring = Coloring(tuple(colors), max(colors))
-    claim = ClaimedColoring(g, prov, coloring, value, tuple(r_values), 1, case)
-    return value, claim
-
-
-def color_line_windmill_delta(k: int, n: int) -> ClaimedColoring:
-    """L(Wd(k,n)) at r = Delta: z = n(k-1) + C(k-1,2) colors."""
-    if k < 3 or n < 1:
-        raise ParameterError(f"need k >= 3 and n >= 1, got ({k},{n})")
-    g, prov = _numbered(families.build(f"L(wd:{k},{n})"), LINE_WINDMILL)
-    z = n * (k - 1) + comb(k - 1, 2)
-    inner = comb(k - 1, 2)
-
-    def formula(i: int) -> int:
-        if 1 <= i <= z:
-            return i
-        return i % inner + n * (k - 1) + 1
-
-    delta = g.max_degree()
-    return _from_paper_formula(g, prov, formula, z, (delta,), 2, "r=Delta")
-
-
-def color_line_friendship(n: int, r: int) -> ClaimedColoring:
-    """L(F_n): 2n colors for r < Delta, 2n+1 at r = Delta.
-
-    n = 1 is rejected: the small-r formula's middle range is empty there
-    and L(F_1) = K_3 already needs 3 > 2n colors.
-    """
-    if n < 2:
-        raise ParameterError(
-            "n >= 2 required: at n = 1 the published small-r formula "
-            "degenerates (L(F_1) = K_3 has clique number 3 > 2n)"
-        )
-    g, prov = _numbered(families.build(f"L(fr:{n})"), LINE_WINDMILL)
-    delta = g.max_degree()
-    r = min(r, delta)
-    if r < 2:
-        raise ParameterError("the case analysis starts at r = 2; use the solver")
-    if r == delta:
-        inner = color_line_windmill_delta(3, n)
-        return ClaimedColoring(
-            inner.graph,
-            inner.provenance,
-            inner.coloring,
-            inner.claimed_k,
-            (delta,),
-            3,
-            "r=Delta",
-        )
-
-    def formula(i: int) -> int:
-        if 1 <= i <= 2 * n:
-            return i
-        if 2 * n + 1 <= i <= 3 * n - 1:
-            return 2 * n
-        return 1  # i == 3n
-
-    return _from_paper_formula(
-        g, prov, formula, 2 * n, range(2, delta), 3, "r<Delta"
-    )
-
-
-def color_middle_multipartite_delta(sizes: list[int]) -> ClaimedColoring:
-    """M(K_{n1..nk}) at r = Delta: k + l colors (l = edge count)."""
-    if len(sizes) < 2:
-        raise ParameterError("need at least two parts")
-    spec = "M(kpart:" + ",".join(str(s) for s in sizes) + ")"
-    built = families.build(spec)
-    part_sizes = built[1].notes["base"]["sizes"]  # two parts come sorted
-    g, prov = _numbered(built, MIDDLE_MULTIPARTITE, part_sizes)
-    k_parts = len(part_sizes)
-    l = g.n - sum(part_sizes)
-    prefix = [0]
-    for s in part_sizes:
-        prefix.append(prefix[-1] + s)
-
-    def formula(i: int) -> int:
-        if 1 <= i <= l:
-            return i
-        # p such that 1 + sum_{j<p} n_j <= i - l <= sum_{j<=p} n_j
-        t = i - l
-        p = next(q for q in range(1, k_parts + 1) if t <= prefix[q])
-        return l + p
-
-    delta = g.max_degree()
-    return _from_paper_formula(
-        g, prov, formula, k_parts + l, (delta,), 4, "r=Delta"
-    )
-
-
-def color_middle_cycle(n: int, r: int) -> ClaimedColoring:
-    """M(C_n) for n >= 4: 3 colors at r = 2, 4 colors at r = 3."""
-    if n < 4:
-        raise ParameterError("stated for n >= 4; use the solver for smaller n")
-    if r not in (2, 3):
-        raise UnsupportedCaseError(
-            f"no closed-form case for r = {r} on M(C_n) (only r in {{2,3}})"
-        )
-    g, prov = _numbered(families.build(f"M(cyc:{n})"), MIDDLE_CYCLE, n)
-    if r == 2:
-        if n % 2 == 0:
-
-            def formula(i: int) -> int:
-                if 1 <= i <= n:
-                    return 1
-                if n + 1 <= i <= 2 * n and i % 2 == 1:
-                    return 2
-                return 3
-
-            case = "r=2,n even"
-        else:
-
-            def formula(i: int) -> int:
-                if i == 1 or (n + 1 <= i <= 2 * n and i % 2 == 1):
-                    return 1
-                if i == 2 * n or 2 <= i <= n - 1:
-                    return 2
-                return 3
-
-            case = "r=2,n odd"
-        return _from_paper_formula(g, prov, formula, 3, (2,), 5, case)
-
-    def formula(i: int) -> int:
-        if n + 1 <= i <= 2 * n and (i - n) % 2 == 0:
-            return 1
-        if 1 <= i <= n and i % 2 == 1:
-            return 2
-        if i == n + 1 or (4 <= i <= n and i % 2 == 0):
-            return 3
-        return 4
-
-    return _from_paper_formula(g, prov, formula, 4, (3,), 5, "r=3")
-
-
-def _middle_friendship_case1_formula(n: int):
-    def formula(i: int) -> int:
-        if 1 <= i <= 2 * n + 1:
-            return i
-        if i == 2 * n + 2:
-            return 3
-        if i == 2 * n + 3:
-            return 4
-        if 2 * n + 4 <= i <= 4 * n + 1:
-            return 1 if (i - 2 * n) % 2 == 0 else 2
-        return 2 * n + 1  # 4n+2 <= i <= 5n+1
-
-    return formula
-
-
-def color_middle_friendship(n: int, r: int) -> ClaimedColoring:
-    """M(F_n): 2n+1 colors for r <= 2n, 2n+2 at r = 2n+1, 2n+4 at r = Delta.
-
-    All three case formulas are evaluated exactly as published; at n = 1
-    the small-r formula's literal constants collide with color 2n+1 = 3
-    (the verifier flags this), which is surfaced rather than repaired.
-    """
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
-    delta = 2 * n + 2
-    if r < 1:
-        raise ParameterError(f"r must be >= 1, got {r}")
-    r = min(r, delta)
-    g, prov = _numbered(families.build(f"M(fr:{n})"), MIDDLE_FRIENDSHIP, n)
-    if r <= 2 * n:
-        return _from_paper_formula(
-            g,
-            prov,
-            _middle_friendship_case1_formula(n),
-            2 * n + 1,
-            range(2, 2 * n + 1),
-            6,
-            "r<=2n",
-        )
-    if r == 2 * n + 1:
-        case1 = _middle_friendship_case1_formula(n)
-
-        def formula(i: int) -> int:
-            return case1(i) if 1 <= i <= 4 * n + 1 else 2 * n + 2
-
-        return _from_paper_formula(
-            g, prov, formula, 2 * n + 2, (2 * n + 1,), 6, "r=2n+1"
-        )
-
-    def formula(i: int) -> int:
-        if 1 <= i <= 2 * n + 3:
-            return i
-        if 2 * n + 4 <= i <= 4 * n + 1 and (i - 2 * n) % 2 == 0:
-            return 2 * n + 3
-        if i == 4 * n + 2 or (2 * n + 4 <= i <= 4 * n + 1 and (i - 2 * n) % 2 == 1):
-            return 2 * n + 4
-        return 2 * n + 2  # 4n+3 <= i <= 5n+1
-
-    return _from_paper_formula(g, prov, formula, 2 * n + 4, (delta,), 6, "r=Delta")
-
-
-def color_middle_bipartite(n1: int, n2: int, r: int) -> ClaimedColoring:
-    """M(K_{n1,n2}) with n1 <= n2: n2+1 colors for r <= n2, n2+2 at r = n2+1."""
-    if n1 < 1 or n2 < 1:
-        raise ParameterError(f"part sizes must be >= 1, got ({n1},{n2})")
-    if n1 > n2:
-        n1, n2 = n2, n1
-    if r < 1:
-        raise ParameterError(f"r must be >= 1, got {r}")
-    if r > n2 + 1:
-        raise UnsupportedCaseError(
-            f"no closed-form case for r = {r} > n2+1 on M(K_{{n1,n2}}); "
-            "use the solver"
-        )
-    g, prov = _numbered(families.build(f"M(kpart:{n1},{n2})"), MIDDLE_BIPARTITE)
-    n = n1 + n2
-
-    def case1(i: int) -> int:
-        if 1 <= i <= n:
-            return n2 + 1
-        return 1 + ((i - 1 - n) // n2 + (i - n)) % n2
-
-    if r <= n2:
-        return _from_paper_formula(
-            g, prov, case1, n2 + 1, range(1, n2 + 1), 7, "r<=n2"
-        )
-
-    def formula(i: int) -> int:
-        return n2 + 2 if 1 <= i <= n1 else case1(i)
-
-    return _from_paper_formula(g, prov, formula, n2 + 2, (n2 + 1,), 7, "r=n2+1")
-
-
 class _Wd(NamedTuple):
     k: int
     n: int
@@ -402,15 +144,17 @@ def _cycle(spec: FamilySpec) -> int | None:
 
 
 def _parts(spec: FamilySpec) -> tuple | None:
-    """Part sizes, in the order given, of K_{n1..nk} for k >= 2."""
-    ok = spec.tag == "kpart" and len(spec.params) >= 2 and min(spec.params) >= 1
-    return spec.params if ok else None
+    """Part sizes of K_{n1..nk} for k >= 2, in the builder's order: as given,
+    except that two parts come sorted."""
+    p = spec.params
+    ok = spec.tag == "kpart" and len(p) >= 2 and min(p) >= 1
+    return None if not ok else tuple(sorted(p)) if len(p) == 2 else p
 
 
 def _two_parts(spec: FamilySpec) -> tuple | None:
     """Part sizes n1 <= n2 of K_{n1,n2}."""
     p = _parts(spec)
-    return tuple(sorted(p)) if p is not None and len(p) == 2 else None
+    return p if p is not None and len(p) == 2 else None
 
 
 def _of(transform: str, match):
@@ -418,13 +162,135 @@ def _of(transform: str, match):
     return lambda spec: match(spec.inner) if spec.tag == transform else None
 
 
+def _kpart_edges(sizes) -> int:
+    """l = (n^2 - sum of n_i^2) / 2, the edge count of K_{n1..nk}."""
+    return (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2
+
+
+# Case.paint of each row, in proposition order.
+def _paint_windmill(w: _Wd, r: int, delta):
+    if r < w.k:
+        return "2<=r<=k-1", range(2, w.k), lambda i: 1 if i == 1 else 2 + (i - 2) % (w.k - 1)
+    run = min(r, w.n * (w.k - 1))
+    return "r>=k", (r,), lambda i: 1 if i == 1 else 2 + (i - 2) % run
+
+
+def _paint_line_windmill(w: _Wd, r: int, delta):
+    z, inner = w.n * (w.k - 1) + comb(w.k - 1, 2), comb(w.k - 1, 2)
+    return "r=Delta", (delta(),), lambda i: i if i <= z else i % inner + w.n * (w.k - 1) + 1
+
+
+def _paint_line_friendship(n: int, r: int, delta):
+    if r >= delta():  # proposition 2 at k = 3
+        return _paint_line_windmill(_Wd(3, n), r, delta)
+
+    def formula(i: int) -> int:
+        if i <= 2 * n:
+            return i
+        if i <= 3 * n - 1:
+            return 2 * n
+        return 1  # i == 3n
+
+    return "r<Delta", range(2, delta()), formula
+
+
+def _paint_middle_cycle(n: int, r: int, delta):
+    if r == 3:
+
+        def formula(i: int) -> int:
+            if n + 1 <= i <= 2 * n and (i - n) % 2 == 0:
+                return 1
+            if 1 <= i <= n and i % 2 == 1:
+                return 2
+            if i == n + 1 or (4 <= i <= n and i % 2 == 0):
+                return 3
+            return 4
+
+        return "r=3", (3,), formula
+    if n % 2 == 0:
+
+        def formula(i: int) -> int:
+            if 1 <= i <= n:
+                return 1
+            if n + 1 <= i <= 2 * n and i % 2 == 1:
+                return 2
+            return 3
+
+        return "r=2,n even", (2,), formula
+
+    def formula(i: int) -> int:
+        if i == 1 or (n + 1 <= i <= 2 * n and i % 2 == 1):
+            return 1
+        if i == 2 * n or 2 <= i <= n - 1:
+            return 2
+        return 3
+
+    return "r=2,n odd", (2,), formula
+
+
+def _paint_middle_friendship(n: int, r: int, delta):
+    def small(i: int) -> int:
+        if 1 <= i <= 2 * n + 1:
+            return i
+        if i == 2 * n + 2:
+            return 3
+        if i == 2 * n + 3:
+            return 4
+        if 2 * n + 4 <= i <= 4 * n + 1:
+            return 1 if (i - 2 * n) % 2 == 0 else 2
+        return 2 * n + 1  # 4n+2 <= i <= 5n+1
+
+    def at_delta(i: int) -> int:
+        if 1 <= i <= 2 * n + 3:
+            return i
+        if 2 * n + 4 <= i <= 4 * n + 1 and (i - 2 * n) % 2 == 0:
+            return 2 * n + 3
+        if i == 4 * n + 2 or (2 * n + 4 <= i <= 4 * n + 1 and (i - 2 * n) % 2 == 1):
+            return 2 * n + 4
+        return 2 * n + 2  # 4n+3 <= i <= 5n+1
+
+    if r <= 2 * n:
+        return "r<=2n", range(2, 2 * n + 1), small
+    if r == 2 * n + 1:
+        return "r=2n+1", (2 * n + 1,), lambda i: small(i) if i <= 4 * n + 1 else 2 * n + 2
+    return "r=Delta", (delta(),), at_delta
+
+
+def _paint_middle_bipartite(s: tuple, r: int, delta):
+    n1, n2 = s
+    n = n1 + n2
+
+    def small(i: int) -> int:
+        if 1 <= i <= n:
+            return n2 + 1
+        return 1 + ((i - 1 - n) // n2 + (i - n)) % n2
+
+    if r <= n2:
+        return "r<=n2", range(1, n2 + 1), small
+    return "r=n2+1", (n2 + 1,), lambda i: n2 + 2 if i <= n1 else small(i)
+
+
+def _paint_middle_multipartite(s: tuple, r: int, delta):
+    l = _kpart_edges(s)
+    ends = list(accumulate(s))
+
+    def formula(i: int) -> int:
+        if 1 <= i <= l:
+            return i
+        # l + p for the p with n_1 + ... + n_{p-1} < i - l <= n_1 + ... + n_p
+        return l + 1 + bisect_left(ends, i - l)
+
+    return "r=Delta", (delta(),), formula
+
+
 class Case(NamedTuple):
     """The cases of one proposition: `family(spec)` gives its parameters
     (None for other families); `applies(params, r, delta)` and
     `value(params, r, delta)` get Delta as a function, called only where a
     case reads it; `numbering` is the v_1, v_2, ... its formulas use;
-    `build(params, r)` calls the constructor. A case stated at r = Delta
-    covers every r >= Delta."""
+    `paint(params, r, delta)` gives (case, r_values, formula), formula(i)
+    being the published color of v_i. A case stated at r = Delta covers
+    every r >= Delta."""
 
     proposition: int
     label: str
@@ -432,7 +298,7 @@ class Case(NamedTuple):
     applies: Callable
     value: Callable
     numbering: Numbering
-    build: Callable
+    paint: Callable
 
 
 # construct and predicted_chi_r take the first row that covers (family, r),
@@ -443,28 +309,28 @@ class Case(NamedTuple):
 CASES = (
     Case(1, "r >= 2", _windmill, lambda w, r, d: r >= 2,
          lambda w, r, d: w.k if r < w.k else min(r, w.n * (w.k - 1)) + 1,
-         IDENTITY, lambda w, r: chi_windmill(*w, r)[1]),
+         IDENTITY, _paint_windmill),
     Case(2, "r = Delta", _of("L", _windmill), lambda w, r, d: r >= d(),
          lambda w, r, d: w.n * (w.k - 1) + comb(w.k - 1, 2),
-         LINE_WINDMILL, lambda w, r: color_line_windmill_delta(*w)),
+         LINE_WINDMILL, _paint_line_windmill),
     Case(3, "2 <= r < Delta for n >= 2, r = Delta", _of("L", _friendship),
          lambda n, r, d: n >= 2 and 2 <= r or r >= d(),
-         lambda n, r, d: 2 * n + (r >= d()), LINE_WINDMILL, color_line_friendship),
+         lambda n, r, d: 2 * n + (r >= d()), LINE_WINDMILL, _paint_line_friendship),
     Case(5, "r in {2, 3} for n >= 4", _of("M", _cycle),
          lambda n, r, d: n >= 4 and r in (2, 3), lambda n, r, d: r + 1,
-         MIDDLE_CYCLE, color_middle_cycle),
+         MIDDLE_CYCLE, _paint_middle_cycle),
     Case(6, "2 <= r <= 2n+1, r = Delta", _of("M", _friendship),
          lambda n, r, d: 2 <= r <= 2 * n + 1 or r >= d(),
          lambda n, r, d: 2 * n + (1 if r <= 2 * n else 2 if r == 2 * n + 1 else 4),
-         MIDDLE_FRIENDSHIP, color_middle_friendship),
+         MIDDLE_FRIENDSHIP, _paint_middle_friendship),
     Case(7, "1 <= r <= n2+1", _of("M", _two_parts),
          lambda s, r, d: 1 <= r <= s[1] + 1, lambda s, r, d: s[1] + 1 + (r > s[1]),
-         MIDDLE_BIPARTITE, lambda s, r: color_middle_bipartite(*s, r)),
-    # k parts and l = (n^2 - sum of n_i^2) / 2 edges: k + l colors.
+         MIDDLE_BIPARTITE, _paint_middle_bipartite),
     Case(4, "r = Delta", _of("M", _parts), lambda s, r, d: r >= d(),
-         lambda s, r, d: len(s) + (sum(s) ** 2 - sum(x * x for x in s)) // 2,
-         MIDDLE_MULTIPARTITE, lambda s, r: color_middle_multipartite_delta(list(s))),
+         lambda s, r, d: len(s) + _kpart_edges(s),
+         MIDDLE_MULTIPARTITE, _paint_middle_multipartite),
 )
+_ROW = {c.proposition: c for c in CASES}
 
 
 def _parsed(spec: str | FamilySpec) -> FamilySpec:
@@ -483,6 +349,16 @@ def _max_degree(spec: FamilySpec) -> int:
     return max(g.degree(u) + g.degree(v) for u, v in g.edges()) - 2 * (spec.tag == "L")
 
 
+def _params(row: Case, spec: FamilySpec):
+    """The parameters `row` reads off `spec`, or None for another family.
+    Raises ParameterError where families.build rejects the spec, without
+    building it (the matchers take only valid parameters)."""
+    params = row.family(spec)
+    if params is None:
+        families.declared_size(spec)
+    return params
+
+
 def _covering_case(spec: FamilySpec, r: int):
     """(row, params, delta) of the first row that covers (spec, r), or None.
     Raises ParameterError where families.build rejects the spec."""
@@ -490,8 +366,113 @@ def _covering_case(spec: FamilySpec, r: int):
     hit = next(((c, p, delta) for c in CASES if (p := c.family(spec)) is not None
                 and c.applies(p, r, delta)), None)
     if hit is None:
-        families.build(spec)  # the matchers take only valid parameters
+        families.declared_size(spec)
     return hit
+
+
+def _claim(row: Case, spec: FamilySpec, params, r: int) -> ClaimedColoring:
+    """The coloring `row` paints on the graph of `spec` at r, over the
+    row's numbering, with the row's value as the claim."""
+    delta = functools.partial(_max_degree, spec)
+    g, prov = _numbered(families.build(spec), row.numbering, params)
+    case, r_values, formula = row.paint(params, r, delta)
+    colors = tuple(formula(i) for i in prov.paper_pos)
+    claimed_k = row.value(params, r, delta)
+    coloring = Coloring(colors, max(max(colors), claimed_k))
+    return ClaimedColoring(g, prov, coloring, claimed_k, tuple(r_values), row.proposition, case)
+
+
+def _stated(proposition: int, spec: str, r: int | None = None) -> ClaimedColoring:
+    """The claim of `proposition` on `spec` at r (at Delta when r is None),
+    once the caller has checked that the proposition states it."""
+    row, spec = _ROW[proposition], parse_spec(spec)
+    return _claim(row, spec, _params(row, spec), _max_degree(spec) if r is None else r)
+
+
+def chi_windmill(k: int, n: int, r: int) -> tuple[int, ClaimedColoring]:
+    """Closed form for Wd(k,n) plus a certified witness coloring.
+
+    The published statement proves existence without exhibiting colorings;
+    the witness here colors blades with reused color blocks (small r) or
+    walks min{r,Delta} colors around the center (large r).
+    """
+    if k < 3 or n < 1:
+        raise ParameterError(f"need k >= 3 and n >= 1, got ({k},{n})")
+    if r < 2:
+        raise ParameterError("the case analysis starts at r = 2; use the solver")
+    claim = _stated(1, f"wd:{k},{n}", r)
+    return claim.claimed_k, claim
+
+
+def color_line_windmill_delta(k: int, n: int) -> ClaimedColoring:
+    """L(Wd(k,n)) at r = Delta: z = n(k-1) + C(k-1,2) colors."""
+    if k < 3 or n < 1:
+        raise ParameterError(f"need k >= 3 and n >= 1, got ({k},{n})")
+    return _stated(2, f"L(wd:{k},{n})")
+
+
+def color_line_friendship(n: int, r: int) -> ClaimedColoring:
+    """L(F_n): 2n colors for r < Delta, 2n+1 at r = Delta.
+
+    n = 1 is rejected: the small-r formula's middle range is empty there
+    and L(F_1) = K_3 already needs 3 > 2n colors.
+    """
+    if n < 2:
+        raise ParameterError(
+            "n >= 2 required: at n = 1 the published small-r formula "
+            "degenerates (L(F_1) = K_3 has clique number 3 > 2n)"
+        )
+    if r < 2:
+        raise ParameterError("the case analysis starts at r = 2; use the solver")
+    return _stated(3, f"L(fr:{n})", r)
+
+
+def color_middle_multipartite_delta(sizes: list[int]) -> ClaimedColoring:
+    """M(K_{n1..nk}) at r = Delta: k + l colors (l = edge count)."""
+    if len(sizes) < 2:
+        raise ParameterError("need at least two parts")
+    return _stated(4, "M(kpart:" + ",".join(str(s) for s in sizes) + ")")
+
+
+def color_middle_cycle(n: int, r: int) -> ClaimedColoring:
+    """M(C_n) for n >= 4: 3 colors at r = 2, 4 colors at r = 3."""
+    if n < 4:
+        raise ParameterError("stated for n >= 4; use the solver for smaller n")
+    if r not in (2, 3):
+        raise UnsupportedCaseError(
+            f"no closed-form case for r = {r} on M(C_n) (only r in {{2,3}})"
+        )
+    return _stated(5, f"M(cyc:{n})", r)
+
+
+def color_middle_friendship(n: int, r: int) -> ClaimedColoring:
+    """M(F_n): 2n+1 colors for r <= 2n, 2n+2 at r = 2n+1, 2n+4 at r = Delta.
+
+    All three case formulas are evaluated exactly as published; at n = 1
+    the small-r formula's literal constants collide with color 2n+1 = 3
+    (the verifier flags this), which is surfaced rather than repaired.
+    """
+    if n < 1:
+        raise ParameterError(f"need n >= 1, got {n}")
+    if r < 1:
+        raise ParameterError(f"r must be >= 1, got {r}")
+    return _stated(6, f"M(fr:{n})", r)
+
+
+def color_middle_bipartite(n1: int, n2: int, r: int) -> ClaimedColoring:
+    """M(K_{n1,n2}) with n1 <= n2: n2+1 colors for r <= n2, n2+2 at r = n2+1."""
+    if n1 < 1 or n2 < 1:
+        raise ParameterError(f"part sizes must be >= 1, got ({n1},{n2})")
+    if n1 > n2:
+        n1, n2 = n2, n1
+    if r < 1:
+        raise ParameterError(f"r must be >= 1, got {r}")
+    if r > n2 + 1:
+        raise UnsupportedCaseError(
+            f"no closed-form case for r = {r} > n2+1 on M(K_{{n1,n2}}); "
+            "use the solver"
+        )
+    return _stated(7, f"M(kpart:{n1},{n2})", r)
 
 
 def numbered_build(spec: str | FamilySpec) -> tuple[Graph, Provenance]:
@@ -523,7 +504,8 @@ def construct(spec: str | FamilySpec, r: int) -> ClaimedColoring:
                            for c in CASES if c.family(spec) is not None)
         raise UnsupportedCaseError(f"no stated case covers {spec} at r = {r}; " + (
             f"stated: {stated}" if stated else "no proposition covers the family"))
-    return hit[0].build(hit[1], r)
+    row, params, _ = hit
+    return _claim(row, spec, params, r)
 
 
 def predicted_chi_r(spec: str | FamilySpec, r: int) -> int | None:
@@ -538,10 +520,9 @@ def predicted_chi_r(spec: str | FamilySpec, r: int) -> int | None:
 def covered_levels(spec: str | FamilySpec, proposition: int) -> list[int]:
     """The r in 1..Delta at which the row of `proposition` covers `spec`."""
     spec = _parsed(spec)
-    (row,) = [c for c in CASES if c.proposition == proposition]
-    params = row.family(spec)
+    row = _ROW[proposition]
+    params = _params(row, spec)
     if params is None:
-        families.build(spec)  # ParameterError where the builders reject spec
         return []
     delta = _max_degree(spec)
     return [r for r in range(1, delta + 1) if row.applies(params, r, lambda: delta)]

@@ -183,8 +183,9 @@ def test_dimacs_non_integer_endpoint(tmp_path, capsys):
 
 
 def test_table_bad_range(capsys):
-    code, _, err = run(capsys, "table", "1", "--n", "1..x")
-    assert code == 2 and err.startswith("error:")
+    for option, text in (("--n", "1..x"), ("--k", "5..1")):
+        code, out, err = run(capsys, "table", "1", option, text)
+        assert code == 2 and err.startswith("error:") and not out, text
 
 
 def test_bounds_command(capsys):

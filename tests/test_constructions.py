@@ -14,7 +14,8 @@ from condchrom import (
     construct,
     predicted_chi_r,
 )
-from condchrom.constructions import MIDDLE_CYCLE, MIDDLE_MULTIPARTITE, _numbered
+from condchrom import families
+from condchrom.constructions import MIDDLE_CYCLE, MIDDLE_MULTIPARTITE, _numbered, covered_levels
 from condchrom.errors import ParameterError, UnsupportedCaseError
 from conftest import CORPUS_SPECS
 
@@ -223,7 +224,7 @@ def test_predictions_match_solver_on_corpus(corpus):
     + ["M(kpart:2,1,1)", "M(kpart:1,2,1)", "M(kpart:3,1,2)"],
 )
 def test_construct_covers_exactly_the_predicted_cases(spec):
-    g, _ = build(spec)
+    g, prov = build(spec)
     delta = g.max_degree()
     for r in range(1, delta + 3):
         pred = predicted_chi_r(spec, r)
@@ -235,6 +236,20 @@ def test_construct_covers_exactly_the_predicted_cases(spec):
         assert claim.claimed_k == pred, (spec, r)
         assert r in claim.r_values or min(r, delta) in claim.r_values, (spec, r)
         assert claim.graph == g, (spec, r)  # the graph `generate` emits
+        assert claim.provenance.spec == prov.spec, (spec, r)
+        assert claim.provenance.origin == prov.origin, (spec, r)
+
+
+def test_unstated_specs_are_validated_without_building(monkeypatch):
+    build_calls = []
+    monkeypatch.setattr(families, "build", lambda spec: build_calls.append(spec))
+    assert predicted_chi_r("M(wd:4,2)", 1) is None
+    assert covered_levels("L(cyc:5)", 2) == []
+    with pytest.raises(ParameterError):
+        predicted_chi_r("M(wd:4,0)", 1)
+    with pytest.raises(ParameterError):
+        covered_levels("L(cyc:2)", 2)
+    assert build_calls == []
 
 
 def test_numbering_must_permute_the_vertices():

@@ -349,19 +349,10 @@ def _max_degree(spec: FamilySpec) -> int:
     return max(g.degree(u) + g.degree(v) for u, v in g.edges()) - 2 * (spec.tag == "L")
 
 
-def _params(row: Case, spec: FamilySpec):
-    """The parameters `row` reads off `spec`, or None for another family.
-    Raises ParameterError where families.build rejects the spec, without
-    building it (the matchers take only valid parameters)."""
-    params = row.family(spec)
-    if params is None:
-        families.declared_size(spec)
-    return params
-
-
 def _covering_case(spec: FamilySpec, r: int):
     """(row, params, delta) of the first row that covers (spec, r), or None.
-    Raises ParameterError where families.build rejects the spec."""
+    Raises ParameterError where families.build rejects the spec, without
+    building it (the matchers take only valid parameters)."""
     delta = functools.partial(_max_degree, spec)
     hit = next(((c, p, delta) for c in CASES if (p := c.family(spec)) is not None
                 and c.applies(p, r, delta)), None)
@@ -370,11 +361,13 @@ def _covering_case(spec: FamilySpec, r: int):
     return hit
 
 
-def _claim(row: Case, spec: FamilySpec, params, r: int) -> ClaimedColoring:
-    """The coloring `row` paints on the graph of `spec` at r, over the
-    row's numbering, with the row's value as the claim."""
-    delta = functools.partial(_max_degree, spec)
+def _claim(row: Case, spec: FamilySpec, params, r: int | None) -> ClaimedColoring:
+    """The coloring `row` paints on the graph of `spec` at r (at Delta when
+    r is None), over the row's numbering, with the row's value as the
+    claim. Delta is read off the graph built here, so none is built twice."""
     g, prov = _numbered(families.build(spec), row.numbering, params)
+    delta = g.max_degree
+    r = delta() if r is None else r
     case, r_values, formula = row.paint(params, r, delta)
     colors = tuple(formula(i) for i in prov.paper_pos)
     claimed_k = row.value(params, r, delta)
@@ -386,7 +379,7 @@ def _stated(proposition: int, spec: str, r: int | None = None) -> ClaimedColorin
     """The claim of `proposition` on `spec` at r (at Delta when r is None),
     once the caller has checked that the proposition states it."""
     row, spec = _ROW[proposition], parse_spec(spec)
-    return _claim(row, spec, _params(row, spec), _max_degree(spec) if r is None else r)
+    return _claim(row, spec, row.family(spec), r)
 
 
 def chi_windmill(k: int, n: int, r: int) -> tuple[int, ClaimedColoring]:
@@ -521,8 +514,9 @@ def covered_levels(spec: str | FamilySpec, proposition: int) -> list[int]:
     """The r in 1..Delta at which the row of `proposition` covers `spec`."""
     spec = _parsed(spec)
     row = _ROW[proposition]
-    params = _params(row, spec)
+    params = row.family(spec)
     if params is None:
+        families.declared_size(spec)  # ParameterError where the builders reject spec
         return []
     delta = _max_degree(spec)
     return [r for r in range(1, delta + 1) if row.applies(params, r, lambda: delta)]

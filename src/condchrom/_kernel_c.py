@@ -8,6 +8,9 @@ build or load raises ImportError with the compiler's message, and
 `kernel._load` falls back to the pure kernel.
 
 Semantics are those of _kernel_py.search_coloring, node counts included.
+The C search renumbers the vertices by degree and takes each DSATUR pick
+from per-saturation bitsets of the uncoloured vertices instead of scanning
+every vertex; the neighbor lists must be those of a simple graph.
 """
 
 from __future__ import annotations
@@ -89,6 +92,9 @@ def search_coloring(neighbors, req, k, budget):
     indices = array("i", chain.from_iterable(neighbors))
     if indices and not (0 <= min(indices) and max(indices) < n):
         raise ValueError("neighbor id out of range")
+    # The kernel sorts the vertices on n-1-degree, which must not go below 0.
+    if n and max(map(len, neighbors)) >= n:
+        raise ValueError(f"a vertex has {n} or more neighbors")
     indptr = array("i", accumulate(map(len, neighbors), initial=0))
     req = array("q", req)
     colors = array("i", bytes(4 * n))

@@ -339,8 +339,8 @@ def _parsed(spec: str | FamilySpec) -> FamilySpec:
 
 @functools.lru_cache(maxsize=1024)
 def _max_degree(spec: FamilySpec) -> int:
-    """Delta of the spec's graph, worked out once per spec: covered_levels,
-    predicted_chi_r and construct all read it. Edge uv of G has degree
+    """Delta of the spec's graph, worked out once per spec: covered_levels
+    and predicted_chi_r read it. Edge uv of G has degree
     d(u) + d(v) - 2 in L(G) and d(u) + d(v) in M(G), the most there, so one
     build of G does."""
     if spec.tag not in ("L", "M"):
@@ -349,11 +349,11 @@ def _max_degree(spec: FamilySpec) -> int:
     return max(g.degree(u) + g.degree(v) for u, v in g.edges()) - 2 * (spec.tag == "L")
 
 
-def _covering_case(spec: FamilySpec, r: int):
-    """(row, params, delta) of the first row that covers (spec, r), or None.
-    Raises ParameterError where families.build rejects the spec, without
-    building it (the matchers take only valid parameters)."""
-    delta = functools.partial(_max_degree, spec)
+def _covering_case(spec: FamilySpec, r: int, delta: Callable[[], int]):
+    """(row, params, delta) of the first row that covers (spec, r), or None;
+    delta() gives Delta when a row asks for it. Raises ParameterError where
+    families.build rejects the spec, without building it (the matchers take
+    only valid parameters)."""
     hit = next(((c, p, delta) for c in CASES if (p := c.family(spec)) is not None
                 and c.applies(p, r, delta)), None)
     if hit is None:
@@ -361,11 +361,11 @@ def _covering_case(spec: FamilySpec, r: int):
     return hit
 
 
-def _claim(row: Case, spec: FamilySpec, params, r: int | None) -> ClaimedColoring:
-    """The coloring `row` paints on the graph of `spec` at r (at Delta when
-    r is None), over the row's numbering, with the row's value as the
-    claim. Delta is read off the graph built here, so none is built twice."""
-    g, prov = _numbered(families.build(spec), row.numbering, params)
+def _claim(row: Case, spec: FamilySpec, params, r: int | None, built: tuple) -> ClaimedColoring:
+    """The coloring `row` paints on `built`, the graph of `spec`, at r (at
+    Delta when r is None), over the row's numbering, with the row's value
+    as the claim. Delta is read off the built graph."""
+    g, prov = _numbered(built, row.numbering, params)
     delta = g.max_degree
     r = delta() if r is None else r
     case, r_values, formula = row.paint(params, r, delta)
@@ -379,7 +379,7 @@ def _stated(proposition: int, spec: str, r: int | None = None) -> ClaimedColorin
     """The claim of `proposition` on `spec` at r (at Delta when r is None),
     once the caller has checked that the proposition states it."""
     row, spec = _ROW[proposition], parse_spec(spec)
-    return _claim(row, spec, row.family(spec), r)
+    return _claim(row, spec, row.family(spec), r, families.build(spec))
 
 
 def chi_windmill(k: int, n: int, r: int) -> tuple[int, ClaimedColoring]:
@@ -491,14 +491,16 @@ def paper_indexing(spec: str | FamilySpec) -> Provenance:
 def construct(spec: str | FamilySpec, r: int) -> ClaimedColoring:
     """The coloring of the first stated case that covers (family, r)."""
     spec = _parsed(spec)
-    hit = _covering_case(spec, r)
+    # One build serves the claim and, when a row asks for it, Delta.
+    built = functools.cache(functools.partial(families.build, spec))
+    hit = _covering_case(spec, r, lambda: built()[0].max_degree())
     if hit is None:
         stated = "; ".join(f"proposition {c.proposition} at {c.label}"
                            for c in CASES if c.family(spec) is not None)
         raise UnsupportedCaseError(f"no stated case covers {spec} at r = {r}; " + (
             f"stated: {stated}" if stated else "no proposition covers the family"))
     row, params, _ = hit
-    return _claim(row, spec, params, r)
+    return _claim(row, spec, params, r, built())
 
 
 def predicted_chi_r(spec: str | FamilySpec, r: int) -> int | None:
@@ -506,7 +508,8 @@ def predicted_chi_r(spec: str | FamilySpec, r: int) -> int | None:
 
     Returns None outside every case; never extrapolates.
     """
-    hit = _covering_case(_parsed(spec), r)
+    spec = _parsed(spec)
+    hit = _covering_case(spec, r, functools.partial(_max_degree, spec))
     return None if hit is None else hit[0].value(hit[1], r, hit[2])
 
 

@@ -126,6 +126,8 @@ def from_dimacs(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
+            if n is not None:
+                raise InputError(f"line {lineno}: a second problem line {line!r}")
             if len(parts) != 4 or parts[1] != "edge":
                 raise InputError(f"line {lineno}: bad problem line {line!r}")
             n, m = _dimacs_int(parts[2], lineno), _dimacs_int(parts[3], lineno)

@@ -1,14 +1,20 @@
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_graphs import graphs
 
-from condchrom import cli, constructions, families
+from condchrom import cli, constructions, families, kernel
 from condchrom.cli import main
+from condchrom.graphs import to_dimacs
 
 
 def run(capsys, *argv):
@@ -180,6 +186,65 @@ def test_dimacs_non_integer_endpoint(tmp_path, capsys):
     gfile.write_text("p edge 2 1\ne 1 x\n")
     code, _, err = run(capsys, "solve", "--file", str(gfile), "-r", "1")
     assert code == 2 and err.startswith("error:") and "line 2" in err
+
+
+def test_dimacs_second_problem_line(tmp_path, capsys):
+    gfile = tmp_path / "g.col"
+    gfile.write_text("p edge 3 0\np edge 4 0\n")
+    code, out, err = run(capsys, "solve", "--file", str(gfile), "-r", "1")
+    assert code == 2 and not out
+    assert err.startswith("error:") and "second problem line" in err
+
+
+JUNK_LINES = ["c a comment", "", "p edge", "p col 3 1", "p edge 3 -1", "e 1",
+              "e 1 1", "e 0 2", "e a b", "x 1 2", "\t"]
+
+
+@st.composite
+def dimacs_texts(draw):
+    """The DIMACS text of a graph on at most 12 vertices, then up to three
+    edits: drop a line, repeat one, insert a junk line, or set a token to a
+    small integer."""
+    lines = to_dimacs(draw(graphs(max_n=12))).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["drop", "repeat", "junk", "number"]))
+        i = draw(st.integers(0, len(lines)))
+        if op == "junk":
+            lines.insert(i, draw(st.sampled_from(JUNK_LINES)))
+        elif not lines or i == len(lines):
+            continue
+        elif op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif tokens := lines[i].split():
+            tokens[draw(st.integers(0, len(tokens) - 1))] = str(draw(st.integers(-2, 14)))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.skipif(len(kernel.backends()) < 2, reason="only one backend loads")
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=dimacs_texts(), command=st.sampled_from(["solve", "bounds"]),
+       r=st.integers(0, 5))
+def test_dimacs_files_exit_cleanly_on_both_backends(tmp_path, monkeypatch, text, command, r):
+    # The file is rewritten for every example. kernel._backend is swapped in
+    # place, so the `backend` field of solve names the loaded backend in
+    # both runs and the rest of stdout must match.
+    path = tmp_path / "g.col"
+    path.write_text(text)
+    argv = [command, "--file", str(path), "-r", str(r), "--max-nodes", "2000"]
+    runs = []
+    for mod in kernel.backends().values():
+        monkeypatch.setattr(kernel, "_backend", mod)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (text, argv, code)
+        assert "Traceback" not in err.getvalue(), (text, argv)
+        runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[0] == runs[1], (text, argv)
 
 
 def test_table_bad_range(capsys):

@@ -252,6 +252,20 @@ def test_unstated_specs_are_validated_without_building(monkeypatch):
     assert build_calls == []
 
 
+def test_construct_builds_the_inner_graph_once(monkeypatch):
+    built_specs = []
+
+    def build_and_record(spec, build=families.build):
+        built_specs.append(str(spec))
+        return build(spec)
+
+    monkeypatch.setattr(families, "build", build_and_record)
+    claim = construct("L(fr:3)", 2)
+    assert claim.provenance.spec == "L(fr:3)"
+    assert built_specs.count("fr:3") == 1
+    assert built_specs.count("L(fr:3)") == 1
+
+
 def test_numbering_must_permute_the_vertices():
     built = build("M(cyc:5)")
     _numbered(built, MIDDLE_CYCLE, 5)

@@ -103,6 +103,8 @@ def test_dimacs_parse_errors():
         from_dimacs("p edge 3 5\ne 1 2\n")
     with pytest.raises(InputError, match="declares 0 edges, found 1"):
         from_dimacs("p edge 3 0\ne 1 2\n")
+    with pytest.raises(InputError, match="line 2: a second problem line"):
+        from_dimacs("p edge 3 0\np edge 4 0\n")
     # The declared vertex count is checked before any vertex is allocated.
     with pytest.raises(InputError, match="limit"):
         from_dimacs("p edge 99999999999 0\n")

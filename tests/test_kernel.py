@@ -1,8 +1,10 @@
 """Kernel semantics pinned row by row: status, node count and coloring of
 every corpus graph at every r <= Delta, every k <= n and budgets
 {0, 1, 7, 50}, plus two budget-cut rows on the hard tail. The backends are
-also compared on random graphs and on graphs that need more than 64 colours,
-and the loader's fallback is checked with no compiler on PATH."""
+also compared on random graphs, on graphs that need more than 64 colours,
+on regular graphs where degree ties decide the pick and on graphs of more
+than 64 and 128 vertices. The loader's fallback is checked with no compiler
+on PATH."""
 
 import os
 import random
@@ -102,6 +104,54 @@ def test_backends_agree_beyond_64_colours(name, g, r, ks):
                 top = max(top, *colors)
                 assert check_conditional(g, Coloring(tuple(colors), k), r).valid, (k, budget)
     assert top > 64
+
+
+def _shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _circulant(n, offsets):
+    return Graph(n, {tuple(sorted((i, (i + o) % n))) for i in range(n) for o in offsets})
+
+
+# (graph, r, ks): regular and near-regular graphs, where degree ties decide
+# the pick, some with more than 64 or 128 vertices, so that a set of vertices
+# spans two or three 64-bit words. Each graph is also searched under two
+# random relabellings. The longest full search is M(K_{4,4}) at r = 7,
+# k = 8: 24,373 nodes, refuted.
+TIE_CASES = {
+    "K9": (Graph(9, combinations(range(9), 2)), 8, (8, 9)),
+    "M(K44)": (build("M(kpart:4,4)")[0], 7, (8, 10)),
+    "M(K33)": (build("M(kpart:3,3)")[0], 5, (6,)),
+    "circ20": (_circulant(20, (1, 4)), 3, (4, 5)),
+    "cyc70": (build("cyc:70")[0], 2, (3, 4)),
+    "circ66-r5": (_circulant(66, (1, 2, 3)), 5, (6,)),
+    "circ66-r6": (_circulant(66, (1, 2, 3)), 6, (7, 8)),
+    "cyc140": (build("cyc:140")[0], 2, (3, 4)),
+    "M(cyc70)": (build("M(cyc:70)")[0], 4, (5,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(kernel.backends()) - {"pure"}))
+@pytest.mark.parametrize("case", sorted(TIE_CASES))
+def test_backends_agree_on_ties_and_wide_vertex_sets(name, case):
+    g, r, ks = TIE_CASES[case]
+    search, pure = kernel.backends()[name].search_coloring, kernel.backends()["pure"].search_coloring
+    for graph in (g, _shuffled(g, 1), _shuffled(g, 2)):
+        adj = graph.adjacency_lists()
+        req = [min(graph.degree(v), r) for v in range(graph.n)]
+        for k in ks:
+            for budget in (0, 1, 7, 5000):
+                assert search(adj, req, k, budget) == pure(adj, req, k, budget), (k, budget)
+
+
+@pytest.mark.parametrize("name", sorted(set(kernel.backends()) - {"pure"}))
+def test_compiled_kernel_rejects_n_or_more_neighbours(name):
+    search = kernel.backends()[name].search_coloring
+    with pytest.raises(ValueError, match="2 or more neighbors"):
+        search([[1, 1], [0]], [1, 1], 3, 0)
 
 
 def _import_backend(tmp_path, backend):

@@ -180,8 +180,6 @@ def strongest(reports: list[BoundReport]) -> BoundReport:
     return max(reports, key=lambda rep: rep.value)
 
 
-def best_lower_bound(
-    g: Graph, r: int, vset_budget: int = DEFAULT_VSET_BUDGET
-) -> BoundReport:
+def best_lower_bound(g: Graph, r: int) -> BoundReport:
     """Maximum of `lower_bounds`, with the winning certificate."""
-    return strongest(lower_bounds(g, r, vset_budget))
+    return strongest(lower_bounds(g, r))

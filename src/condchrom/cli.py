@@ -21,7 +21,9 @@ import os
 import sys
 
 from . import constructions, families, solver
-from .bounds import (  # noqa: F401  (condbench/tracer.py patches cli.clique_number)
+# lower_bounds calls bounds.clique_number, not this binding; it stays because
+# condbench/test_condbench.py checks that the tracer patches cli.clique_number.
+from .bounds import (  # noqa: F401
     DEFAULT_VSET_BUDGET,
     clique_number,
     lower_bounds,
@@ -140,10 +142,14 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     g = from_dimacs(_read_text(args.graph))
+    text = _read_text(args.coloring)
+    # Besides malformed text, json.loads raises ValueError for an integer of
+    # more than sys.get_int_max_str_digits() digits and RecursionError for
+    # arrays or objects nested deeper than the recursion limit.
     try:
-        doc = json.loads(_read_text(args.coloring))
-    except json.JSONDecodeError as e:
-        raise InputError(f"{args.coloring}: not valid JSON ({e})") from None
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise InputError(f"{args.coloring}: cannot read JSON ({e})") from None
     c = Coloring.from_json_dict(doc)
     if len(c.colors) != g.n:
         raise InputError(

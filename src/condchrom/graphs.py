@@ -140,14 +140,21 @@ def from_dimacs(text: str) -> Graph:
             u, v = _dimacs_int(parts[1], lineno), _dimacs_int(parts[2], lineno)
             if u < 1 or v < 1:
                 raise InputError(f"line {lineno}: endpoints are 1-based")
-            edges.append((u - 1, v - 1))
+            edges.append((u, v, lineno))
         else:
             raise InputError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise InputError("missing 'p edge' line")
+    # An edge line may come before the problem line, so its endpoints are
+    # checked once n is known, in the file's own 1-based ids.
+    for u, v, lineno in edges:
+        if u > n or v > n:
+            raise InputError(f"line {lineno}: edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise InputError(f"line {lineno}: self-loop at vertex {u}")
     if m != len(edges):
         raise InputError(f"'p edge' line declares {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    return Graph(n, [(u - 1, v - 1) for u, v, _ in edges])
 
 
 def to_dot(g: Graph, name: str = "G") -> str:

@@ -169,8 +169,10 @@ def test_verify_command(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "coloring",
-    ['{"k": 4, "colors": [1, 2', '{"k": 4}', '{"k": 4, "colors": [1, "2", 3, 4]}'],
-    ids=["malformed-json", "missing-colors", "non-integer-color"],
+    ['{"k": 4, "colors": [1, 2', '{"k": 4}', '{"k": 4, "colors": [1, "2", 3, 4]}',
+     "[" * 100_000 + "]" * 100_000, '{"k": 4, "colors": [' + "1" * 5000 + ", 2, 3, 4]}"],
+    ids=["malformed-json", "missing-colors", "non-integer-color", "deeply-nested",
+         "integer-too-long"],
 )
 def test_verify_rejects_bad_coloring_file(tmp_path, capsys, coloring):
     gfile = tmp_path / "g.col"
@@ -179,6 +181,62 @@ def test_verify_rejects_bad_coloring_file(tmp_path, capsys, coloring):
     cfile.write_text(coloring)
     code, _, err = run(capsys, "verify", str(gfile), str(cfile), "-r", "2")
     assert code == 2 and err.startswith("error:")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def coloring_texts(draw):
+    """The JSON text of a colouring of a 4-vertex graph, with k or the colours
+    or the whole document possibly replaced by another JSON value, then up to
+    three text edits: a slice dropped or repeated, a character or a long run
+    of digits inserted, or the whole text nested in brackets."""
+    doc = {"k": draw(st.integers(-1, 6)),
+           "colors": draw(st.lists(st.integers(-1, 6), min_size=3, max_size=5))}
+    for key in draw(st.sets(st.sampled_from(["k", "colors", "doc"]))):
+        if key == "doc":
+            doc = draw(JSON_VALUES)
+        elif isinstance(doc, dict):
+            doc[key] = draw(JSON_VALUES)
+    text = json.dumps(doc)
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["drop", "repeat", "char", "digits", "nest"]))
+        i, j = sorted(draw(st.integers(0, len(text))) for _ in range(2))
+        if op == "drop":
+            text = text[:i] + text[j:]
+        elif op == "repeat":
+            text = text[:j] + text[i:j] + text[j:]
+        elif op == "char":
+            text = text[:i] + draw(st.sampled_from('[]{}",:-.0123456789eE ')) + text[i:]
+        elif op == "digits":
+            text = text[:i] + "9" * draw(st.sampled_from([1, 20, 5000])) + text[i:]
+        else:
+            depth = draw(st.sampled_from([1, 50, 5000, 100_000]))
+            text = "[" * depth + text + "]" * depth
+    return text
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=coloring_texts(), r=st.integers(1, 3))
+def test_mangled_coloring_files_exit_cleanly(tmp_path, text, r):
+    gfile, cfile = tmp_path / "g.col", tmp_path / "c.json"
+    gfile.write_text(to_dimacs(families.build("cyc:4")[0]))
+    cfile.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", str(gfile), str(cfile), "-r", str(r)])
+    assert code in (0, 1, 2), (text[:200], code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:") and not out.getvalue()
+    else:
+        assert json.loads(out.getvalue())["valid"] is (code == 0)
 
 
 def test_dimacs_non_integer_endpoint(tmp_path, capsys):

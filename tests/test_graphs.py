@@ -105,6 +105,15 @@ def test_dimacs_parse_errors():
         from_dimacs("p edge 3 0\ne 1 2\n")
     with pytest.raises(InputError, match="line 2: a second problem line"):
         from_dimacs("p edge 3 0\np edge 4 0\n")
+    # Endpoint errors name the line and the file's own 1-based ids, also for
+    # an edge line before the problem line.
+    for text, message in (("p edge 3 1\ne 1 5\n", "line 2: edge (1,5) out of range for n=3"),
+                          ("p edge 3 1\ne 2 2\n", "line 2: self-loop at vertex 2"),
+                          ("e 4 1\np edge 3 1\n", "line 1: edge (4,1) out of range for n=3"),
+                          ("c first\ne 3 3\np edge 3 1\n", "line 2: self-loop at vertex 3")):
+        with pytest.raises(InputError) as exc:
+            from_dimacs(text)
+        assert str(exc.value) == message
     # The declared vertex count is checked before any vertex is allocated.
     with pytest.raises(InputError, match="limit"):
         from_dimacs("p edge 99999999999 0\n")

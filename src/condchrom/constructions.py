@@ -9,13 +9,15 @@ a formula fails for a parameter value the verifier reports the violation
 and callers surface it.
 
 CASES holds one row per proposition, the only place its facts live: its
-family, the r its cases cover, their values, its numbering and its color
-formulas. `_claim` is the one path from a row to a ClaimedColoring: it
-builds the spec asked for, numbers it and evaluates the row's formula at
-each v_i. construct takes the first row that covers (family, r); each
-public color_* constructor checks its own parameters and then asks its own
-row. construct, predicted_chi_r, paper_indexing and `condchrom table` all
-read CASES; outside every case they refuse instead of extrapolating.
+family, its numbering and its `paint`, the one statement of its split over
+r. For an r, paint decides whether a case covers it, the case's value and
+its color formula; coverage and value are read nowhere else. `_claim` is
+the one path from a painted case to a ClaimedColoring: it numbers the
+built spec and evaluates the formula at each v_i. construct takes the
+first row that covers (family, r); each public color_* constructor checks
+its own parameters and then asks its own row, which refuses an r it does
+not cover. construct, predicted_chi_r, paper_indexing and `condchrom table`
+all read CASES; outside every case they refuse instead of extrapolating.
 """
 
 from __future__ import annotations
@@ -167,22 +169,29 @@ def _kpart_edges(sizes) -> int:
     return (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2
 
 
-# Case.paint of each row, in proposition order.
+# Case.paint of each row, in proposition order: (case, r_values, value,
+# formula) of the case that covers r, or None where none does.
 def _paint_windmill(w: _Wd, r: int, delta):
+    if r < 2:
+        return None
     if r < w.k:
-        return "2<=r<=k-1", range(2, w.k), lambda i: 1 if i == 1 else 2 + (i - 2) % (w.k - 1)
+        return "2<=r<=k-1", range(2, w.k), w.k, lambda i: 1 if i == 1 else 2 + (i - 2) % (w.k - 1)
     run = min(r, w.n * (w.k - 1))
-    return "r>=k", (r,), lambda i: 1 if i == 1 else 2 + (i - 2) % run
+    return "r>=k", (r,), run + 1, lambda i: 1 if i == 1 else 2 + (i - 2) % run
 
 
 def _paint_line_windmill(w: _Wd, r: int, delta):
+    if r < delta():
+        return None
     z, inner = w.n * (w.k - 1) + comb(w.k - 1, 2), comb(w.k - 1, 2)
-    return "r=Delta", (delta(),), lambda i: i if i <= z else i % inner + w.n * (w.k - 1) + 1
+    return "r=Delta", (delta(),), z, lambda i: i if i <= z else i % inner + w.n * (w.k - 1) + 1
 
 
 def _paint_line_friendship(n: int, r: int, delta):
     if r >= delta():  # proposition 2 at k = 3
         return _paint_line_windmill(_Wd(3, n), r, delta)
+    if n < 2 or r < 2:
+        return None
 
     def formula(i: int) -> int:
         if i <= 2 * n:
@@ -191,10 +200,12 @@ def _paint_line_friendship(n: int, r: int, delta):
             return 2 * n
         return 1  # i == 3n
 
-    return "r<Delta", range(2, delta()), formula
+    return "r<Delta", range(2, delta()), 2 * n, formula
 
 
 def _paint_middle_cycle(n: int, r: int, delta):
+    if n < 4 or r not in (2, 3):
+        return None
     if r == 3:
 
         def formula(i: int) -> int:
@@ -206,7 +217,7 @@ def _paint_middle_cycle(n: int, r: int, delta):
                 return 3
             return 4
 
-        return "r=3", (3,), formula
+        return "r=3", (3,), 4, formula
     if n % 2 == 0:
 
         def formula(i: int) -> int:
@@ -216,7 +227,7 @@ def _paint_middle_cycle(n: int, r: int, delta):
                 return 2
             return 3
 
-        return "r=2,n even", (2,), formula
+        return "r=2,n even", (2,), 3, formula
 
     def formula(i: int) -> int:
         if i == 1 or (n + 1 <= i <= 2 * n and i % 2 == 1):
@@ -225,7 +236,7 @@ def _paint_middle_cycle(n: int, r: int, delta):
             return 2
         return 3
 
-    return "r=2,n odd", (2,), formula
+    return "r=2,n odd", (2,), 3, formula
 
 
 def _paint_middle_friendship(n: int, r: int, delta):
@@ -249,11 +260,13 @@ def _paint_middle_friendship(n: int, r: int, delta):
             return 2 * n + 4
         return 2 * n + 2  # 4n+3 <= i <= 5n+1
 
-    if r <= 2 * n:
-        return "r<=2n", range(2, 2 * n + 1), small
+    if 2 <= r <= 2 * n:
+        return "r<=2n", range(2, 2 * n + 1), 2 * n + 1, small
     if r == 2 * n + 1:
-        return "r=2n+1", (2 * n + 1,), lambda i: small(i) if i <= 4 * n + 1 else 2 * n + 2
-    return "r=Delta", (delta(),), at_delta
+        return "r=2n+1", (r,), 2 * n + 2, lambda i: small(i) if i <= 4 * n + 1 else 2 * n + 2
+    if r >= delta():
+        return "r=Delta", (delta(),), 2 * n + 4, at_delta
+    return None
 
 
 def _paint_middle_bipartite(s: tuple, r: int, delta):
@@ -265,12 +278,16 @@ def _paint_middle_bipartite(s: tuple, r: int, delta):
             return n2 + 1
         return 1 + ((i - 1 - n) // n2 + (i - n)) % n2
 
-    if r <= n2:
-        return "r<=n2", range(1, n2 + 1), small
-    return "r=n2+1", (n2 + 1,), lambda i: n2 + 2 if i <= n1 else small(i)
+    if 1 <= r <= n2:
+        return "r<=n2", range(1, n2 + 1), n2 + 1, small
+    if r == n2 + 1:
+        return "r=n2+1", (r,), n2 + 2, lambda i: n2 + 2 if i <= n1 else small(i)
+    return None
 
 
 def _paint_middle_multipartite(s: tuple, r: int, delta):
+    if r < delta():
+        return None
     l = _kpart_edges(s)
     ends = list(accumulate(s))
 
@@ -280,23 +297,22 @@ def _paint_middle_multipartite(s: tuple, r: int, delta):
         # l + p for the p with n_1 + ... + n_{p-1} < i - l <= n_1 + ... + n_p
         return l + 1 + bisect_left(ends, i - l)
 
-    return "r=Delta", (delta(),), formula
+    return "r=Delta", (delta(),), len(s) + l, formula
 
 
 class Case(NamedTuple):
     """The cases of one proposition: `family(spec)` gives its parameters
-    (None for other families); `applies(params, r, delta)` and
-    `value(params, r, delta)` get Delta as a function, called only where a
-    case reads it; `numbering` is the v_1, v_2, ... its formulas use;
-    `paint(params, r, delta)` gives (case, r_values, formula), formula(i)
-    being the published color of v_i. A case stated at r = Delta covers
-    every r >= Delta."""
+    (None for other families); `numbering` is the v_1, v_2, ... its formulas
+    use; `paint(params, r, delta)` is the one statement of its split over r.
+    It gives (case, r_values, value, formula) for the case that covers r,
+    value being the claimed chi_r and formula(i) the published color of
+    v_i, or None where no case covers r. Delta comes as a function, called
+    only where a case reads it. A case stated at r = Delta covers every
+    r >= Delta; `label` names the r the cases cover, for messages."""
 
     proposition: int
     label: str
     family: Callable
-    applies: Callable
-    value: Callable
     numbering: Numbering
     paint: Callable
 
@@ -307,28 +323,15 @@ class Case(NamedTuple):
 # (both state L(F_n) at r = Delta) and 7 before 4 (both state M(K_{1,n2})
 # at r = n2 + 1 = Delta).
 CASES = (
-    Case(1, "r >= 2", _windmill, lambda w, r, d: r >= 2,
-         lambda w, r, d: w.k if r < w.k else min(r, w.n * (w.k - 1)) + 1,
-         IDENTITY, _paint_windmill),
-    Case(2, "r = Delta", _of("L", _windmill), lambda w, r, d: r >= d(),
-         lambda w, r, d: w.n * (w.k - 1) + comb(w.k - 1, 2),
-         LINE_WINDMILL, _paint_line_windmill),
-    Case(3, "2 <= r < Delta for n >= 2, r = Delta", _of("L", _friendship),
-         lambda n, r, d: n >= 2 and 2 <= r or r >= d(),
-         lambda n, r, d: 2 * n + (r >= d()), LINE_WINDMILL, _paint_line_friendship),
-    Case(5, "r in {2, 3} for n >= 4", _of("M", _cycle),
-         lambda n, r, d: n >= 4 and r in (2, 3), lambda n, r, d: r + 1,
-         MIDDLE_CYCLE, _paint_middle_cycle),
-    Case(6, "2 <= r <= 2n+1, r = Delta", _of("M", _friendship),
-         lambda n, r, d: 2 <= r <= 2 * n + 1 or r >= d(),
-         lambda n, r, d: 2 * n + (1 if r <= 2 * n else 2 if r == 2 * n + 1 else 4),
-         MIDDLE_FRIENDSHIP, _paint_middle_friendship),
-    Case(7, "1 <= r <= n2+1", _of("M", _two_parts),
-         lambda s, r, d: 1 <= r <= s[1] + 1, lambda s, r, d: s[1] + 1 + (r > s[1]),
-         MIDDLE_BIPARTITE, _paint_middle_bipartite),
-    Case(4, "r = Delta", _of("M", _parts), lambda s, r, d: r >= d(),
-         lambda s, r, d: len(s) + _kpart_edges(s),
-         MIDDLE_MULTIPARTITE, _paint_middle_multipartite),
+    Case(1, "r >= 2", _windmill, IDENTITY, _paint_windmill),
+    Case(2, "r = Delta", _of("L", _windmill), LINE_WINDMILL, _paint_line_windmill),
+    Case(3, "2 <= r < Delta for n >= 2, r = Delta", _of("L", _friendship), LINE_WINDMILL,
+         _paint_line_friendship),
+    Case(5, "r in {2, 3} for n >= 4", _of("M", _cycle), MIDDLE_CYCLE, _paint_middle_cycle),
+    Case(6, "2 <= r <= 2n+1, r = Delta", _of("M", _friendship), MIDDLE_FRIENDSHIP,
+         _paint_middle_friendship),
+    Case(7, "1 <= r <= n2+1", _of("M", _two_parts), MIDDLE_BIPARTITE, _paint_middle_bipartite),
+    Case(4, "r = Delta", _of("M", _parts), MIDDLE_MULTIPARTITE, _paint_middle_multipartite),
 )
 _ROW = {c.proposition: c for c in CASES}
 
@@ -350,36 +353,40 @@ def _max_degree(spec: FamilySpec) -> int:
 
 
 def _covering_case(spec: FamilySpec, r: int, delta: Callable[[], int]):
-    """(row, params, delta) of the first row that covers (spec, r), or None;
-    delta() gives Delta when a row asks for it. Raises ParameterError where
-    families.build rejects the spec, without building it (the matchers take
-    only valid parameters)."""
-    hit = next(((c, p, delta) for c in CASES if (p := c.family(spec)) is not None
-                and c.applies(p, r, delta)), None)
+    """(row, params, painted) of the first row that covers (spec, r), painted
+    being what its paint gives, or None; delta() gives Delta when a row asks
+    for it. Raises ParameterError where families.build rejects the spec,
+    without building it (the matchers take only valid parameters)."""
+    hit = next(((c, p, painted) for c in CASES if (p := c.family(spec)) is not None
+                and (painted := c.paint(p, r, delta)) is not None), None)
     if hit is None:
         families.declared_size(spec)
     return hit
 
 
-def _claim(row: Case, spec: FamilySpec, params, r: int | None, built: tuple) -> ClaimedColoring:
-    """The coloring `row` paints on `built`, the graph of `spec`, at r (at
-    Delta when r is None), over the row's numbering, with the row's value
-    as the claim. Delta is read off the built graph."""
+def _claim(row: Case, params, painted: tuple, built: tuple) -> ClaimedColoring:
+    """The coloring that `painted`, the result of row.paint, gives on
+    `built`, over the row's numbering, with the painted value as the claim."""
     g, prov = _numbered(built, row.numbering, params)
-    delta = g.max_degree
-    r = delta() if r is None else r
-    case, r_values, formula = row.paint(params, r, delta)
+    case, r_values, claimed_k, formula = painted
     colors = tuple(formula(i) for i in prov.paper_pos)
-    claimed_k = row.value(params, r, delta)
     coloring = Coloring(colors, max(max(colors), claimed_k))
     return ClaimedColoring(g, prov, coloring, claimed_k, tuple(r_values), row.proposition, case)
 
 
 def _stated(proposition: int, spec: str, r: int | None = None) -> ClaimedColoring:
     """The claim of `proposition` on `spec` at r (at Delta when r is None),
-    once the caller has checked that the proposition states it."""
+    once the caller has checked the parameters; UnsupportedCaseError where
+    no case of its row covers r."""
     row, spec = _ROW[proposition], parse_spec(spec)
-    return _claim(row, spec, row.family(spec), r, families.build(spec))
+    built = families.build(spec)
+    params, delta = row.family(spec), built[0].max_degree
+    r = delta() if r is None else r
+    painted = row.paint(params, r, delta)
+    if painted is None:
+        raise UnsupportedCaseError(f"proposition {proposition} states {spec} only at "
+                                   f"{row.label}, not at r = {r}; use the solver")
+    return _claim(row, params, painted, built)
 
 
 def chi_windmill(k: int, n: int, r: int) -> tuple[int, ClaimedColoring]:
@@ -431,10 +438,6 @@ def color_middle_cycle(n: int, r: int) -> ClaimedColoring:
     """M(C_n) for n >= 4: 3 colors at r = 2, 4 colors at r = 3."""
     if n < 4:
         raise ParameterError("stated for n >= 4; use the solver for smaller n")
-    if r not in (2, 3):
-        raise UnsupportedCaseError(
-            f"no closed-form case for r = {r} on M(C_n) (only r in {{2,3}})"
-        )
     return _stated(5, f"M(cyc:{n})", r)
 
 
@@ -460,11 +463,6 @@ def color_middle_bipartite(n1: int, n2: int, r: int) -> ClaimedColoring:
         n1, n2 = n2, n1
     if r < 1:
         raise ParameterError(f"r must be >= 1, got {r}")
-    if r > n2 + 1:
-        raise UnsupportedCaseError(
-            f"no closed-form case for r = {r} > n2+1 on M(K_{{n1,n2}}); "
-            "use the solver"
-        )
     return _stated(7, f"M(kpart:{n1},{n2})", r)
 
 
@@ -499,8 +497,7 @@ def construct(spec: str | FamilySpec, r: int) -> ClaimedColoring:
                            for c in CASES if c.family(spec) is not None)
         raise UnsupportedCaseError(f"no stated case covers {spec} at r = {r}; " + (
             f"stated: {stated}" if stated else "no proposition covers the family"))
-    row, params, _ = hit
-    return _claim(row, spec, params, r, built())
+    return _claim(*hit, built())
 
 
 def predicted_chi_r(spec: str | FamilySpec, r: int) -> int | None:
@@ -510,7 +507,7 @@ def predicted_chi_r(spec: str | FamilySpec, r: int) -> int | None:
     """
     spec = _parsed(spec)
     hit = _covering_case(spec, r, functools.partial(_max_degree, spec))
-    return None if hit is None else hit[0].value(hit[1], r, hit[2])
+    return None if hit is None else hit[2][2]  # the painted value
 
 
 def covered_levels(spec: str | FamilySpec, proposition: int) -> list[int]:
@@ -522,4 +519,4 @@ def covered_levels(spec: str | FamilySpec, proposition: int) -> list[int]:
         families.declared_size(spec)  # ParameterError where the builders reject spec
         return []
     delta = _max_degree(spec)
-    return [r for r in range(1, delta + 1) if row.applies(params, r, lambda: delta)]
+    return [r for r in range(1, delta + 1) if row.paint(params, r, lambda: delta) is not None]

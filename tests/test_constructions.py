@@ -157,6 +157,47 @@ def test_middle_bipartite():
         color_middle_bipartite(2, 2, 4)
 
 
+def _constructor_calls():
+    """(constructor, args, proposition, spec, r) over each public
+    constructor's valid parameters and r in 1..Delta; r is None where the
+    constructor colours at r = Delta."""
+    calls = [(lambda k, n, r: chi_windmill(k, n, r)[1], (k, n, r), 1, f"wd:{k},{n}", r)
+             for k in (3, 4) for n in (1, 2) for r in range(2, n * (k - 1) + 1)]
+    calls += [(color_line_windmill_delta, (k, n), 2, f"L(wd:{k},{n})", None)
+              for k in (3, 4) for n in (1, 2)]
+    calls += [(color_line_friendship, (n, r), 3, f"L(fr:{n})", r)
+              for n in (2, 3) for r in range(2, 2 * n + 1)]
+    calls += [(color_middle_multipartite_delta, (s,), 4, f"M(kpart:{','.join(map(str, s))})",
+               None) for s in ([1, 1, 1], [1, 2], [2, 2], [3, 1, 2])]
+    calls += [(color_middle_cycle, (n, r), 5, f"M(cyc:{n})", r)
+              for n in (4, 5, 6, 7) for r in range(1, 5)]
+    calls += [(color_middle_friendship, (n, r), 6, f"M(fr:{n})", r)
+              for n in (1, 2, 3) for r in range(1, 2 * n + 3)]
+    calls += [(color_middle_bipartite, (n1, n2, r), 7, f"M(kpart:{min(n1, n2)},{max(n1, n2)})", r)
+              for n1, n2 in ((1, 2), (2, 2), (3, 1), (2, 3)) for r in range(1, n1 + n2 + 1)]
+    return calls
+
+
+def test_constructors_claim_only_where_their_row_covers():
+    wrong, messages = [], []
+    for fn, args, prop, spec, r in _constructor_calls():
+        delta = build(spec)[0].max_degree()
+        covered = (delta if r is None else r) in covered_levels(spec, prop)
+        try:
+            claim = fn(*args)
+        except UnsupportedCaseError as exc:
+            claimed = False
+            messages.append(str(exc))
+        else:
+            claimed = True
+            assert (claim.proposition, claim.provenance.spec) == (prop, spec), args
+        if claimed != covered:
+            wrong.append((prop, args))
+    assert not wrong
+    # The one refusal names the proposition, the spec and the r its cases cover.
+    assert all(m.startswith("proposition ") and " only at " in m for m in messages), messages
+
+
 def test_construct_dispatcher():
     assert construct("wd:3,2", 2).proposition == 1
     assert construct("L(wd:3,2)", 4).proposition == 2

@@ -120,6 +120,7 @@ def _dimacs_int(token: str, lineno: int) -> int:
 def from_dimacs(text: str) -> Graph:
     n = m = None
     edges: list[tuple[int, int]] = []
+    edge_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -140,21 +141,22 @@ def from_dimacs(text: str) -> Graph:
             u, v = _dimacs_int(parts[1], lineno), _dimacs_int(parts[2], lineno)
             if u < 1 or v < 1:
                 raise InputError(f"line {lineno}: endpoints are 1-based")
-            edges.append((u, v, lineno))
+            edges.append((u - 1, v - 1))
+            edge_lines.append(lineno)
         else:
             raise InputError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise InputError("missing 'p edge' line")
     # An edge line may come before the problem line, so its endpoints are
-    # checked once n is known, in the file's own 1-based ids.
-    for u, v, lineno in edges:
-        if u > n or v > n:
-            raise InputError(f"line {lineno}: edge ({u},{v}) out of range for n={n}")
+    # checked once n is known, and reported in the file's own 1-based ids.
+    for (u, v), lineno in zip(edges, edge_lines):
+        if u >= n or v >= n:
+            raise InputError(f"line {lineno}: edge ({u + 1},{v + 1}) out of range for n={n}")
         if u == v:
-            raise InputError(f"line {lineno}: self-loop at vertex {u}")
+            raise InputError(f"line {lineno}: self-loop at vertex {u + 1}")
     if m != len(edges):
         raise InputError(f"'p edge' line declares {m} edges, found {len(edges)}")
-    return Graph(n, [(u - 1, v - 1) for u, v, _ in edges])
+    return Graph(n, edges)
 
 
 def to_dot(g: Graph, name: str = "G") -> str:

@@ -22,6 +22,7 @@ from .families import (
     build,
     complete_multipartite,
     cycle,
+    declared_max_degree,
     declared_size,
     friendship,
     line_graph,

@@ -38,8 +38,6 @@ EXIT_INVALID = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-DEFAULT_SIZE_CAP = 24
-
 
 # The instances `condchrom table P` checks, from the --k and --n values or
 # the defaults here; each is listed at every r in 1..Delta where a case of P
@@ -73,10 +71,20 @@ def _read_text(path: str) -> str:
             raise InputError(f"{path}: not a text file ({e.reason})") from None
 
 
-def _load_graph(args) -> Graph:
-    if getattr(args, "file", None):
-        return from_dimacs(_read_text(args.file))
-    g, _ = families.build(args.spec)
+def _load_graph(args, cap: float = math.inf) -> Graph:
+    """The graph of args.spec or of args.file, exactly one of which must be
+    given; an InputError when it has more than `cap` vertices. A spec's
+    vertex count is compared with the cap before it is built."""
+    if (args.spec is None) == (args.file is None):
+        raise InputError("provide a family spec or --file" if args.spec is None
+                         else "provide a family spec or --file, not both")
+    if args.file:
+        g = from_dimacs(_read_text(args.file))
+        n = g.n
+    else:
+        n, g = families.build_within(args.spec, cap)
+    if n > cap:
+        raise InputError(f"instance has {n} > {cap} vertices; pass --force")
     return g
 
 
@@ -109,17 +117,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cap = math.inf if args.force else args.size_cap
-    if args.file:
-        g = _load_graph(args)
-        n, g = g.n, (g if g.n <= cap else None)
-    else:
-        # A spec's vertex count is compared with the cap before it is built.
-        n, g = families.build_within(args.spec, cap)
-    if g is None:
-        raise InputError(
-            f"instance has {n} > {args.size_cap} vertices; pass --force"
-        )
+    g = _load_graph(args, math.inf if args.force else args.size_cap)
     res = solver.chi_r_exact(g, args.r, budget=args.max_nodes)
     print(json.dumps(res.to_json_dict(), indent=2))
     return EXIT_OK if res.proven else EXIT_BUDGET
@@ -237,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--file", help="DIMACS col file instead of a spec")
     s.add_argument("-r", type=int, required=True)
     s.add_argument("--max-nodes", type=node_budget)
-    s.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
+    s.add_argument("--size-cap", type=int, default=solver.DEFAULT_SIZE_CAP)
     s.add_argument("--force", action="store_true", help="ignore the size cap")
     s.set_defaults(func=cmd_solve)
 
@@ -266,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", help="range like 1..3")
     t.add_argument("--format", choices=("csv", "json"), default="csv")
     t.add_argument("--max-nodes", type=node_budget)
-    t.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP)
+    t.add_argument("--size-cap", type=int, default=solver.DEFAULT_SIZE_CAP)
     t.add_argument(
         "--timing",
         action="store_true",
@@ -297,16 +295,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "max_nodes", 0) is None:
         args.max_nodes = _env_budget(parser)
-    if getattr(args, "spec", None) is None and getattr(args, "file", None) is None:
-        if args.command in ("solve", "bounds"):
-            print("error: provide a family spec or --file", file=sys.stderr)
-            return EXIT_INPUT
     try:
         return args.func(args)
-    except (ParameterError, InputError, UnsupportedCaseError, PreconditionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as e:
+    except (ParameterError, InputError, UnsupportedCaseError, PreconditionError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -18,6 +18,8 @@ first row that covers (family, r); each public color_* constructor checks
 its own parameters and then asks its own row, which refuses an r it does
 not cover. construct, predicted_chi_r, paper_indexing and `condchrom table`
 all read CASES; outside every case they refuse instead of extrapolating.
+Facts about a family's graph itself, its edge count and Delta, come from
+families (declared_size, declared_max_degree) or from the built graph.
 """
 
 from __future__ import annotations
@@ -164,11 +166,6 @@ def _of(transform: str, match):
     return lambda spec: match(spec.inner) if spec.tag == transform else None
 
 
-def _kpart_edges(sizes) -> int:
-    """l = (n^2 - sum of n_i^2) / 2, the edge count of K_{n1..nk}."""
-    return (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2
-
-
 # Case.paint of each row, in proposition order: (case, r_values, value,
 # formula) of the case that covers r, or None where none does.
 def _paint_windmill(w: _Wd, r: int, delta):
@@ -288,7 +285,7 @@ def _paint_middle_bipartite(s: tuple, r: int, delta):
 def _paint_middle_multipartite(s: tuple, r: int, delta):
     if r < delta():
         return None
-    l = _kpart_edges(s)
+    l = families.declared_size(FamilySpec("kpart", s))[1]  # the edge count
     ends = list(accumulate(s))
 
     def formula(i: int) -> int:
@@ -338,18 +335,6 @@ _ROW = {c.proposition: c for c in CASES}
 
 def _parsed(spec: str | FamilySpec) -> FamilySpec:
     return parse_spec(spec) if isinstance(spec, str) else spec
-
-
-@functools.lru_cache(maxsize=1024)
-def _max_degree(spec: FamilySpec) -> int:
-    """Delta of the spec's graph, worked out once per spec: covered_levels
-    and predicted_chi_r read it. Edge uv of G has degree
-    d(u) + d(v) - 2 in L(G) and d(u) + d(v) in M(G), the most there, so one
-    build of G does."""
-    if spec.tag not in ("L", "M"):
-        return families.build(spec)[0].max_degree()
-    g, _ = families.build(spec.inner)
-    return max(g.degree(u) + g.degree(v) for u, v in g.edges()) - 2 * (spec.tag == "L")
 
 
 def _covering_case(spec: FamilySpec, r: int, delta: Callable[[], int]):
@@ -506,7 +491,7 @@ def predicted_chi_r(spec: str | FamilySpec, r: int) -> int | None:
     Returns None outside every case; never extrapolates.
     """
     spec = _parsed(spec)
-    hit = _covering_case(spec, r, functools.partial(_max_degree, spec))
+    hit = _covering_case(spec, r, functools.partial(families.declared_max_degree, spec))
     return None if hit is None else hit[2][2]  # the painted value
 
 
@@ -518,5 +503,5 @@ def covered_levels(spec: str | FamilySpec, proposition: int) -> list[int]:
     if params is None:
         families.declared_size(spec)  # ParameterError where the builders reject spec
         return []
-    delta = _max_degree(spec)
+    delta = families.declared_max_degree(spec)
     return [r for r in range(1, delta + 1) if row.paint(params, r, lambda: delta) is not None]

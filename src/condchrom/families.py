@@ -10,14 +10,20 @@ Family spec grammar (used by the CLI):
 
     wd:k,n | fr:n | cyc:n | kpart:n1,...,nk | L(<spec>) | M(<spec>)
 
+One builder, _transform, makes both transforms: M(G) is L(G)'s adjacency
+on the edge vertices, numbered after the n vertices of G, plus an edge from
+each edge vertex to its two endpoints.
+
 Every builder works out the vertex and edge counts of its graph before it
 allocates anything, and refuses a graph above graphs.VERTEX_LIMIT vertices
-or graphs.EDGE_LIMIT edges; declared_size gives those counts for a spec
-without building it.
+or graphs.EDGE_LIMIT edges. declared_size gives those counts for a spec and
+declared_max_degree its Delta, without building the spec's graph: a base
+family's from its degree sequence, which its parameters give.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from math import comb
 
@@ -237,46 +243,35 @@ def complete_multipartite(sizes: list[int]) -> tuple[Graph, Provenance]:
     return g, _identity_provenance(spec, _vertices(n), notes)
 
 
-def line_graph(g: Graph, prov: Provenance | None = None) -> tuple[Graph, Provenance]:
-    """L(G): one vertex per edge, adjacent iff the edges share an endpoint."""
-    spec = f"L({prov.spec})" if prov is not None else "L(?)"
-    _check_size(spec, _transform_size("L", _degree_sequence(g)))
+def _transform(tag: str, g: Graph, prov: Provenance | None) -> tuple[Graph, Provenance]:
+    """L(G) (tag "L") or M(G) (tag "M"). L(G) has a vertex per edge of G,
+    adjacent iff the edges share an endpoint. M(G) keeps the n vertices of
+    G, numbers the edge vertices after them with L(G)'s adjacency, and joins
+    each edge vertex to its two endpoints."""
+    spec = f"{tag}({prov.spec if prov is not None else '?'})"
+    _check_size(spec, _transform_size(tag, _degree_sequence(g)))
     src_edges = g.edges()
-    index = {e: i for i, e in enumerate(src_edges)}
-    edges = []
+    first = g.n if tag == "M" else 0
+    index = {e: first + i for i, e in enumerate(src_edges)}
+    edges = [(v, index[e]) for e in src_edges for v in e] if tag == "M" else []
     for v in range(g.n):
-        inc = sorted(g.neighbors(v))
-        ids = [index[(min(v, u), max(v, u))] for u in inc]
+        ids = [index[(min(v, u), max(v, u))] for u in sorted(g.neighbors(v))]
         for a_idx, a in enumerate(ids):
             for b in ids[a_idx + 1 :]:
                 edges.append((min(a, b), max(a, b)))
-    lg = Graph(len(src_edges), edges)
-    origin = tuple((EDGE, e) for e in src_edges)
+    origin = _vertices(first) + tuple((EDGE, e) for e in src_edges)
     notes = {"base": prov.notes} if prov is not None else {}
-    return lg, _identity_provenance(spec, origin, notes)
+    return Graph(first + len(src_edges), edges), _identity_provenance(spec, origin, notes)
+
+
+def line_graph(g: Graph, prov: Provenance | None = None) -> tuple[Graph, Provenance]:
+    """L(G): one vertex per edge, adjacent iff the edges share an endpoint."""
+    return _transform("L", g, prov)
 
 
 def middle_graph(g: Graph, prov: Provenance | None = None) -> tuple[Graph, Provenance]:
     """M(G): vertices V(G) u E(G); line-graph adjacency plus incidence."""
-    spec = f"M({prov.spec})" if prov is not None else "M(?)"
-    _check_size(spec, _transform_size("M", _degree_sequence(g)))
-    src_edges = g.edges()
-    edge_id = {e: g.n + i for i, e in enumerate(src_edges)}
-    edges = []
-    for i, (u, v) in enumerate(src_edges):
-        e = g.n + i
-        edges.append((u, e))
-        edges.append((v, e))
-    for v in range(g.n):
-        inc = sorted(g.neighbors(v))
-        ids = [edge_id[(min(v, u), max(v, u))] for u in inc]
-        for a_idx, a in enumerate(ids):
-            for b in ids[a_idx + 1 :]:
-                edges.append((min(a, b), max(a, b)))
-    mg = Graph(g.n + len(src_edges), edges)
-    origin = _vertices(g.n) + tuple((EDGE, e) for e in src_edges)
-    notes = {"base": prov.notes} if prov is not None else {}
-    return mg, _identity_provenance(spec, origin, notes)
+    return _transform("M", g, prov)
 
 
 def _base(spec: FamilySpec) -> tuple:
@@ -305,8 +300,7 @@ def build(spec: str | FamilySpec) -> tuple[Graph, Provenance]:
     if isinstance(spec, str):
         spec = parse_spec(spec)
     if spec.tag in ("L", "M"):
-        g, prov = build(spec.inner)
-        return (line_graph if spec.tag == "L" else middle_graph)(g, prov)
+        return _transform(spec.tag, *build(spec.inner))
     builder, _, args = _base(spec)
     return builder(*args)
 
@@ -320,6 +314,24 @@ def declared_size(spec: str | FamilySpec) -> tuple[int, int]:
     if spec.tag in ("L", "M"):
         return _transform_size(spec.tag, _degrees(spec.inner))
     return _size(_degrees(spec))
+
+
+@functools.lru_cache(maxsize=1024)
+def declared_max_degree(spec: str | FamilySpec) -> int:
+    """Delta of build(spec), worked out once per spec: for a wd, fr, cyc or
+    kpart spec from its degree sequence, and for L(G) or M(G) from one build
+    of G, where edge uv of G has degree d(u) + d(v) - 2 in L(G) and
+    d(u) + d(v) in M(G), the most there. Raises ParameterError where build
+    would."""
+    if isinstance(spec, str):
+        spec = parse_spec(spec)
+    if spec.tag not in ("L", "M"):
+        degrees = _degrees(spec)
+        _check_size(str(spec), _size(degrees))
+        return max(d for d, _ in degrees)
+    g = build(spec.inner)[0]
+    _check_size(str(spec), _transform_size(spec.tag, _degree_sequence(g)))
+    return max(g.degree(u) + g.degree(v) for u, v in g.edges()) - 2 * (spec.tag == "L")
 
 
 def build_within(spec: str | FamilySpec, max_n: float) -> tuple[int, Graph | None]:

@@ -110,11 +110,18 @@ def to_dimacs(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _clip(text) -> str:
+    """str(text), or for a long one its first 20 characters and its length,
+    so that an error message quotes a bounded part of its input."""
+    text = str(text)
+    return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
+
+
 def _dimacs_int(token: str, lineno: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise InputError(f"line {lineno}: {token!r} is not an integer") from None
+        raise InputError(f"line {lineno}: {_clip(token)!r} is not an integer") from None
 
 
 def from_dimacs(text: str) -> Graph:
@@ -128,34 +135,35 @@ def from_dimacs(text: str) -> Graph:
         parts = line.split()
         if parts[0] == "p":
             if n is not None:
-                raise InputError(f"line {lineno}: a second problem line {line!r}")
+                raise InputError(f"line {lineno}: a second problem line {_clip(line)!r}")
             if len(parts) != 4 or parts[1] != "edge":
-                raise InputError(f"line {lineno}: bad problem line {line!r}")
+                raise InputError(f"line {lineno}: bad problem line {_clip(line)!r}")
             n, m = _dimacs_int(parts[2], lineno), _dimacs_int(parts[3], lineno)
             if n > VERTEX_LIMIT:
-                raise InputError(f"line {lineno}: {n} vertices; "
+                raise InputError(f"line {lineno}: {_clip(n)} vertices; "
                                  f"the limit is {VERTEX_LIMIT}")
         elif parts[0] == "e":
             if len(parts) != 3:
-                raise InputError(f"line {lineno}: bad edge line {line!r}")
+                raise InputError(f"line {lineno}: bad edge line {_clip(line)!r}")
             u, v = _dimacs_int(parts[1], lineno), _dimacs_int(parts[2], lineno)
             if u < 1 or v < 1:
                 raise InputError(f"line {lineno}: endpoints are 1-based")
             edges.append((u - 1, v - 1))
             edge_lines.append(lineno)
         else:
-            raise InputError(f"line {lineno}: unknown record {parts[0]!r}")
+            raise InputError(f"line {lineno}: unknown record {_clip(parts[0])!r}")
     if n is None:
         raise InputError("missing 'p edge' line")
     # An edge line may come before the problem line, so its endpoints are
     # checked once n is known, and reported in the file's own 1-based ids.
     for (u, v), lineno in zip(edges, edge_lines):
         if u >= n or v >= n:
-            raise InputError(f"line {lineno}: edge ({u + 1},{v + 1}) out of range for n={n}")
+            raise InputError(f"line {lineno}: edge ({_clip(u + 1)},{_clip(v + 1)}) "
+                             f"out of range for n={_clip(n)}")
         if u == v:
             raise InputError(f"line {lineno}: self-loop at vertex {u + 1}")
     if m != len(edges):
-        raise InputError(f"'p edge' line declares {m} edges, found {len(edges)}")
+        raise InputError(f"'p edge' line declares {_clip(m)} edges, found {len(edges)}")
     return Graph(n, edges)
 
 

@@ -19,6 +19,10 @@ from .errors import ParameterError
 from .graphs import Graph
 from .verify import Coloring
 
+# The most vertices of an instance that sweep, `condchrom solve` and
+# `condchrom table` build unless told otherwise.
+DEFAULT_SIZE_CAP = 24
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -179,7 +183,7 @@ def random_c2_colorings(
     return out
 
 
-def sweep(entries, budget: int = 0, size_cap: int = 24) -> list[dict]:
+def sweep(entries, budget: int = 0, size_cap: int = DEFAULT_SIZE_CAP) -> list[dict]:
     """Cross-check closed-form predictions against the exact solver.
 
     entries: iterable of (family-spec string, r). Each spec is built once,

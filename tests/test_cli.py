@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_graphs import graphs
 
-from condchrom import cli, constructions, families, kernel
+from condchrom import cli, families, kernel
 from condchrom.cli import main
 from condchrom.graphs import to_dimacs
 
@@ -81,6 +81,16 @@ def test_solve_from_file(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--file", str(target), "-r", "4")
     assert code == 0
     assert json.loads(out)["chi_r"] == 5
+
+
+def test_solve_and_bounds_take_a_spec_or_a_file(tmp_path, capsys):
+    path = tmp_path / "g.col"
+    path.write_text(to_dimacs(families.build("cyc:6")[0]))
+    for command in ("solve", "bounds"):
+        code, out, err = run(capsys, command, "cyc:5", "--file", str(path), "-r", "2")
+        assert (code, out) == (2, "") and err.startswith("error:"), command
+        code, out, err = run(capsys, command, "-r", "2")
+        assert (code, out, err) == (2, "", "error: provide a family spec or --file\n")
 
 
 def test_solve_size_cap(capsys):
@@ -464,12 +474,12 @@ def test_table_all_builds_each_delta_once(capsys, monkeypatch):
         calls.append(spec)
         return build(spec)
 
-    constructions._max_degree.cache_clear()
+    families.declared_max_degree.cache_clear()
     monkeypatch.setattr(families, "build", counted)
     golden = Path(__file__).parents[1] / "condbench" / "table_all.csv"
     code, out, _ = run(capsys, "table", "all")
     assert code == 0 and out == golden.read_text()
-    assert len(calls) <= 63
+    assert len(calls) <= 54
 
 
 def _capped_cli(*argv):

@@ -5,7 +5,9 @@ from condchrom import (
     color_middle_multipartite_delta,
     complete_multipartite,
     cycle,
+    declared_max_degree,
     declared_size,
+    families,
     friendship,
     line_graph,
     middle_graph,
@@ -150,6 +152,16 @@ def test_nested_transform_allowed():
 def test_declared_size_is_the_built_size(spec):
     g, _ = build(spec)
     assert declared_size(spec) == (g.n, g.m)
+    assert declared_max_degree(spec) == g.max_degree()
+
+
+def test_declared_max_degree_of_a_base_spec_builds_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(families, "build", lambda spec: calls.append(spec))
+    families.declared_max_degree.cache_clear()
+    assert [declared_max_degree(s) for s in ("wd:4,3", "fr:5", "cyc:9", "kpart:1,2,4")] == [
+        9, 10, 2, 6]
+    assert calls == []
 
 
 @pytest.mark.parametrize("spec, n, m", [
@@ -163,6 +175,8 @@ def test_build_refuses_a_graph_above_the_limit(spec, n, m):
     assert declared_size(spec) == (n, m)
     with pytest.raises(ParameterError, match=f"{n} vertices and {m} edges"):
         build(spec)
+    with pytest.raises(ParameterError, match=f"{n} vertices and {m} edges"):
+        declared_max_degree(spec)
 
 
 def test_declared_size_rejects_what_build_rejects():
@@ -171,6 +185,9 @@ def test_declared_size_rejects_what_build_rejects():
             build(bad)
         with pytest.raises(ParameterError) as declared:
             declared_size(bad)
+        assert str(declared.value) == str(built.value), bad
+        with pytest.raises(ParameterError) as declared:
+            declared_max_degree(bad)
         assert str(declared.value) == str(built.value), bad
 
 

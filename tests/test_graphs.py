@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from condchrom import build, cycle, friendship, middle_graph, windmill
+from condchrom.cli import main
 from condchrom.errors import InputError
 from condchrom.graphs import VERTEX_LIMIT, Graph, from_dimacs, to_dimacs, to_dot
 
@@ -88,7 +89,7 @@ def test_dimacs_round_trip_bit_stable(g):
     assert to_dimacs(g2) == text
 
 
-def test_dimacs_parse_errors():
+def test_dimacs_parse_errors(tmp_path, capsys):
     with pytest.raises(InputError):
         from_dimacs("e 1 2\n")  # no problem line
     with pytest.raises(InputError):
@@ -118,6 +119,19 @@ def test_dimacs_parse_errors():
     with pytest.raises(InputError, match="limit"):
         from_dimacs("p edge 99999999999 0\n")
     assert from_dimacs(f"p edge {VERTEX_LIMIT} 0\n").n == VERTEX_LIMIT
+    # A long token is quoted only in part, with its length: 5,000 digits are
+    # over int()'s digit limit, 4,000 parse and are over the vertex limit or
+    # out of range.
+    nines = "9" * 5000
+    for text in (f"p edge 3 1\ne 1 {nines}\n", f"p edge {nines[:4000]} 0\n",
+                 f"p edge 3 1\ne 1 {nines[:4000]}\n", f"p edge 3 {nines[:4000]}\n",
+                 f"p edge 3 1 {nines}\n", f"e 1 2 {nines}\n", f"{nines} 1\n"):
+        path = tmp_path / "long.col"
+        path.write_text(text)
+        assert main(["solve", "--file", str(path), "-r", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.encode()) < 200, err[:300]
+        assert "characters)" in err
 
 
 def test_dimacs_edge_count_is_not_limited():

@@ -29,17 +29,63 @@
  * colour is first seen around it or no longer seen, leaves its bucket when
  * it is coloured and returns when it is uncoloured. `top` is at least the
  * highest non-empty level; the pick walks it down to a non-empty bucket and
- * takes the lowest vertex there.
+ * takes the lowest vertex there. All of this state is a function of the
+ * colouring alone, so colouring the frames of a path in any way rebuilds it.
+ *
+ * Parallel search. One call runs on up to `threads` threads and returns
+ * exactly what the serial search returns, whatever the timing:
+ *   - A piece is a prefix of frames, a root frame (vertex, max_used) and the
+ *     mask of colours still to try there; its nodes are the subtrees of
+ *     those colours. The whole tree is the piece with an empty prefix, whose
+ *     root frame is the root vertex, and whose count starts at 1 for the
+ *     root node. A worker searches a piece after colouring its prefix.
+ *   - The calling thread searches alone until it has expanded spawn_after
+ *     nodes, so small searches start no thread. It then starts the helpers.
+ *     A worker without a piece counts itself idle and waits, yielding its
+ *     CPU a while before it sleeps.
+ *   - Every CHECK_EVERY nodes a busy worker looks at the count of idle
+ *     workers. When one waits, the busy worker gives it the untried colours
+ *     of its shallowest frame that has any. The busy worker's own remaining
+ *     nodes all lie inside that frame's current subtree, so the new piece
+ *     comes right after the donor's piece in serial (depth-first) order, and
+ *     the pieces in order always split the serial node sequence into runs.
+ *   - A finished piece records its status and count. Walking the pieces in
+ *     order with the sum S of the counts before each, the first piece that
+ *     finds a colouring (at its count i, S + i <= cap) or whose nodes cross
+ *     the budget (S + count > cap) decides the search: FOUND with S + i
+ *     nodes, or BUDGET with cap + 1. Every piece after one that can decide
+ *     is cut off. If every piece ends with NONE, the result is NONE with the
+ *     total count. A running piece stops once its count passes the budget
+ *     minus the counts of the finished pieces before it: it has then crossed
+ *     the budget, whatever the pieces still running before it count.
+ * The list of pieces merges neighbouring finished pieces and drops the
+ * finished ones at its front, so it never holds more than 2 * threads.
+ * Every array is allocated by the calling thread before a helper starts.
  */
 
+#define _POSIX_C_SOURCE 200809L
+
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* The search below is compiled twice, once for w = vw = 1, so its helpers
  * must be inlined for the word loops to fold away. */
 #define INLINE static inline __attribute__((always_inline))
 
+/* Relaxed atomic loads and stores, for values that one thread writes under
+ * the lock and another reads without it. */
+#define LOAD(x) __atomic_load_n(&(x), __ATOMIC_RELAXED)
+#define STORE(x, v) __atomic_store_n(&(x), (v), __ATOMIC_RELAXED)
+
 enum { FOUND = 0, NONE = 1, BUDGET = 2, NOMEM = -1 };
+
+/* How many nodes a busy worker expands between looks at the idle count, and
+ * how many times an idle worker yields its CPU before it sleeps. */
+enum { CHECK_EVERY = 256, SPIN = 2000 };
 
 typedef struct {
     int32_t v, c, max_used;
@@ -52,7 +98,51 @@ typedef struct {
     uint64_t *seen, *bucket, *rest;
     int64_t *slack;
     frame_t *stack;
+    void *block; /* holds every array above but indptr and indices */
 } state_t;
+
+struct worker;
+
+typedef struct piece {
+    struct piece *next;   /* the next piece in serial order */
+    struct worker *owner; /* the worker searching it; NULL once finished */
+    int cut;              /* cut off: no longer in the order */
+    int status;           /* once finished: FOUND, NONE or BUDGET */
+    int64_t count;        /* once finished: its nodes (up to the colouring) */
+} piece_t;
+
+typedef struct worker {
+    state_t s;
+    struct shared *sh;
+    piece_t *piece;       /* the piece being searched; NULL when idle */
+    int32_t d0, v0, m0;   /* its root frame: depth, vertex and max_used */
+    int32_t depth;        /* frames still coloured when search() returns */
+    int64_t limit;        /* the piece stops once its count passes this */
+    int ready;            /* waiting for a piece */
+    int running;          /* a helper thread runs this worker */
+    pthread_t thread;
+    pthread_cond_t wake;
+} __attribute__((aligned(64))) worker_t; /* no two share a cache line */
+
+typedef struct shared {
+    /* Fixed before the first node. */
+    int32_t n, kk, threads;
+    int64_t w, vw, cap;
+    const int32_t *indptr, *indices, *order;
+    const int64_t *req;
+    int32_t *color; /* the caller's output */
+    worker_t *workers; /* workers[0] is the calling thread */
+    /* The calling thread's until it sets started; then fixed. */
+    int64_t spawn_after;
+    int started;
+    /* Guarded by lock once started; idle is also read without it. */
+    pthread_mutex_t lock;
+    piece_t *pieces, *head, *free;
+    int64_t committed; /* nodes of the finished pieces dropped from head */
+    int32_t idle;      /* workers ready for a piece */
+    int stop, status;
+    int64_t nodes;
+} shared_t;
 
 /* The lowest uncoloured vertex in the highest non-empty bucket. At least one
  * vertex is uncoloured. */
@@ -150,32 +240,291 @@ INLINE void recolour(state_t *s, int32_t v, int32_t b, int32_t c, int64_t w,
     }
 }
 
-/* The search over the renumbered graph. Returns FOUND, NONE or BUDGET and
- * stores the node count in *nodes. */
-INLINE int search(state_t *s, int32_t kk, int64_t budget, int64_t *nodes,
-                  int64_t w, int64_t vw)
+/* Colour frames 0..depth-1 of s's stack in order, or uncolour them in
+ * reverse order. */
+static void walk(state_t *s, int32_t depth, int colour, int64_t w, int64_t vw)
 {
-    int32_t depth = 0, max_used = 0;
-    int64_t count = 0;
+    for (int32_t i = 0; i < depth; i++) {
+        const frame_t *f = s->stack + (colour ? i : depth - 1 - i);
+        recolour(s, f->v, colour ? 0 : f->c, colour ? f->c : 0, w, vw);
+    }
+}
+
+/* Bytes of an array of n items of `size` bytes, rounded up to whole cache
+ * lines so that no two workers' arrays share one. */
+static size_t lines(size_t n, size_t size)
+{
+    return (n * size + 63) / 64 * 64;
+}
+
+/* A zeroed block of `size` bytes on a cache-line boundary, or NULL. */
+static void *zalloc_lines(size_t size)
+{
+    void *p;
+    return posix_memalign(&p, 64, size) ? NULL : memset(p, 0, size);
+}
+
+/* Allocate s for sh's renumbered graph, every vertex uncoloured, in one
+ * cache-aligned block. Returns 0 when the allocation fails. */
+static int state_init(state_t *s, const shared_t *sh)
+{
+    size_t n = (size_t)sh->n, w = (size_t)sh->w, kk = (size_t)sh->kk;
+    size_t ints = lines(n, sizeof(int32_t)), cnt = lines((kk + 1) * n, sizeof(int32_t)),
+           masks = lines(n * w, sizeof(uint64_t)),
+           bucket = lines((kk + 1) * (size_t)sh->vw, sizeof(uint64_t)),
+           slack = lines(n, sizeof(int64_t)), stack = lines(n, sizeof(frame_t)),
+           size = 2 * ints + cnt + 2 * masks + bucket + slack + stack;
+    *s = (state_t){.n = sh->n, .indptr = sh->indptr, .indices = sh->indices,
+                   .block = zalloc_lines(size)};
+    char *p = s->block;
+    if (!p)
+        return 0;
+    s->color = (int32_t *)p;
+    s->sat = (int32_t *)(p += ints);
+    s->cnt = (int32_t *)(p += ints);
+    s->seen = (uint64_t *)(p += cnt);
+    s->rest = (uint64_t *)(p += masks);
+    s->bucket = (uint64_t *)(p += masks);
+    s->slack = (int64_t *)(p += bucket);
+    s->stack = (frame_t *)(p + slack);
+    for (int32_t i = 0; i < sh->n; i++) {
+        s->slack[i] = sh->indptr[i + 1] - sh->indptr[i] - sh->req[sh->order[i]];
+        flip(s, 0, i, sh->vw);
+    }
+    return 1;
+}
+
+/* Write s's colouring to the caller's output, in the caller's ids. */
+static void report(const shared_t *sh, const state_t *s)
+{
+    for (int32_t i = 0; i < sh->n; i++)
+        sh->color[sh->order[i]] = s->color[i];
+}
+
+/* Put piece x back on the free list. */
+static void release(shared_t *sh, piece_t *x)
+{
+    x->next = sh->free;
+    sh->free = x;
+}
+
+/* Record the end of me's piece and decide what can be decided. Called with
+ * the lock held. */
+static void finish(worker_t *me, int status, int64_t count)
+{
+    shared_t *sh = me->sh;
+    piece_t *x = me->piece, *y, *prev = NULL;
+    int64_t before = sh->committed;
+    me->piece = NULL;
+    if (x->cut) {
+        release(sh, x);
+        return;
+    }
+    /* A piece in the order comes before every piece that may decide, so
+     * its colouring is the first one found in serial order so far. */
+    if (status == FOUND)
+        report(sh, &me->s);
+    *x = (piece_t){.next = x->next, .status = status, .count = count};
+    /* Merge x with a finished neighbour: the pieces before a finished piece
+     * that may decide all end with NONE. */
+    if (status == NONE && x->next && !x->next->owner) {
+        y = x->next;
+        x->status = y->status;
+        x->count += y->count;
+        x->next = y->next;
+        release(sh, y);
+    }
+    for (y = sh->head; y != x; y = y->next) {
+        if (!y->owner)
+            before += y->count;
+        prev = y;
+    }
+    if (prev && !prev->owner) {
+        before -= prev->count;
+        prev->status = x->status;
+        prev->count += x->count;
+        prev->next = x->next;
+        release(sh, x);
+        x = prev;
+    }
+    /* A piece that may decide cuts off every piece after it. */
+    if (x->status != NONE || x->count > sh->cap - before) {
+        piece_t *next;
+        for (y = x->next; y; y = next) {
+            next = y->next;
+            if (y->owner) {
+                y->cut = 1;
+                STORE(y->owner->limit, -1);
+            } else {
+                release(sh, y);
+            }
+        }
+        x->next = NULL;
+    }
+    /* Drop the finished pieces at the front of the order. */
+    while ((x = sh->head) && !x->owner) {
+        if (x->status != NONE || x->count > sh->cap - sh->committed) {
+            int found = x->status == FOUND && x->count <= sh->cap - sh->committed;
+            sh->status = found ? FOUND : BUDGET;
+            sh->nodes = found ? sh->committed + x->count : sh->cap + 1;
+            STORE(sh->stop, 1);
+            break;
+        }
+        sh->committed += x->count;
+        sh->head = x->next;
+        release(sh, x);
+    }
+    if (!sh->head) {
+        sh->status = NONE;
+        sh->nodes = sh->committed;
+        STORE(sh->stop, 1);
+    }
+    if (sh->stop) {
+        for (int32_t i = 0; i < sh->threads; i++)
+            pthread_cond_signal(&sh->workers[i].wake);
+        return;
+    }
+    /* Each running piece stops once its count passes the budget minus the
+     * counts of the finished pieces before it. */
+    before = sh->committed;
+    for (y = sh->head; y; y = y->next) {
+        if (y->owner)
+            STORE(y->owner->limit, sh->cap - before);
+        else
+            before += y->count;
+    }
+}
+
+/* The shallowest frame of me's piece at depth d or deeper, up to depth - 1,
+ * that has colours left to try; depth when there is none. */
+static int32_t shallowest(const worker_t *me, int32_t d, int32_t depth, int64_t w)
+{
+    for (; d < depth; d++)
+        for (int64_t j = 0; j < w; j++)
+            if (me->s.rest[d * w + j])
+                return d;
+    return depth;
+}
+
+/* Give each ready worker the untried colours of me's shallowest frame that
+ * has any, as a new piece right after me's. Returns 0 when no frame has
+ * any. */
+static int donate(worker_t *me, int32_t depth)
+{
+    shared_t *sh = me->sh;
+    int64_t w = sh->w;
+    int32_t d = shallowest(me, me->d0, depth, w);
+    if (d == depth)
+        return 0;
+    pthread_mutex_lock(&sh->lock);
+    for (int32_t i = 0; i < sh->threads && d < depth && !me->piece->cut; i++) {
+        worker_t *x = sh->workers + i;
+        piece_t *p = sh->free;
+        if (!x->ready || !p)
+            continue;
+        sh->free = p->next;
+        *p = (piece_t){.next = me->piece->next, .owner = x};
+        me->piece->next = p;
+        STORE(x->piece, p);
+        x->ready = 0;
+        STORE(sh->idle, sh->idle - 1);
+        x->d0 = d;
+        x->v0 = me->s.stack[d].v;
+        x->m0 = me->s.stack[d].max_used;
+        STORE(x->limit, me->limit);
+        memcpy(x->s.stack, me->s.stack, (size_t)d * sizeof(frame_t));
+        memcpy(x->s.rest + d * w, me->s.rest + d * w, (size_t)w * sizeof(uint64_t));
+        memset(me->s.rest + d * w, 0, (size_t)w * sizeof(uint64_t));
+        pthread_cond_signal(&x->wake);
+        d = shallowest(me, d + 1, depth, w);
+    }
+    pthread_mutex_unlock(&sh->lock);
+    return 1;
+}
+
+static void *work(void *arg);
+
+/* Start the helpers. Their arrays are allocated here, in the calling
+ * thread, so that no helper ever calls malloc. On any failure the calling
+ * thread goes on alone. */
+static void spawn(shared_t *sh)
+{
+    worker_t *ws = sh->workers;
+    int32_t t = sh->threads, conds = 0;
+    sigset_t all, old;
+    sh->spawn_after = INT64_MAX; /* one attempt */
+    sh->pieces = calloc(2 * (size_t)t, sizeof(piece_t));
+    if (!sh->pieces)
+        return;
+    for (int32_t i = 1; i < t; i++)
+        if (!state_init(&ws[i].s, sh))
+            return;
+    if (pthread_mutex_init(&sh->lock, NULL))
+        return;
+    while (conds < t && !pthread_cond_init(&ws[conds].wake, NULL))
+        conds++;
+    if (conds < t) {
+        while (conds--)
+            pthread_cond_destroy(&ws[conds].wake);
+        pthread_mutex_destroy(&sh->lock);
+        return;
+    }
+    /* The rest of the whole tree is the calling thread's piece. */
+    sh->head = sh->pieces;
+    sh->head->owner = ws;
+    ws->piece = sh->head;
+    ws->limit = sh->cap;
+    for (int32_t i = 2 * t - 1; i > 0; i--)
+        release(sh, sh->pieces + i);
+    sh->started = 1;
+    /* Signals go to the calling thread, not to the helpers. */
+    sigfillset(&all);
+    pthread_sigmask(SIG_BLOCK, &all, &old);
+    for (int32_t i = 1; i < t; i++)
+        ws[i].running = !pthread_create(&ws[i].thread, NULL, work, ws + i);
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+}
+
+/* search()'s slow path, taken when count passes its threshold: start the
+ * helpers once the calling thread has expanded spawn_after nodes, and give
+ * work to idle workers. Returns the next threshold, which is below count
+ * when the piece must stop. */
+static __attribute__((noinline)) int64_t checkpoint(worker_t *me, int64_t count,
+                                                    int32_t depth)
+{
+    shared_t *sh = me->sh;
+    if (!sh->started) {
+        if (count > sh->spawn_after && count <= sh->cap)
+            spawn(sh);
+        if (!sh->started)
+            return sh->spawn_after < sh->cap ? sh->spawn_after : sh->cap;
+    }
+    int64_t limit = LOAD(me->limit), step = CHECK_EVERY;
+    if (count > limit)
+        return limit;
+    /* With nothing to give yet, look again at the next node. */
+    if (LOAD(sh->idle) && !donate(me, depth))
+        step = 1;
+    return limit - count < step ? limit : count + step;
+}
+
+/* Search me's piece: frames 0..d0-1 are coloured and rest[d0] holds the
+ * colours still to try at the root frame. The piece's count starts at
+ * `count`. Returns FOUND, NONE or BUDGET, stores the count in *nodes and
+ * leaves me->depth frames coloured. */
+INLINE int search(worker_t *me, int64_t count, int64_t *nodes, int64_t w,
+                  int64_t vw)
+{
+    state_t *s = &me->s;
+    int32_t kk = me->sh->kk, d0 = me->d0, depth = d0, v = me->v0,
+            max_used = me->m0, from = 0;
+    int64_t threshold = count;
     int status;
     for (;;) {
-        /* Expand a new node. */
-        count++;
-        if (budget && count > budget) {
-            status = BUDGET;
-            break;
-        }
-        if (depth == s->n) {
-            status = FOUND;
-            break;
-        }
-        int32_t v = pick(s, vw), from = 0;
-        uint64_t *rest = s->rest + depth * w;
-        allowed(s, v, max_used < kk ? max_used + 1 : kk, rest, w);
-        int32_t c = take_lowest(rest, w);
+        int32_t c = take_lowest(s->rest + depth * w, w);
         /* Backtrack while no colour is left. */
         while (!c) {
-            if (!depth) {
+            if (depth == d0) {
                 status = NONE;
                 goto done;
             }
@@ -190,21 +539,83 @@ INLINE int search(state_t *s, int32_t kk, int64_t budget, int64_t *nodes,
         }
         s->stack[depth++] = (frame_t){v, c, max_used};
         recolour(s, v, from, c, w, vw);
+        from = 0;
         if (c > max_used)
             max_used = c;
+        /* Expand a new node. */
+        if (++count > threshold && (threshold = checkpoint(me, count, depth)) < count) {
+            status = BUDGET;
+            break;
+        }
+        if (depth == s->n) {
+            status = FOUND;
+            break;
+        }
+        v = pick(s, vw);
+        allowed(s, v, max_used < kk ? max_used + 1 : kk, s->rest + depth * w, w);
     }
 done:
+    me->depth = depth;
     *nodes = count;
     return status;
 }
 
+static int run(worker_t *me, int64_t count, int64_t *nodes)
+{
+    const shared_t *sh = me->sh;
+    return sh->w == 1 && sh->vw == 1 ? search(me, count, nodes, 1, 1)
+                                     : search(me, count, nodes, sh->w, sh->vw);
+}
+
+/* Hand in me's finished piece and uncolour its frames. */
+static void settle(worker_t *me, int status, int64_t count)
+{
+    shared_t *sh = me->sh;
+    pthread_mutex_lock(&sh->lock);
+    finish(me, status, count);
+    pthread_mutex_unlock(&sh->lock);
+    walk(&me->s, me->depth, 0, sh->w, sh->vw);
+}
+
+/* Search each piece me is given until the search is decided. */
+static void *work(void *arg)
+{
+    worker_t *me = arg;
+    shared_t *sh = me->sh;
+    for (;;) {
+        pthread_mutex_lock(&sh->lock);
+        me->ready = !sh->stop;
+        STORE(sh->idle, sh->idle + me->ready);
+        pthread_mutex_unlock(&sh->lock);
+        /* Wait for a piece, first without sleeping: a sleeping thread's
+         * CPU may halt, and on a virtual machine waking it again can take
+         * milliseconds. */
+        for (int i = 0; i < SPIN && !LOAD(me->piece) && !LOAD(sh->stop); i++)
+            sched_yield();
+        pthread_mutex_lock(&sh->lock);
+        while (!me->piece && !sh->stop)
+            pthread_cond_wait(&me->wake, &sh->lock);
+        piece_t *piece = me->piece;
+        pthread_mutex_unlock(&sh->lock);
+        if (!piece)
+            return NULL;
+        int64_t count;
+        walk(&me->s, me->d0, 1, sh->w, sh->vw);
+        int status = run(me, 0, &count);
+        settle(me, status, count);
+    }
+}
+
 /* Neighbours of v are indices[indptr[v] .. indptr[v+1]-1], all in [0, n),
- * none repeated and none equal to v. On FOUND, color[0..n-1] holds colours
- * in 1..k. Returns the status, or NOMEM when an allocation fails; *nodes
- * receives the node count. */
+ * none repeated and none equal to v. The search runs on up to `threads`
+ * threads, starting the helpers after spawn_after nodes; the result does
+ * not depend on either. On FOUND, color[0..n-1] holds colours in 1..k;
+ * otherwise color may have been written. Returns the status, or NOMEM when
+ * an allocation fails; *nodes receives the node count. */
 int condchrom_search(int32_t n, const int32_t *indptr, const int32_t *indices,
                      const int64_t *req, int64_t k, int64_t budget,
-                     int32_t *color, int64_t *nodes)
+                     int32_t threads, int64_t spawn_after, int32_t *color,
+                     int64_t *nodes)
 {
     *nodes = 0;
     if (n == 0)
@@ -216,26 +627,28 @@ int condchrom_search(int32_t n, const int32_t *indptr, const int32_t *indices,
     for (int32_t v = 0; v < n; v++)
         if (req[v] > k - 1)
             return NONE;
+    /* A negative budget stops at the root node. */
+    if (budget < 0) {
+        *nodes = 1;
+        return BUDGET;
+    }
     /* Colours above n are never reached: a new colour needs a new vertex. */
     int32_t kk = k < n ? (int32_t)k : n;
-    int64_t w = kk / 64 + 1, vw = (n + 63) / 64, m = indptr[n];
-
-    state_t s = {.n = n, .top = 0};
+    if (threads < 1)
+        threads = 1;
+    shared_t sh = {
+        .n = n, .kk = kk, .threads = threads, .w = kk / 64 + 1,
+        .vw = (n + 63) / 64, .cap = budget ? budget : INT64_MAX, .req = req,
+        .color = color, .spawn_after = threads > 1 ? spawn_after : INT64_MAX,
+    };
+    int64_t m = indptr[n];
     int32_t *order = malloc((size_t)n * sizeof(int32_t)); /* new id -> old */
     int32_t *rank = calloc((size_t)n + 1, sizeof(int32_t)); /* old id -> new */
     int32_t *ptr = malloc(((size_t)n + 1) * sizeof(int32_t));
     int32_t *idx = malloc(((size_t)m + 1) * sizeof(int32_t));
-    s.color = calloc((size_t)n, sizeof(int32_t));
-    s.sat = calloc((size_t)n, sizeof(int32_t));
-    s.cnt = calloc((size_t)(kk + 1) * (size_t)n, sizeof(int32_t));
-    s.seen = calloc((size_t)n * (size_t)w, sizeof(uint64_t));
-    s.bucket = calloc((size_t)(kk + 1) * (size_t)vw, sizeof(uint64_t));
-    s.rest = malloc((size_t)n * (size_t)w * sizeof(uint64_t));
-    s.slack = malloc((size_t)n * sizeof(int64_t));
-    s.stack = malloc((size_t)n * sizeof(frame_t));
+    worker_t *me = sh.workers = zalloc_lines((size_t)threads * sizeof(worker_t));
     int status = NOMEM;
-    if (!order || !rank || !ptr || !idx || !s.color || !s.sat || !s.cnt ||
-        !s.seen || !s.bucket || !s.rest || !s.slack || !s.stack)
+    if (!order || !rank || !ptr || !idx || !me)
         goto out;
 
     /* Counting sort on the key n-1-degree, which is in 0..n-1 because the
@@ -255,29 +668,43 @@ int condchrom_search(int32_t n, const int32_t *indptr, const int32_t *indices,
         for (int32_t j = 0; j < deg; j++)
             idx[ptr[i] + j] = rank[indices[indptr[v] + j]];
         ptr[i + 1] = ptr[i] + deg;
-        s.slack[i] = deg - req[v];
-        flip(&s, 0, i, vw);
     }
-    s.indptr = ptr;
-    s.indices = idx;
+    sh.indptr = ptr;
+    sh.indices = idx;
+    sh.order = order;
+    for (int32_t i = 0; i < threads; i++)
+        me[i].sh = &sh;
+    if (!state_init(&me->s, &sh))
+        goto out;
 
-    status = w == 1 && vw == 1 ? search(&s, kk, budget, nodes, 1, 1)
-                               : search(&s, kk, budget, nodes, w, vw);
-    if (status == FOUND)
-        for (int32_t i = 0; i < n; i++)
-            color[order[i]] = s.color[i];
+    /* The root node, counted here, and its frame: the whole tree's piece. */
+    me->v0 = pick(&me->s, sh.vw);
+    allowed(&me->s, me->v0, 1, me->s.rest, sh.w);
+    status = run(me, 1, nodes);
+    if (!sh.started) {
+        if (status == FOUND)
+            report(&sh, &me->s);
+        goto out;
+    }
+    settle(me, status, *nodes);
+    work(me);
+    for (int32_t i = 1; i < threads; i++)
+        if (me[i].running)
+            pthread_join(me[i].thread, NULL);
+    for (int32_t i = 0; i < threads; i++)
+        pthread_cond_destroy(&me[i].wake);
+    pthread_mutex_destroy(&sh.lock);
+    status = sh.status;
+    *nodes = sh.nodes;
 out:
     free(order);
     free(rank);
     free(ptr);
     free(idx);
-    free(s.color);
-    free(s.sat);
-    free(s.cnt);
-    free(s.seen);
-    free(s.bucket);
-    free(s.rest);
-    free(s.slack);
-    free(s.stack);
+    if (me)
+        for (int32_t i = 0; i < threads; i++)
+            free(me[i].s.block);
+    free(me);
+    free(sh.pieces);
     return status;
 }

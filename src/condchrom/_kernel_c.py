@@ -1,16 +1,24 @@
 """The compiled kernel: `_kernel.c` loaded through ctypes.
 
-On first import the C source is compiled with `cc -O2 -shared -fPIC` into
-$XDG_CACHE_HOME/condchrom/ (default ~/.cache/condchrom/). The library's file
-name carries a CRC of the source, the flags and the interpreter's cache tag,
-so an edited source is rebuilt and a built one is reused. Any failure to
-build or load raises ImportError with the compiler's message, and
-`kernel._load` falls back to the pure kernel.
+On first import the C source is compiled with `cc -O2 -shared -fPIC
+-pthread` into $XDG_CACHE_HOME/condchrom/ (default ~/.cache/condchrom/). The
+library's file name carries a CRC of the source, the flags and the
+interpreter's cache tag, so an edited source is rebuilt and a built one is
+reused. Any failure to build or load raises ImportError with the compiler's
+message, and `kernel._load` falls back to the pure kernel.
 
 Semantics are those of _kernel_py.search_coloring, node counts included.
 The C search renumbers the vertices by degree and takes each DSATUR pick
 from per-saturation bitsets of the uncoloured vertices instead of scanning
 every vertex; the neighbor lists must be those of a simple graph.
+
+Each call searches on as many threads as the process may run on
+(`os.sched_getaffinity`), starting the helpers only once the search has
+expanded SPAWN_AFTER nodes. Status, colouring and node count do not depend
+on the thread count or on timing: the tree is split into pieces in
+depth-first order, and the pieces' results are combined in that order, so
+the first colouring or budget overrun in serial order decides, with the
+serial node count (see the header of _kernel.c).
 """
 
 from __future__ import annotations
@@ -27,8 +35,12 @@ NONE = 1
 BUDGET = 2
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
-_FLAGS = ("-O2", "-shared", "-fPIC")
+_FLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 _INT64_MAX = 2**63 - 1
+# A search starts its helper threads once it has expanded this many nodes,
+# well above the largest search of `table all` (632 nodes in all), so that
+# small searches pay for no thread.
+SPAWN_AFTER = 2**14
 
 
 def _cache_dir() -> str:
@@ -76,7 +88,7 @@ def _load():
     # search_coloring keeps alive for the call.
     ptr = ctypes.c_void_p
     fn.argtypes = [ctypes.c_int32, ptr, ptr, ptr, ctypes.c_int64,
-                   ctypes.c_int64, ptr, ptr]
+                   ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, ptr, ptr]
     fn.restype = ctypes.c_int
     return fn
 
@@ -86,6 +98,20 @@ _search = _load()
 
 def search_coloring(neighbors, req, k, budget):
     """(status, colors or None, nodes); see _kernel_py.search_coloring."""
+    return _search_coloring(neighbors, req, k, budget, _cpus(), SPAWN_AFTER)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _search_coloring(neighbors, req, k, budget, threads, spawn_after):
+    """search_coloring on up to `threads` threads, started after
+    `spawn_after` nodes. The result does not depend on either."""
     n = len(neighbors)
     if len(req) != n:
         raise ValueError(f"req has {len(req)} entries for {n} vertices")
@@ -108,6 +134,8 @@ def search_coloring(neighbors, req, k, budget):
         req.buffer_info()[0],
         max(0, min(k, _INT64_MAX)),
         max(-1, min(budget, _INT64_MAX)),
+        threads,
+        spawn_after,
         colors.buffer_info()[0],
         nodes.buffer_info()[0],
     )

@@ -63,6 +63,14 @@ def node_budget(text: str) -> int:
     return value
 
 
+def size_cap(text: str) -> int:
+    """argparse type of --size-cap: a vertex count >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"size cap must be >= 0, got {value}")
+    return value
+
+
 def _read_text(path: str) -> str:
     with open(path) as fh:
         try:
@@ -235,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--file", help="DIMACS col file instead of a spec")
     s.add_argument("-r", type=int, required=True)
     s.add_argument("--max-nodes", type=node_budget)
-    s.add_argument("--size-cap", type=int, default=solver.DEFAULT_SIZE_CAP)
+    s.add_argument("--size-cap", type=size_cap, default=solver.DEFAULT_SIZE_CAP)
     s.add_argument("--force", action="store_true", help="ignore the size cap")
     s.set_defaults(func=cmd_solve)
 
@@ -264,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", help="range like 1..3")
     t.add_argument("--format", choices=("csv", "json"), default="csv")
     t.add_argument("--max-nodes", type=node_budget)
-    t.add_argument("--size-cap", type=int, default=solver.DEFAULT_SIZE_CAP)
+    t.add_argument("--size-cap", type=size_cap, default=solver.DEFAULT_SIZE_CAP)
     t.add_argument(
         "--timing",
         action="store_true",

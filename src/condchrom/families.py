@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from math import comb
 
 from .errors import ParameterError
-from .graphs import EDGE_LIMIT, VERTEX_LIMIT, Graph
+from .graphs import EDGE_LIMIT, VERTEX_LIMIT, Graph, _clip
 
 VERTEX = "vertex"
 EDGE = "edge"
@@ -84,7 +84,7 @@ def parse_spec(text: str) -> FamilySpec:
     spec, pos = _parse_at(text, 0)
     rest = text[pos:].strip()
     if rest:
-        raise ParameterError(f"trailing input at position {pos}: {rest!r}")
+        raise ParameterError(f"trailing input at position {pos}: {_clip(rest)!r}")
     return spec
 
 
@@ -110,10 +110,10 @@ def _parse_at(text: str, pos: int) -> tuple[FamilySpec, int]:
                 params = tuple(int(x) for x in raw.split(","))
             except ValueError:
                 raise ParameterError(
-                    f"bad parameter list {raw!r} at position {start}"
+                    f"bad parameter list {_clip(raw)!r} at position {start}"
                 ) from None
             return FamilySpec(tag, params=params), end
-    raise ParameterError(f"unknown family at position {pos}: {text[pos:]!r}")
+    raise ParameterError(f"unknown family at position {pos}: {_clip(text[pos:])!r}")
 
 
 def _identity_provenance(spec: str, origin: tuple, notes: dict) -> Provenance:

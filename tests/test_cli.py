@@ -98,6 +98,22 @@ def test_solve_size_cap(capsys):
     assert code == 2 and "--force" in err
 
 
+def test_negative_size_cap_is_a_usage_error(capsys):
+    for argv in (["solve", "cyc:4", "-r", "2"], ["table", "all"]):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--size-cap", "-1"])
+        assert exit_.value.code == 2, argv
+        assert "size cap must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["cyc:4 " + "x" * 3000, "kpart:1," + "," * 3000, "z" * 3000],
+                         ids=["trailing", "parameters", "family"])
+def test_long_bad_spec_is_quoted_in_part(capsys, spec):
+    code, out, err = run(capsys, "solve", spec, "-r", "2")
+    assert (code, out) == (2, "") and err.startswith("error:")
+    assert len(err.encode()) < 200, err
+
+
 def test_solve_builds_each_graph_once(capsys, monkeypatch):
     # A spec is sized before it is built; sizing a line or middle graph of a
     # line or middle graph would build its inner graph, so that is built once,

@@ -3,11 +3,14 @@ every corpus graph at every r <= Delta, every k <= n and budgets
 {0, 1, 7, 50}, plus two budget-cut rows on the hard tail. The backends are
 also compared on random graphs, on graphs that need more than 64 colours,
 on regular graphs where degree ties decide the pick and on graphs of more
-than 64 and 128 vertices. The loader's fallback is checked with no compiler
-on PATH."""
+than 64 and 128 vertices. The C kernel's search on several threads must
+give the serial answer for every thread count and every start of its
+helpers, and runs without a data race under ThreadSanitizer. The loader's
+fallback is checked with no compiler on PATH."""
 
 import os
 import random
+import shutil
 import subprocess
 import sys
 from itertools import combinations
@@ -15,6 +18,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_graphs import graphs
 
 from condchrom import build, check_conditional, kernel
@@ -49,6 +53,99 @@ def test_kernel_matches_golden_pins(name):
             mismatches.append((spec, r, k, budget, got))
     assert len(rows) == 2614
     assert mismatches == []
+
+
+needs_c = pytest.mark.skipif("c" not in kernel.backends(), reason="the C kernel does not load")
+
+
+def _instance(spec, r):
+    g = build(spec)[0]
+    return g.adjacency_lists(), [min(g.degree(v), r) for v in range(g.n)]
+
+
+@needs_c
+def test_parallel_search_matches_golden_pins():
+    # Helpers started after 0, 1 or 7 nodes split even the small searches
+    # into pieces, so budgets 1, 7 and 50 run out inside or between pieces.
+    search = kernel.backends()["c"]._search_coloring
+    rows = _pins()
+    instances = {(spec, r): _instance(spec, r) for spec, r, *_ in rows}
+    mismatches = []
+    for threads in (1, 2, 3, 4):
+        for spawn_after in (0, 1, 7):
+            for spec, r, k, budget, status, nodes, colors in rows:
+                got = search(*instances[spec, r], k, budget, threads, spawn_after)
+                if got != (status, colors, nodes):
+                    mismatches.append((threads, spawn_after, spec, r, k, budget, got))
+    assert mismatches == []
+
+
+@needs_c
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=14), st.integers(min_value=2, max_value=4))
+def test_parallel_search_agrees_with_pure_on_random_graphs(g, threads):
+    search = kernel.backends()["c"]._search_coloring
+    pure = kernel.backends()["pure"].search_coloring
+    adj = g.adjacency_lists()
+    for r in range(1, max(g.max_degree(), 1) + 1):
+        req = [min(g.degree(v), r) for v in range(g.n)]
+        for k in range(1, g.n + 1):
+            for budget in (0, 1, 7, 50):
+                want = pure(adj, req, k, budget)
+                assert search(adj, req, k, budget, threads, 0) == want, (r, k, budget)
+
+
+# (spec, r, k, budget, status, nodes, colours) recorded from the pure kernel:
+# a refutation, a colouring found after 1.4 M nodes and a budget cut.
+HARD_PINS = [
+    ("M(kpart:4,4)", 7, 9, 0, kernel.NONE, 199_332, None),
+    ("M(fr:4)", 9, 10, 0, kernel.FOUND, 1_404_243,
+     [9, 3, 4, 1, 2, 1, 2, 1, 2, 1, 2, 3, 4, 5, 6, 7, 8, 10, 10, 10, 10]),
+    ("M(kpart:4,4)", 6, 7, 300_000, kernel.BUDGET, 300_001, None),
+]
+
+
+@needs_c
+@pytest.mark.parametrize("spec, r, k, budget, status, nodes, colors", HARD_PINS,
+                         ids=["refuted", "found", "budget"])
+def test_parallel_search_repeats_the_serial_answer(spec, r, k, budget, status, nodes, colors):
+    c = kernel.backends()["c"]
+    adj, req = _instance(spec, r)
+    for _ in range(20):
+        assert c._search_coloring(adj, req, k, budget, 4, c.SPAWN_AFTER) == (status, colors, nodes)
+
+
+def _run_driver(exe, adj, req, k, budget, threads, spawn_after):
+    lines = [f"{len(adj)} {k} {budget} {threads} {spawn_after}", " ".join(map(str, req))]
+    lines += [" ".join(map(str, [len(nb), *nb])) for nb in adj]
+    return subprocess.run([str(exe)], input="\n".join(lines) + "\n", capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_parallel_search_has_no_data_race(tmp_path):
+    # CPython does not run with libtsan preloaded, so the kernel is built
+    # into a small C driver (tests/kernel_driver.c) and run there.
+    if shutil.which("cc") is None:
+        pytest.skip("no cc on PATH")
+    exe = tmp_path / "driver"
+    source = Path(kernel.__file__).parent / "_kernel.c"
+    built = subprocess.run(
+        ["cc", "-std=c99", "-fsanitize=thread", "-pthread", "-g", "-O1", "-o", str(exe),
+         str(Path(__file__).parent / "kernel_driver.c"), str(source)],
+        capture_output=True, text=True)
+    if built.returncode:
+        pytest.skip(f"cc cannot build with ThreadSanitizer: {built.stderr[:300]}")
+    smoke = _run_driver(exe, [[]], [0], 1, 0, 1, 0)
+    if smoke.returncode:
+        pytest.skip(f"a ThreadSanitizer build does not run here: {smoke.stderr[:300]}")
+    assert (smoke.stdout, smoke.stderr) == ("0 2 1\n", "")
+    cases = [("M(kpart:3,5)", 7, 9, 0, kernel.NONE, 119_659, None)] + HARD_PINS[1:]
+    for spec, r, k, budget, status, nodes, colors in cases:
+        proc = _run_driver(exe, *_instance(spec, r), k, budget, 4, 1000)
+        assert proc.stderr == "" and proc.returncode == 0, (spec, proc.stderr[:3000])
+        got_status, got_nodes, got_colors = proc.stdout.split()
+        got_colors = None if got_colors == "-" else [int(c) for c in got_colors.split(",")]
+        assert (int(got_status), got_colors, int(got_nodes)) == (status, colors, nodes), spec
 
 
 @pytest.mark.parametrize("name", sorted(kernel.backends()))

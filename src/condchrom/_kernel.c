@@ -58,8 +58,16 @@
  *     total count. A running piece stops once its count passes the budget
  *     minus the counts of the finished pieces before it: it has then crossed
  *     the budget, whatever the pieces still running before it count.
- * The list of pieces merges neighbouring finished pieces and drops the
- * finished ones at its front, so it never holds more than 2 * threads.
+ * When a piece finishes, one pass over the pieces in serial order settles
+ * them: the finished pieces at the front are committed and dropped, a
+ * finished piece joins a finished one just before it, the first finished
+ * piece that may decide cuts off every piece after it, and each running
+ * piece gets its limit. After the pass
+ *   - no two finished pieces are adjacent, so the order holds at most
+ *     2 * threads pieces;
+ *   - nothing follows a finished piece that may decide;
+ *   - a running piece in the order has limit >= 0, and a cut piece's owner
+ *     has limit -1 until it finishes the piece.
  * Every array is allocated by the calling thread before a helper starts.
  */
 
@@ -106,7 +114,6 @@ struct worker;
 typedef struct piece {
     struct piece *next;   /* the next piece in serial order */
     struct worker *owner; /* the worker searching it; NULL once finished */
-    int cut;              /* cut off: no longer in the order */
     int status;           /* once finished: FOUND, NONE or BUDGET */
     int64_t count;        /* once finished: its nodes (up to the colouring) */
 } piece_t;
@@ -117,7 +124,8 @@ typedef struct worker {
     piece_t *piece;       /* the piece being searched; NULL when idle */
     int32_t d0, v0, m0;   /* its root frame: depth, vertex and max_used */
     int32_t depth;        /* frames still coloured when search() returns */
-    int64_t limit;        /* the piece stops once its count passes this */
+    int64_t limit;        /* the piece stops once its count passes this; -1
+                           * once it is cut off */
     int ready;            /* waiting for a piece */
     int running;          /* a helper thread runs this worker */
     pthread_t thread;
@@ -308,15 +316,15 @@ static void release(shared_t *sh, piece_t *x)
     sh->free = x;
 }
 
-/* Record the end of me's piece and decide what can be decided. Called with
- * the lock held. */
+/* Record the end of me's piece, then settle the pieces in one pass over
+ * them in serial order. Called with the lock held. */
 static void finish(worker_t *me, int status, int64_t count)
 {
     shared_t *sh = me->sh;
-    piece_t *x = me->piece, *y, *prev = NULL;
-    int64_t before = sh->committed;
+    piece_t *x = me->piece, *y, *next, *prev = NULL; /* prev: the piece before y */
+    int64_t before = sh->committed; /* the nodes of the finished pieces before y */
     me->piece = NULL;
-    if (x->cut) {
+    if (me->limit < 0) { /* cut off: no longer in the order */
         release(sh, x);
         return;
     }
@@ -325,74 +333,57 @@ static void finish(worker_t *me, int status, int64_t count)
     if (status == FOUND)
         report(sh, &me->s);
     *x = (piece_t){.next = x->next, .status = status, .count = count};
-    /* Merge x with a finished neighbour: the pieces before a finished piece
-     * that may decide all end with NONE. */
-    if (status == NONE && x->next && !x->next->owner) {
-        y = x->next;
-        x->status = y->status;
-        x->count += y->count;
-        x->next = y->next;
-        release(sh, y);
-    }
-    for (y = sh->head; y != x; y = y->next) {
-        if (!y->owner)
-            before += y->count;
-        prev = y;
-    }
-    if (prev && !prev->owner) {
-        before -= prev->count;
-        prev->status = x->status;
-        prev->count += x->count;
-        prev->next = x->next;
-        release(sh, x);
-        x = prev;
-    }
-    /* A piece that may decide cuts off every piece after it. */
-    if (x->status != NONE || x->count > sh->cap - before) {
-        piece_t *next;
-        for (y = x->next; y; y = next) {
-            next = y->next;
-            if (y->owner) {
-                y->cut = 1;
-                STORE(y->owner->limit, -1);
-            } else {
-                release(sh, y);
-            }
+    for (y = sh->head; y; y = next) {
+        next = y->next;
+        if (y->owner) {
+            STORE(y->owner->limit, sh->cap - before);
+            prev = y;
+            continue;
         }
-        x->next = NULL;
-    }
-    /* Drop the finished pieces at the front of the order. */
-    while ((x = sh->head) && !x->owner) {
-        if (x->status != NONE || x->count > sh->cap - sh->committed) {
-            int found = x->status == FOUND && x->count <= sh->cap - sh->committed;
+        /* The first finished piece that may decide cuts off every piece
+         * after it, and at the front it decides the search. */
+        int decides = y->status != NONE || y->count > sh->cap - before;
+        if (decides) {
+            for (piece_t *z = next; z; z = next) {
+                next = z->next;
+                if (z->owner)
+                    STORE(z->owner->limit, -1);
+                else
+                    release(sh, z);
+            }
+            y->next = NULL;
+        }
+        if (!prev && decides) {
+            int found = y->status == FOUND && y->count <= sh->cap - before;
             sh->status = found ? FOUND : BUDGET;
-            sh->nodes = found ? sh->committed + x->count : sh->cap + 1;
+            sh->nodes = found ? before + y->count : sh->cap + 1;
             STORE(sh->stop, 1);
             break;
         }
-        sh->committed += x->count;
-        sh->head = x->next;
-        release(sh, x);
+        before += y->count;
+        if (!prev) { /* at the front: commit it */
+            sh->committed += y->count;
+            sh->head = next;
+            release(sh, y);
+        } else if (!prev->owner) {
+            /* Join the finished piece before it, which ended NONE within
+             * the budget: it would have cut y off otherwise. */
+            prev->status = y->status;
+            prev->count += y->count;
+            prev->next = next;
+            release(sh, y);
+        } else {
+            prev = y;
+        }
     }
     if (!sh->head) {
         sh->status = NONE;
         sh->nodes = sh->committed;
         STORE(sh->stop, 1);
     }
-    if (sh->stop) {
+    if (sh->stop)
         for (int32_t i = 0; i < sh->threads; i++)
             pthread_cond_signal(&sh->workers[i].wake);
-        return;
-    }
-    /* Each running piece stops once its count passes the budget minus the
-     * counts of the finished pieces before it. */
-    before = sh->committed;
-    for (y = sh->head; y; y = y->next) {
-        if (y->owner)
-            STORE(y->owner->limit, sh->cap - before);
-        else
-            before += y->count;
-    }
 }
 
 /* The shallowest frame of me's piece at depth d or deeper, up to depth - 1,
@@ -417,7 +408,7 @@ static int donate(worker_t *me, int32_t depth)
     if (d == depth)
         return 0;
     pthread_mutex_lock(&sh->lock);
-    for (int32_t i = 0; i < sh->threads && d < depth && !me->piece->cut; i++) {
+    for (int32_t i = 0; i < sh->threads && d < depth && me->limit >= 0; i++) {
         worker_t *x = sh->workers + i;
         piece_t *p = sh->free;
         if (!x->ready || !p)

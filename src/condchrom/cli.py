@@ -30,7 +30,7 @@ from .bounds import (  # noqa: F401
     strongest,
 )
 from .errors import InputError, ParameterError, PreconditionError, UnsupportedCaseError
-from .graphs import Graph, from_dimacs, to_dimacs, to_dot
+from .graphs import VERTEX_LIMIT, Graph, from_dimacs, to_dimacs, to_dot
 from .verify import Coloring, check_conditional
 
 EXIT_OK = 0
@@ -97,17 +97,20 @@ def _load_graph(args, cap: float = math.inf) -> Graph:
 
 
 def _parse_range(text: str) -> list[int]:
+    """The values of N or LO..HI. In every table grid a value outside
+    1..VERTEX_LIMIT names an instance the builders reject, so such a range
+    is an input error, raised before the list is made."""
+    lo, sep, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(text)]
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise InputError(f"bad range {text!r}: expected N or LO..HI") from None
-    if not values:
+    if lo > hi:
         raise InputError(f"empty range {text!r}: LO must not exceed HI")
-    return values
+    if lo < 1 or hi > VERTEX_LIMIT:
+        raise InputError(f"range {text!r} goes outside 1..{VERTEX_LIMIT}, where "
+                         "no table instance can be built")
+    return list(range(lo, hi + 1))
 
 
 def cmd_generate(args) -> int:
@@ -156,12 +159,7 @@ def cmd_verify(args) -> int:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:
         raise InputError(f"{args.coloring}: cannot read JSON ({e})") from None
-    c = Coloring.from_json_dict(doc)
-    if len(c.colors) != g.n:
-        raise InputError(
-            f"coloring has {len(c.colors)} entries, graph has {g.n} vertices"
-        )
-    report = check_conditional(g, c, args.r)
+    report = check_conditional(g, Coloring.from_json_dict(doc), args.r)
     print(json.dumps(report.to_json_dict(), indent=2))
     return EXIT_OK if report.valid else EXIT_INVALID
 

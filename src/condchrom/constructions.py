@@ -341,12 +341,10 @@ def _covering_case(spec: FamilySpec, r: int, delta: Callable[[], int]):
     """(row, params, painted) of the first row that covers (spec, r), painted
     being what its paint gives, or None; delta() gives Delta when a row asks
     for it. Raises ParameterError where families.build rejects the spec,
-    without building it (the matchers take only valid parameters)."""
-    hit = next(((c, p, painted) for c in CASES if (p := c.family(spec)) is not None
-                and (painted := c.paint(p, r, delta)) is not None), None)
-    if hit is None:
-        families.declared_size(spec)
-    return hit
+    without building it."""
+    families.check_limits(spec)
+    return next(((c, p, painted) for c in CASES if (p := c.family(spec)) is not None
+                 and (painted := c.paint(p, r, delta)) is not None), None)
 
 
 def _claim(row: Case, params, painted: tuple, built: tuple) -> ClaimedColoring:
@@ -498,10 +496,10 @@ def predicted_chi_r(spec: str | FamilySpec, r: int) -> int | None:
 def covered_levels(spec: str | FamilySpec, proposition: int) -> list[int]:
     """The r in 1..Delta at which the row of `proposition` covers `spec`."""
     spec = _parsed(spec)
+    families.check_limits(spec)  # ParameterError where the builders reject spec
     row = _ROW[proposition]
     params = row.family(spec)
     if params is None:
-        families.declared_size(spec)  # ParameterError where the builders reject spec
         return []
     delta = families.declared_max_degree(spec)
     return [r for r in range(1, delta + 1) if row.paint(params, r, lambda: delta) is not None]

@@ -147,7 +147,7 @@ def _transform_size(tag: str, degrees: list) -> tuple[int, int]:
     return (m, meets) if tag == "L" else (n + m, 2 * m + meets)
 
 
-def _check_size(spec: str, size: tuple[int, int]) -> None:
+def _check_size(spec: str | FamilySpec, size: tuple[int, int]) -> None:
     n, m = size
     if n > VERTEX_LIMIT or m > EDGE_LIMIT:
         raise ParameterError(f"{spec} has {n} vertices and {m} edges; the limits "
@@ -314,6 +314,21 @@ def declared_size(spec: str | FamilySpec) -> tuple[int, int]:
     if spec.tag in ("L", "M"):
         return _transform_size(spec.tag, _degrees(spec.inner))
     return _size(_degrees(spec))
+
+
+@functools.lru_cache(maxsize=1024)
+def check_limits(spec: str | FamilySpec) -> None:
+    """Raise the ParameterError build(spec) would, for a bad parameter or a
+    graph over the limits, from declared sizes, once per spec that passes:
+    like declared_size, this builds only the G of L(G) or M(G) where G is a
+    line or middle graph."""
+    if isinstance(spec, str):
+        spec = parse_spec(spec)
+    # build checks G before L(G) or M(G); a G that is itself a transform is
+    # checked when declared_size builds it.
+    if spec.tag in ("L", "M") and spec.inner.tag not in ("L", "M"):
+        _check_size(spec.inner, declared_size(spec.inner))
+    _check_size(spec, declared_size(spec))
 
 
 @functools.lru_cache(maxsize=1024)

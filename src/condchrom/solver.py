@@ -140,17 +140,12 @@ def random_c2_colorings(
         order = list(range(n))
         rng.shuffle(order)
         color = [0] * n
-        cnt = [[0] * (k + 1) for _ in range(n)]
-        distinct = [0] * n
-        uncol = [len(adj[v]) for v in range(n)]
 
-        def move(v: int, c: int, step: int) -> None:
-            """step 1 colours v with c, step -1 takes c off v again."""
-            for u in adj[v]:
-                uncol[u] -= step
-                cnt[u][c] += step
-                if cnt[u][c] == (step == 1):  # c newly seen, or no longer
-                    distinct[u] += step
+        def reaches(u: int) -> bool:
+            """u can still see req[u] distinct colours if each of its
+            uncoloured neighbours brings a new one."""
+            around = [color[w] for w in adj[u]]
+            return len(set(around) - {0}) + around.count(0) >= req[u]
 
         # tries[pos]: the shuffled colours left to try at position pos; one
         # shuffle per position entered, in the order a recursive search
@@ -159,19 +154,17 @@ def random_c2_colorings(
         pos = 0
         while 0 <= pos < n:
             v = order[pos]
-            if len(tries) > pos:  # back from a dead end
-                move(v, color[v], -1)
-            else:
+            if len(tries) == pos:
                 cs = list(range(1, k + 1))
                 rng.shuffle(cs)
                 tries.append(iter(cs))
-            color[v] = next((c for c in tries[pos] if all(
-                distinct[u] + (cnt[u][c] == 0) + uncol[u] - 1 >= req[u]
-                for u in adj[v])), 0)
-            if color[v]:
-                move(v, color[v], 1)
-                pos += 1
+            for c in tries[pos]:
+                color[v] = c
+                if all(reaches(u) for u in adj[v]):
+                    pos += 1
+                    break
             else:
+                color[v] = 0
                 tries.pop()
                 pos -= 1
         return color if pos == n else None

@@ -81,7 +81,7 @@ class ConditionalReport:
 def _check_total(g: Graph, c: Coloring) -> None:
     if len(c.colors) != g.n:
         raise InputError(
-            f"coloring covers {len(c.colors)} vertices, graph has {g.n}"
+            f"coloring has {len(c.colors)} entries, graph has {g.n} vertices"
         )
 
 

@@ -517,7 +517,10 @@ def test_oversized_inputs_exit_2_before_building(tmp_path):
     huge.write_text("p edge 99999999999 0\n")
     for argv in (["solve", "wd:3,99999999", "-r", "1"],
                  ["solve", "wd:3,99999999", "-r", "1", "--force"],
-                 ["bounds", "--file", str(huge), "-r", "1"]):
+                 ["bounds", "--file", str(huge), "-r", "1"],
+                 ["table", "5", "--n", "4..100000000"],
+                 ["table", "1", "--k", "3..99999999", "--n", "1"],
+                 ["table", "5", "--n=-99999999..5"]):
         proc = _capped_cli(*argv)
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

@@ -290,6 +290,13 @@ def test_unstated_specs_are_validated_without_building(monkeypatch):
         predicted_chi_r("M(wd:4,0)", 1)
     with pytest.raises(ParameterError):
         covered_levels("L(cyc:2)", 2)
+    # Stated at r = 2 by cases that read no Delta, but over the vertex limit,
+    # where build and construct refuse them.
+    for spec in ("wd:3,99999999", "M(cyc:99999999)"):
+        with pytest.raises(ParameterError, match="the limits are"):
+            predicted_chi_r(spec, 2)
+    with pytest.raises(ParameterError, match="the limits are"):
+        covered_levels("L(cyc:99999999)", 2)
     assert build_calls == []
 
 

@@ -16,6 +16,7 @@ from condchrom import (
     windmill,
 )
 from condchrom.errors import ParameterError
+from condchrom.families import check_limits
 from condchrom.graphs import EDGE_LIMIT, VERTEX_LIMIT, Graph
 from conftest import CORPUS_SPECS
 
@@ -177,6 +178,8 @@ def test_build_refuses_a_graph_above_the_limit(spec, n, m):
         build(spec)
     with pytest.raises(ParameterError, match=f"{n} vertices and {m} edges"):
         declared_max_degree(spec)
+    with pytest.raises(ParameterError, match=f"{n} vertices and {m} edges"):
+        check_limits(spec)
 
 
 def test_declared_size_rejects_what_build_rejects():
@@ -189,6 +192,9 @@ def test_declared_size_rejects_what_build_rejects():
         with pytest.raises(ParameterError) as declared:
             declared_max_degree(bad)
         assert str(declared.value) == str(built.value), bad
+        with pytest.raises(ParameterError) as checked:
+            check_limits(bad)
+        assert str(checked.value) == str(built.value), bad
 
 
 def test_paper_index_is_bijection():

@@ -81,18 +81,23 @@ def test_parallel_search_matches_golden_pins():
 
 
 @needs_c
-@settings(max_examples=60, deadline=None)
-@given(graphs(max_n=14), st.integers(min_value=2, max_value=4))
-def test_parallel_search_agrees_with_pure_on_random_graphs(g, threads):
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=14), st.integers(min_value=2, max_value=4), st.sampled_from((0, 1)))
+def test_parallel_search_agrees_with_pure_on_random_graphs(g, threads, spawn_after):
+    # Besides fixed budgets, N - 1, N and N + 1 nodes, N being the unbudgeted
+    # search's count, run out at or next to the end of the last piece, and
+    # N // 2 inside the search.
     search = kernel.backends()["c"]._search_coloring
     pure = kernel.backends()["pure"].search_coloring
     adj = g.adjacency_lists()
     for r in range(1, max(g.max_degree(), 1) + 1):
         req = [min(g.degree(v), r) for v in range(g.n)]
         for k in range(1, g.n + 1):
-            for budget in (0, 1, 7, 50):
+            nodes = pure(adj, req, k, 0)[2]
+            for budget in (0, 1, 7, 50, nodes - 1, nodes, nodes + 1, nodes // 2):
                 want = pure(adj, req, k, budget)
-                assert search(adj, req, k, budget, threads, 0) == want, (r, k, budget)
+                got = search(adj, req, k, budget, threads, spawn_after)
+                assert got == want, (r, k, budget)
 
 
 # (spec, r, k, budget, status, nodes, colours) recorded from the pure kernel:

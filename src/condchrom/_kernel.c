@@ -11,26 +11,43 @@
  *
  * The search is iterative: one stack frame (vertex, colour, max_used) per
  * coloured vertex, plus that frame's mask of colours still to try. Colour
- * sets are bitmasks of w = min(k, n)/64 + 1 64-bit words, bit c for colour c.
+ * sets are bitmasks of w = min(k, n)/64 + 1 64-bit words, bit c for colour
+ * c, and vertex sets bitmasks of vw = ceil(n/64) words, bit u for vertex u.
  * Per vertex u it keeps
- *   cnt[c * n + u]  neighbours of u coloured c,
- *   seen[u]         bit c set when cnt[c * n + u] > 0,
+ *   seen[u]         bit c set when a neighbour of u is coloured c,
  *   sat[u]          distinct[u], the number of bits in seen[u],
- *   slack[u]        distinct[u] + uncoloured[u] - req[u], never below zero.
+ *   slack[u]        distinct[u] + uncoloured[u] - req[u], which is below
+ *                   zero only when req[u] > d(u), and then at every node.
  * Colour c is allowed at v unless c is in seen[v] (C1) or in seen[u] for
  * some neighbour u of v with slack[u] == 0 (C2). When v is picked, its
  * allowed colours in 1..limit are computed once into the new frame's mask;
  * the lowest bit is tried and cleared, and a backtrack to the frame takes
  * the next lowest.
  *
- * The pick reads saturation buckets: bucket[d] is a set of vw = ceil(n/64)
- * words holding the uncoloured vertices u with sat[u] == d, for d in
- * 0..min(k, n). A vertex moves to the next bucket up or down only when a
- * colour is first seen around it or no longer seen, leaves its bucket when
- * it is coloured and returns when it is uncoloured. `top` is at least the
- * highest non-empty level; the pick walks it down to a non-empty bucket and
- * takes the lowest vertex there. All of this state is a function of the
- * colouring alone, so colouring the frames of a path in any way rebuilds it.
+ * The rest of the state comes in two layouts, chosen by n and k alone:
+ *   - The word state, for n <= 64 and kk = min(k, n) <= 63, which is
+ *     w = vw = 1. It keeps the neighbours nb[v] of each vertex as one word,
+ *     and nb2[v], the other vertices that share a neighbour with v; per
+ *     colour c, cls[c], the vertices coloured c, and nz[c], the vertices
+ *     with a neighbour coloured c; and zero, the vertices with slack 0.
+ *     Recolouring v from b to c, the vertices that newly see c are
+ *     nb[v] & ~nz[c], and those that no longer see b are the ones of nb[v]
+ *     outside the OR of nb[x] over x in cls[b] & nb2[v], the only other
+ *     vertices coloured b that can reach them. Only these change seen, sat
+ *     and bucket; the slack of the rest of nb[v] moves by one. The C2 test
+ *     reads seen[u] only for u in nb[v] & zero.
+ *   - The counter state, for every other search. It keeps
+ *     cnt[c * n + u], the neighbours of u coloured c, and a recolouring
+ *     updates the counters, seen, sat and slack of each neighbour in turn.
+ *
+ * The pick reads saturation buckets: bucket[d] is the set of uncoloured
+ * vertices u with sat[u] == d, for d in 0..min(k, n). A vertex moves to the
+ * next bucket up or down only when a colour is first seen around it or no
+ * longer seen, leaves its bucket when it is coloured and returns when it is
+ * uncoloured. `top` is at least the highest non-empty level; the pick walks
+ * it down to a non-empty bucket and takes the lowest vertex there. All of
+ * this state is a function of the colouring alone, so colouring the frames
+ * of a path in any way rebuilds it.
  *
  * Parallel search. One call runs on up to `threads` threads and returns
  * exactly what the serial search returns, whatever the timing:
@@ -80,9 +97,13 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* The search below is compiled twice, once for w = vw = 1, so its helpers
- * must be inlined for the word loops to fold away. */
+/* The search below is compiled twice, once for the word state, so its
+ * helpers must be inlined for the choice of state to fold away. */
 #define INLINE static inline __attribute__((always_inline))
+
+/* Whether a search with w colour words and vw vertex words keeps the word
+ * state. */
+#define WORDS(w, vw) ((w) == 1 && (vw) == 1)
 
 /* Relaxed atomic loads and stores, for values that one thread writes under
  * the lock and another reads without it. */
@@ -102,11 +123,12 @@ typedef struct {
 typedef struct {
     int64_t n;
     const int32_t *indptr, *indices;
+    const uint64_t *nb, *nb2; /* word state only */
     int32_t *color, *cnt, *sat, top;
-    uint64_t *seen, *bucket, *rest;
+    uint64_t *seen, *bucket, *rest, *cls, *nz, zero;
     int64_t *slack;
     frame_t *stack;
-    void *block; /* holds every array above but indptr and indices */
+    void *block; /* holds every array above but indptr, indices, nb, nb2 */
 } state_t;
 
 struct worker;
@@ -137,6 +159,7 @@ typedef struct shared {
     int32_t n, kk, threads;
     int64_t w, vw, cap;
     const int32_t *indptr, *indices, *order;
+    const uint64_t *nb, *nb2; /* word state only */
     const int64_t *req;
     int32_t *color; /* the caller's output */
     worker_t *workers; /* workers[0] is the calling thread */
@@ -166,8 +189,15 @@ INLINE int32_t pick(state_t *s, int64_t vw)
 
 /* mask = the colours in 1..limit allowed at v. */
 INLINE void allowed(const state_t *s, int32_t v, int32_t limit, uint64_t *mask,
-                    int64_t w)
+                    int64_t w, int64_t vw)
 {
+    if (WORDS(w, vw)) { /* limit <= 63, so 2 << limit wraps at worst to 0 */
+        uint64_t m = (((uint64_t)2 << limit) - 2) & ~s->seen[v];
+        for (uint64_t z = s->nb[v] & s->zero; z; z &= z - 1)
+            m &= ~s->seen[__builtin_ctzll(z)];
+        *mask = m;
+        return;
+    }
     const uint64_t *sv = s->seen + v * w;
     for (int64_t j = 0; j < w; j++) {
         int64_t top = limit - 64 * j; /* highest wanted bit in word j */
@@ -203,21 +233,76 @@ INLINE void flip(state_t *s, int32_t d, int32_t u, int64_t vw)
     s->bucket[d * vw + u / 64] ^= (uint64_t)1 << (u % 64);
 }
 
+/* Word state: move each vertex of m up (d = 1) or down (d = -1) one
+ * saturation level, and an uncoloured one to the next bucket. */
+INLINE void shift_sat(state_t *s, uint64_t m, int32_t d)
+{
+    for (; m; m &= m - 1) {
+        int32_t u = __builtin_ctzll(m), e = s->sat[u] += d;
+        if (!s->color[u]) {
+            s->bucket[e - d] ^= m & -m;
+            s->bucket[e] ^= m & -m;
+            if (e > s->top)
+                s->top = e;
+        }
+    }
+}
+
+/* Word state: add d to the slack of each vertex of m and keep `zero`. */
+INLINE void shift_slack(state_t *s, uint64_t m, int64_t d)
+{
+    for (; m; m &= m - 1) {
+        int32_t u = __builtin_ctzll(m);
+        s->zero = (s->zero & ~(m & -m)) | (uint64_t)!(s->slack[u] += d) << u;
+    }
+}
+
 /* Change v's colour from b to c, where colour 0 means uncoloured. One pass
  * over v's neighbours serves a colouring (b = 0), an uncolouring (c = 0) and
  * a backtrack straight to v's next colour. */
 INLINE void recolour(state_t *s, int32_t v, int32_t b, int32_t c, int64_t w,
                      int64_t vw)
 {
-    int32_t *cb = s->cnt + b * s->n, *cc = s->cnt + c * s->n;
-    uint64_t *seenb = s->seen + b / 64, bitb = (uint64_t)1 << (b % 64);
-    uint64_t *seenc = s->seen + c / 64, bitc = (uint64_t)1 << (c % 64);
     s->color[v] = c;
     if (!b || !c) {
         flip(s, s->sat[v], v, vw);
         if (!c && s->sat[v] > s->top)
             s->top = s->sat[v];
     }
+    if (WORDS(w, vw)) {
+        /* lost: the neighbours that no longer see b; gain: those that
+         * newly see c. A neighbour's saturation moves with what it gains
+         * and loses; its slack goes up for still seeing b (inc) and down
+         * for having seen c already (dec). */
+        uint64_t nbv = s->nb[v], bit = (uint64_t)1 << v, lost = 0, gain = 0,
+                 inc = 0, dec = 0, m;
+        if (b) {
+            uint64_t keep = 0;
+            for (m = (s->cls[b] &= ~bit) & s->nb2[v]; m; m &= m - 1)
+                keep |= s->nb[__builtin_ctzll(m)];
+            lost = nbv & ~keep;
+            s->nz[b] &= ~lost;
+            for (m = lost; m; m &= m - 1)
+                s->seen[__builtin_ctzll(m)] &= ~((uint64_t)1 << b);
+            inc = nbv & ~lost;
+        }
+        if (c) {
+            gain = nbv & ~s->nz[c];
+            s->nz[c] |= nbv;
+            s->cls[c] |= bit;
+            for (m = gain; m; m &= m - 1)
+                s->seen[__builtin_ctzll(m)] |= (uint64_t)1 << c;
+            dec = nbv & ~gain;
+        }
+        shift_sat(s, gain & ~lost, 1);
+        shift_sat(s, lost & ~gain, -1);
+        shift_slack(s, inc & ~dec, 1);
+        shift_slack(s, dec & ~inc, -1);
+        return;
+    }
+    int32_t *cb = s->cnt + b * s->n, *cc = s->cnt + c * s->n;
+    uint64_t *seenb = s->seen + b / 64, bitb = (uint64_t)1 << (b % 64);
+    uint64_t *seenc = s->seen + c / 64, bitc = (uint64_t)1 << (c % 64);
     for (int32_t i = s->indptr[v]; i < s->indptr[v + 1]; i++) {
         int32_t u = s->indices[i], d = s->sat[u], e = d;
         if (b) {
@@ -277,26 +362,40 @@ static void *zalloc_lines(size_t size)
 static int state_init(state_t *s, const shared_t *sh)
 {
     size_t n = (size_t)sh->n, w = (size_t)sh->w, kk = (size_t)sh->kk;
-    size_t ints = lines(n, sizeof(int32_t)), cnt = lines((kk + 1) * n, sizeof(int32_t)),
+    int words = WORDS(sh->w, sh->vw);
+    size_t ints = lines(n, sizeof(int32_t)),
+           colours = words ? lines(2 * (kk + 1), sizeof(uint64_t))
+                           : lines((kk + 1) * n, sizeof(int32_t)),
            masks = lines(n * w, sizeof(uint64_t)),
            bucket = lines((kk + 1) * (size_t)sh->vw, sizeof(uint64_t)),
            slack = lines(n, sizeof(int64_t)), stack = lines(n, sizeof(frame_t)),
-           size = 2 * ints + cnt + 2 * masks + bucket + slack + stack;
+           size = 2 * ints + colours + 2 * masks + bucket + slack + stack;
     *s = (state_t){.n = sh->n, .indptr = sh->indptr, .indices = sh->indices,
-                   .block = zalloc_lines(size)};
+                   .nb = sh->nb, .nb2 = sh->nb2, .block = zalloc_lines(size)};
     char *p = s->block;
     if (!p)
         return 0;
     s->color = (int32_t *)p;
     s->sat = (int32_t *)(p += ints);
-    s->cnt = (int32_t *)(p += ints);
-    s->seen = (uint64_t *)(p += cnt);
+    if (words) {
+        s->cls = (uint64_t *)(p += ints);
+        s->nz = s->cls + kk + 1;
+    } else {
+        s->cnt = (int32_t *)(p += ints);
+    }
+    s->seen = (uint64_t *)(p += colours);
     s->rest = (uint64_t *)(p += masks);
     s->bucket = (uint64_t *)(p += masks);
     s->slack = (int64_t *)(p += bucket);
     s->stack = (frame_t *)(p + slack);
     for (int32_t i = 0; i < sh->n; i++) {
-        s->slack[i] = sh->indptr[i + 1] - sh->indptr[i] - sh->req[sh->order[i]];
+        /* A requirement below 0 prunes no more than 0 does: either way the
+         * slack of a vertex with a neighbour stays above 0, and that of a
+         * vertex without one is never read. Clamping keeps d - req in range. */
+        int64_t req = sh->req[sh->order[i]];
+        s->slack[i] = sh->indptr[i + 1] - sh->indptr[i] - (req < 0 ? 0 : req);
+        if (words)
+            s->zero |= (uint64_t)!s->slack[i] << i;
         flip(s, 0, i, sh->vw);
     }
     return 1;
@@ -543,7 +642,7 @@ INLINE int search(worker_t *me, int64_t count, int64_t *nodes, int64_t w,
             break;
         }
         v = pick(s, vw);
-        allowed(s, v, max_used < kk ? max_used + 1 : kk, s->rest + depth * w, w);
+        allowed(s, v, max_used < kk ? max_used + 1 : kk, s->rest + depth * w, w, vw);
     }
 done:
     me->depth = depth;
@@ -637,9 +736,10 @@ int condchrom_search(int32_t n, const int32_t *indptr, const int32_t *indices,
     int32_t *rank = calloc((size_t)n + 1, sizeof(int32_t)); /* old id -> new */
     int32_t *ptr = malloc(((size_t)n + 1) * sizeof(int32_t));
     int32_t *idx = malloc(((size_t)m + 1) * sizeof(int32_t));
+    uint64_t *nb = WORDS(sh.w, sh.vw) ? calloc(2 * (size_t)n, sizeof(uint64_t)) : NULL;
     worker_t *me = sh.workers = zalloc_lines((size_t)threads * sizeof(worker_t));
     int status = NOMEM;
-    if (!order || !rank || !ptr || !idx || !me)
+    if (!order || !rank || !ptr || !idx || !me || (WORDS(sh.w, sh.vw) && !nb))
         goto out;
 
     /* Counting sort on the key n-1-degree, which is in 0..n-1 because the
@@ -660,6 +760,21 @@ int condchrom_search(int32_t n, const int32_t *indptr, const int32_t *indices,
             idx[ptr[i] + j] = rank[indices[indptr[v] + j]];
         ptr[i + 1] = ptr[i] + deg;
     }
+    /* The word state's masks: nb[i], the neighbours of i, and nb2[i], the
+     * other vertices that share a neighbour with i. */
+    if (nb) {
+        uint64_t *nb2 = nb + n;
+        for (int32_t i = 0; i < n; i++)
+            for (int32_t j = ptr[i]; j < ptr[i + 1]; j++)
+                nb[i] |= (uint64_t)1 << idx[j];
+        for (int32_t i = 0; i < n; i++) {
+            for (int32_t j = ptr[i]; j < ptr[i + 1]; j++)
+                nb2[i] |= nb[idx[j]];
+            nb2[i] &= ~((uint64_t)1 << i);
+        }
+        sh.nb = nb;
+        sh.nb2 = nb2;
+    }
     sh.indptr = ptr;
     sh.indices = idx;
     sh.order = order;
@@ -670,7 +785,7 @@ int condchrom_search(int32_t n, const int32_t *indptr, const int32_t *indices,
 
     /* The root node, counted here, and its frame: the whole tree's piece. */
     me->v0 = pick(&me->s, sh.vw);
-    allowed(&me->s, me->v0, 1, me->s.rest, sh.w);
+    allowed(&me->s, me->v0, 1, me->s.rest, sh.w, sh.vw);
     status = run(me, 1, nodes);
     if (!sh.started) {
         if (status == FOUND)
@@ -692,6 +807,7 @@ out:
     free(rank);
     free(ptr);
     free(idx);
+    free(nb);
     if (me)
         for (int32_t i = 0; i < threads; i++)
             free(me[i].s.block);

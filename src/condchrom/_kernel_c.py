@@ -10,7 +10,13 @@ message, and `kernel._load` falls back to the pure kernel.
 Semantics are those of _kernel_py.search_coloring, node counts included.
 The C search renumbers the vertices by degree and takes each DSATUR pick
 from per-saturation bitsets of the uncoloured vertices instead of scanning
-every vertex; the neighbor lists must be those of a simple graph.
+every vertex; the neighbor lists must be those of a simple graph. A search
+of at most 64 vertices with min(k, n) <= 63 keeps its state in 64-bit
+words: per colour, the vertices coloured with it and the vertices that see
+it, so that a recolouring updates the colour sets and saturation only of
+the neighbours whose set of seen colours changes. Every larger search
+keeps a counter per colour and vertex and updates each neighbour. The
+choice depends on n and k alone, and both give the same results.
 
 Each call searches on as many threads as the process may run on
 (`os.sched_getaffinity`), starting the helpers only once the search has

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import io
 import json
 import math
@@ -39,17 +40,17 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-# The instances `condchrom table P` checks, from the --k and --n values or
-# the defaults here; each is listed at every r in 1..Delta where a case of P
-# covers it.
+# The instances `condchrom table P` checks. A grid's parameters are the
+# ranges it takes, --k and --n, with their defaults; each instance is listed
+# at every r in 1..Delta where a case of P covers it.
 TABLE_GRIDS = {
-    1: lambda ks, ns: [f"wd:{k},{n}" for k in ks or (3, 4) for n in ns or (1, 2, 3)],
-    2: lambda ks, ns: [f"L(wd:{k},{n})" for k in ks or (3,) for n in ns or (1, 2, 3)],
-    3: lambda ks, ns: [f"L(fr:{n})" for n in ns or (1, 2, 3)],
-    4: lambda ks, ns: [f"M(kpart:{s})" for s in ("1,1,1", "1,2", "2,2", "1,1,2")],
-    5: lambda ks, ns: [f"M(cyc:{n})" for n in ns or (4, 5, 6, 7)],
-    6: lambda ks, ns: [f"M(fr:{n})" for n in ns or (1, 2)],
-    7: lambda ks, ns: [f"M(kpart:{s})" for s in ("1,2", "2,2")],
+    1: lambda k=(3, 4), n=(1, 2, 3): [f"wd:{a},{b}" for a in k for b in n],
+    2: lambda k=(3,), n=(1, 2, 3): [f"L(wd:{a},{b})" for a in k for b in n],
+    3: lambda n=(1, 2, 3): [f"L(fr:{b})" for b in n],
+    4: lambda: [f"M(kpart:{s})" for s in ("1,1,1", "1,2", "2,2", "1,1,2")],
+    5: lambda n=(4, 5, 6, 7): [f"M(cyc:{b})" for b in n],
+    6: lambda n=(1, 2): [f"M(fr:{b})" for b in n],
+    7: lambda: [f"M(kpart:{s})" for s in ("1,2", "2,2")],
 }
 # F_1 = K_{1,1,1}: after M(F_1), M(kpart:1,1,1) is checked through proposition 4.
 CROSS_CHECKS = {"M(fr:1)": [("M(kpart:1,1,1)", 4)]}
@@ -184,12 +185,19 @@ def cmd_table(args) -> int:
     props = [p for p in TABLE_GRIDS if args.proposition in ("all", str(p))]
     if not props:
         raise InputError(f"unknown proposition id {args.proposition!r} (1..7 or 'all')")
-    ks = _parse_range(args.k) if args.k else None
-    ns = _parse_range(args.n) if args.n else None
+    ranges = {opt: _parse_range(text) for opt, text in (("k", args.k), ("n", args.n)) if text}
+    # A grid takes the ranges its parameters name. `table all` gives each grid
+    # those it takes; a range that the one grid asked for ignores is an error.
+    takes = {prop: inspect.signature(TABLE_GRIDS[prop]).parameters for prop in props}
+    if args.proposition != "all":
+        (prop,) = props
+        for opt in sorted(ranges.keys() - takes[prop].keys()):
+            accepted = " and ".join(f"--{o}" for o in takes[prop]) or "no range"
+            raise InputError(f"table {prop} takes no --{opt}; it takes {accepted}")
     listed = [
         (prop, spec, r)
         for prop in props
-        for instance in TABLE_GRIDS[prop](ks, ns)
+        for instance in TABLE_GRIDS[prop](**{o: v for o, v in ranges.items() if o in takes[prop]})
         for spec, cases_of in [(instance, prop), *CROSS_CHECKS.get(instance, [])]
         for r in constructions.covered_levels(spec, cases_of)
     ]

@@ -383,6 +383,22 @@ def test_table_single_prop(capsys):
     assert all(",True," in line for line in lines[1:])
 
 
+def test_table_refuses_a_range_its_grid_ignores(capsys):
+    # Grids 4 and 7 are fixed; grids 3, 5 and 6 take only --n.
+    for argv, option in ((["4", "--n", "3"], "--n"), (["5", "--k", "9"], "--k"),
+                         (["7", "--k", "3", "--n", "2"], "--k")):
+        code, out, err = run(capsys, "table", *argv)
+        assert code == 2 and err.startswith("error:") and option in err and not out, argv
+
+
+def test_table_all_applies_a_range_where_it_is_taken(capsys):
+    # --k reaches grids 1 and 2 only; the other grids keep their defaults.
+    golden = (Path(__file__).parents[1] / "condbench" / "table_all.csv").read_text()
+    code, out, _ = run(capsys, "table", "all", "--k", "3")
+    assert code == 0
+    assert out.splitlines() == [line for line in golden.splitlines() if '"wd:4,' not in line]
+
+
 def test_table_deterministic(capsys):
     code1, out1, _ = run(capsys, "table", "7")
     code2, out2, _ = run(capsys, "table", "7")

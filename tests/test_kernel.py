@@ -1,13 +1,18 @@
 """Kernel semantics pinned row by row: status, node count and coloring of
 every corpus graph at every r <= Delta, every k <= n and budgets
 {0, 1, 7, 50}, plus two budget-cut rows on the hard tail. The backends are
-also compared on random graphs, on graphs that need more than 64 colours,
-on regular graphs where degree ties decide the pick and on graphs of more
-than 64 and 128 vertices. The C kernel's search on several threads must
-give the serial answer for every thread count and every start of its
-helpers, and runs without a data race under ThreadSanitizer. The loader's
-fallback is checked with no compiler on PATH."""
+also compared on random graphs, with requirements up to two above the
+degree, on graphs that need more than 64 colours, on regular graphs where
+degree ties decide the pick, on graphs of more than 64 and 128 vertices,
+and at 63 to 65 vertices and 62 to 64 colours, where the C kernel switches
+from its word state to its counter state. The C kernel's search on
+several threads must give the serial answer for every thread count and
+every start of its helpers, and runs without a data race under
+ThreadSanitizer and without undefined behaviour under
+UndefinedBehaviorSanitizer. The loader's fallback is checked with no
+compiler on PATH."""
 
+import functools
 import os
 import random
 import shutil
@@ -55,6 +60,10 @@ def test_kernel_matches_golden_pins(name):
     assert mismatches == []
 
 
+def _circulant(n, offsets):
+    return Graph(n, {tuple(sorted((i, (i + o) % n))) for i in range(n) for o in offsets})
+
+
 needs_c = pytest.mark.skipif("c" not in kernel.backends(), reason="the C kernel does not load")
 
 
@@ -80,24 +89,56 @@ def test_parallel_search_matches_golden_pins():
     assert mismatches == []
 
 
+@st.composite
+def _dense_graphs(draw, min_n, max_n):
+    """Graphs of min_n..max_n vertices with edge density 0.4 or 0.5."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    p, rng = draw(st.sampled_from((0.4, 0.5))), draw(st.randoms(use_true_random=False))
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
 @needs_c
 @settings(max_examples=150, deadline=None)
-@given(graphs(max_n=14), st.integers(min_value=2, max_value=4), st.sampled_from((0, 1)))
-def test_parallel_search_agrees_with_pure_on_random_graphs(g, threads, spawn_after):
+@given(st.one_of(st.tuples(graphs(max_n=14), st.integers(min_value=2, max_value=4)),
+                 st.tuples(_dense_graphs(16, 22), st.integers(min_value=3, max_value=4))),
+       st.sampled_from((0, 1)))
+def test_parallel_search_agrees_with_pure_on_random_graphs(case, spawn_after):
     # Besides fixed budgets, N - 1, N and N + 1 nodes, N being the unbudgeted
     # search's count, run out at or next to the end of the last piece, and
-    # N // 2 inside the search.
+    # N // 2 inside the search. On 16 to 22 vertices each r goes down from
+    # k = n while the pure kernel colours within 3,000 nodes, and only the
+    # colourings found after 200 nodes or more are searched on 3 or 4
+    # threads: there a piece that finds one joins the finished piece before it.
+    g, threads = case
     search = kernel.backends()["c"]._search_coloring
     pure = kernel.backends()["pure"].search_coloring
-    adj = g.adjacency_lists()
+    adj, cap = g.adjacency_lists(), 0 if g.n <= 14 else 3000
     for r in range(1, max(g.max_degree(), 1) + 1):
         req = [min(g.degree(v), r) for v in range(g.n)]
-        for k in range(1, g.n + 1):
-            nodes = pure(adj, req, k, 0)[2]
+        for k in range(g.n, 0, -1):
+            status, _, nodes = pure(adj, req, k, cap)
+            if cap and status != kernel.FOUND:
+                break
+            if cap and nodes < 200:
+                continue
             for budget in (0, 1, 7, 50, nodes - 1, nodes, nodes + 1, nodes // 2):
                 want = pure(adj, req, k, budget)
                 got = search(adj, req, k, budget, threads, spawn_after)
                 assert got == want, (r, k, budget)
+
+
+@pytest.mark.skipif(len(kernel.backends()) < 2, reason="only one backend loads")
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs(max_n=14), st.just(_circulant(66, (1, 2, 3)))), st.data())
+def test_backends_agree_with_requirements_above_the_degree(g, data):
+    # req[v] in 0..d(v)+2: a vertex asked for more colours than it has
+    # neighbours has negative slack and never limits its neighbours' colours.
+    adj, mods = g.adjacency_lists(), kernel.backends()
+    req = [data.draw(st.integers(min_value=0, max_value=g.degree(v) + 2)) for v in range(g.n)]
+    for k in range(1, min(g.n, 14) + 1):
+        for budget in (0, 1, 7, 50) if g.n <= 14 else (1, 7, 5000):
+            results = {name: mod.search_coloring(adj, req, k, budget) for name, mod in mods.items()}
+            assert len(set(map(repr, results.values()))) == 1, (k, budget, results)
 
 
 # (spec, r, k, budget, status, nodes, colours) recorded from the pure kernel:
@@ -120,6 +161,39 @@ def test_parallel_search_repeats_the_serial_answer(spec, r, k, budget, status, n
         assert c._search_coloring(adj, req, k, budget, 4, c.SPAWN_AFTER) == (status, colors, nodes)
 
 
+def _cocktail(n):
+    """K_n less a matching of n // 2 edges. Near r = n - 2 almost every
+    neighbourhood needs distinct colours, so colours up to 64 are used and
+    some searches backtrack (5,488 nodes to refute k = 62 at n = 65, r = 61)."""
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if u % 2 or v != u + 1])
+
+
+@functools.cache
+def _boundary_cases():
+    """(adj, req, k, budget, pure kernel's answer) for n = 63, 64, 65 and
+    kk = min(k, n) = 62, 63, 64: the C kernel keeps its word state up to
+    n = 64 and kk = 63, and its counter state beyond."""
+    pure, cases = kernel.backends()["pure"].search_coloring, []
+    for n in (63, 64, 65):
+        for g, rs in ((Graph(n, combinations(range(n), 2)), (1,)), (_cocktail(n), (60, 61, 62))):
+            adj = g.adjacency_lists()
+            for r in rs:
+                req = [min(g.degree(v), r) for v in range(n)]
+                for k in (62, 63, 64):
+                    for budget in (0, 1, 7, 5000):
+                        cases.append((adj, req, k, budget, pure(adj, req, k, budget)))
+    return cases
+
+
+@needs_c
+def test_c_kernel_agrees_with_pure_at_64_vertices_and_63_colours():
+    c = kernel.backends()["c"]
+    for adj, req, k, budget, want in _boundary_cases():
+        assert c.search_coloring(adj, req, k, budget) == want, (len(adj), req[0], k, budget)
+        got = c._search_coloring(adj, req, k, budget, 2, 0)
+        assert got == want, (len(adj), req[0], k, budget)
+
+
 def _run_driver(exe, adj, req, k, budget, threads, spawn_after):
     lines = [f"{len(adj)} {k} {budget} {threads} {spawn_after}", " ".join(map(str, req))]
     lines += [" ".join(map(str, [len(nb), *nb])) for nb in adj]
@@ -127,30 +201,65 @@ def _run_driver(exe, adj, req, k, budget, threads, spawn_after):
                           text=True, timeout=300)
 
 
-def test_parallel_search_has_no_data_race(tmp_path):
-    # CPython does not run with libtsan preloaded, so the kernel is built
-    # into a small C driver (tests/kernel_driver.c) and run there.
+def _sanitized_driver(tmp_path, flags, sanitizer):
+    """tests/kernel_driver.c built with the kernel and `flags`. CPython does
+    not run with a sanitizer's runtime preloaded, so the kernel is checked in
+    this small C driver. Skips where cc cannot build or run such a binary."""
     if shutil.which("cc") is None:
         pytest.skip("no cc on PATH")
     exe = tmp_path / "driver"
     source = Path(kernel.__file__).parent / "_kernel.c"
     built = subprocess.run(
-        ["cc", "-std=c99", "-fsanitize=thread", "-pthread", "-g", "-O1", "-o", str(exe),
+        ["cc", "-std=c99", *flags, "-pthread", "-g", "-O1", "-o", str(exe),
          str(Path(__file__).parent / "kernel_driver.c"), str(source)],
         capture_output=True, text=True)
     if built.returncode:
-        pytest.skip(f"cc cannot build with ThreadSanitizer: {built.stderr[:300]}")
+        pytest.skip(f"cc cannot build with {sanitizer}: {built.stderr[:300]}")
     smoke = _run_driver(exe, [[]], [0], 1, 0, 1, 0)
     if smoke.returncode:
-        pytest.skip(f"a ThreadSanitizer build does not run here: {smoke.stderr[:300]}")
+        pytest.skip(f"a {sanitizer} build does not run here: {smoke.stderr[:300]}")
     assert (smoke.stdout, smoke.stderr) == ("0 2 1\n", "")
-    cases = [("M(kpart:3,5)", 7, 9, 0, kernel.NONE, 119_659, None)] + HARD_PINS[1:]
-    for spec, r, k, budget, status, nodes, colors in cases:
-        proc = _run_driver(exe, *_instance(spec, r), k, budget, 4, 1000)
-        assert proc.stderr == "" and proc.returncode == 0, (spec, proc.stderr[:3000])
-        got_status, got_nodes, got_colors = proc.stdout.split()
-        got_colors = None if got_colors == "-" else [int(c) for c in got_colors.split(",")]
-        assert (int(got_status), got_colors, int(got_nodes)) == (status, colors, nodes), spec
+    return exe
+
+
+def _driver_result(exe, adj, req, k, budget, threads, spawn_after):
+    """The driver's (status, colours, nodes); it must exit 0 with nothing on
+    stderr, where a sanitizer reports."""
+    proc = _run_driver(exe, adj, req, k, budget, threads, spawn_after)
+    assert proc.stderr == "" and proc.returncode == 0, proc.stderr[:3000]
+    status, nodes, colors = proc.stdout.split()
+    return int(status), None if colors == "-" else [int(c) for c in colors.split(",")], int(nodes)
+
+
+def test_parallel_search_has_no_data_race(tmp_path):
+    # The 65-vertex graph keeps the counter state, the others the word state.
+    exe = _sanitized_driver(tmp_path, ["-fsanitize=thread"], "ThreadSanitizer")
+    g = _cocktail(65)
+    cases = [(*_instance("M(kpart:3,5)", 7), 9, 0, (kernel.NONE, None, 119_659)),
+             (g.adjacency_lists(), [min(g.degree(v), 61) for v in range(65)], 62, 0,
+              (kernel.NONE, None, 5_488))]
+    cases += [(*_instance(spec, r), k, budget, (status, colors, nodes))
+              for spec, r, k, budget, status, nodes, colors in HARD_PINS[1:]]
+    for adj, req, k, budget, want in cases:
+        assert _driver_result(exe, adj, req, k, budget, 4, 1000) == want, (len(adj), k)
+
+
+def test_kernel_has_no_undefined_behaviour(tmp_path):
+    # The searches at 63 to 65 vertices and 62 to 64 colours on one thread
+    # and on two, the hard pins on four, and requirements far below 0.
+    exe = _sanitized_driver(tmp_path, ["-fsanitize=undefined", "-fno-sanitize-recover=undefined"],
+                            "UndefinedBehaviorSanitizer")
+    for adj, req, k, budget, want in _boundary_cases():
+        for threads in (1, 2):
+            got = _driver_result(exe, adj, req, k, budget, threads, 0)
+            assert got == want, (len(adj), req[0], k, budget, threads)
+    for spec, r, k, budget, status, nodes, colors in HARD_PINS:
+        got = _driver_result(exe, *_instance(spec, r), k, budget, 4, 1000)
+        assert got == (status, colors, nodes), spec
+    # A requirement far below 0 acts as 0, without overflowing d - req.
+    adj, req = [[1], [0, 2], [1]], [-2**63, 0, -1]
+    want = kernel.backends()["pure"].search_coloring(adj, req, 3, 0)
+    assert _driver_result(exe, adj, req, 3, 0, 1, 0) == want
 
 
 @pytest.mark.parametrize("name", sorted(kernel.backends()))
@@ -212,10 +321,6 @@ def _shuffled(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
-def _circulant(n, offsets):
-    return Graph(n, {tuple(sorted((i, (i + o) % n))) for i in range(n) for o in offsets})
 
 
 # (graph, r, ks): regular and near-regular graphs, where degree ties decide

@@ -16,8 +16,7 @@
  * Per vertex u it keeps
  *   seen[u]         bit c set when a neighbour of u is coloured c,
  *   sat[u]          distinct[u], the number of bits in seen[u],
- *   slack[u]        distinct[u] + uncoloured[u] - req[u], which is below
- *                   zero only when req[u] > d(u), and then at every node.
+ *   slack[u]        distinct[u] + uncoloured[u] - req[u], never below 0.
  * Colour c is allowed at v unless c is in seen[v] (C1) or in seen[u] for
  * some neighbour u of v with slack[u] == 0 (C2). When v is picked, its
  * allowed colours in 1..limit are computed once into the new frame's mask;
@@ -55,36 +54,54 @@
  *     mask of colours still to try there; its nodes are the subtrees of
  *     those colours. The whole tree is the piece with an empty prefix, whose
  *     root frame is the root vertex, and whose count starts at 1 for the
- *     root node. A worker searches a piece after colouring its prefix.
+ *     root node. A worker searches a piece after colouring its prefix; the
+ *     piece ends when the search backtracks to its end depth, at first the
+ *     root frame's.
  *   - The calling thread searches alone until it has expanded spawn_after
  *     nodes, so small searches start no thread. It then starts the helpers.
  *     A worker without a piece counts itself idle and waits, yielding its
  *     CPU a while before it sleeps.
  *   - Every CHECK_EVERY nodes a busy worker looks at the count of idle
  *     workers. When one waits, the busy worker gives it the untried colours
- *     of its shallowest frame that has any. The busy worker's own remaining
- *     nodes all lie inside that frame's current subtree, so the new piece
- *     comes right after the donor's piece in serial (depth-first) order, and
- *     the pieces in order always split the serial node sequence into runs.
+ *     of a frame d of its piece, as a new piece. The donor keeps searching
+ *     d's current subtree, so its piece now ends at d. The untried colours
+ *     of the frames between its old end and d, if any, become a
+ *     continuation piece that ends at the old end: the donor owns it and,
+ *     once its piece ends, resumes it in place, with no uncolouring. In
+ *     serial (depth-first) order the donor's piece is followed by the new
+ *     piece, then the continuation, then the donor's old successor, so the
+ *     pieces in order always split the serial node sequence into runs.
+ *   - Without a budget, d is the shallowest frame with untried colours, and
+ *     there is no continuation. With one, d is the shallowest such frame
+ *     whose last finished sibling subtree, as the frame's start counts give
+ *     it, had no more nodes than the piece's remaining budget (limit -
+ *     count), so that the new piece likely begins inside the budget. A
+ *     frame on its first colour, or whose last sibling subtree was partly
+ *     given away, does not qualify. When none qualifies, d is the deepest
+ *     frame with untried colours, whose piece comes next after the little
+ *     left below it, so that an idle worker does not wait.
  *   - A finished piece records its status and count. Walking the pieces in
  *     order with the sum S of the counts before each, the first piece that
  *     finds a colouring (at its count i, S + i <= cap) or whose nodes cross
  *     the budget (S + count > cap) decides the search: FOUND with S + i
  *     nodes, or BUDGET with cap + 1. Every piece after one that can decide
  *     is cut off. If every piece ends with NONE, the result is NONE with the
- *     total count. A running piece stops once its count passes the budget
- *     minus the counts of the finished pieces before it: it has then crossed
- *     the budget, whatever the pieces still running before it count.
+ *     total count. Each owned piece, running or a continuation, has its own
+ *     limit: it stops once its count passes the budget minus the counts of
+ *     the finished pieces before it, as it has then crossed the budget,
+ *     whatever the pieces still running before it count.
  * When a piece finishes, one pass over the pieces in serial order settles
  * them: the finished pieces at the front are committed and dropped, a
  * finished piece joins a finished one just before it, the first finished
- * piece that may decide cuts off every piece after it, and each running
- * piece gets its limit. After the pass
- *   - no two finished pieces are adjacent, so the order holds at most
- *     2 * threads pieces;
+ * piece that may decide cuts off every piece after it, and each owned
+ * piece gets its limit. Its owner then resumes its next continuation,
+ * which stops at its first node if it has been cut off. After the pass
+ *   - no two finished pieces are adjacent, and a worker owns its running
+ *     piece and at most one continuation per depth shallower than that
+ *     piece's end, so at most 2 * threads * n pieces are in use;
  *   - nothing follows a finished piece that may decide;
- *   - a running piece in the order has limit >= 0, and a cut piece's owner
- *     has limit -1 until it finishes the piece.
+ *   - an owned piece in the order has limit >= 0, and a cut piece has limit
+ *     -1 until its owner finishes it.
  * Every array is allocated by the calling thread before a helper starts.
  */
 
@@ -110,14 +127,26 @@
 #define LOAD(x) __atomic_load_n(&(x), __ATOMIC_RELAXED)
 #define STORE(x, v) __atomic_store_n(&(x), (v), __ATOMIC_RELAXED)
 
-enum { FOUND = 0, NONE = 1, BUDGET = 2, NOMEM = -1 };
+enum { FOUND = 0, NONE = 1, BUDGET = 2, NOMEM = -1, NOT_SIMPLE = -2 };
 
 /* How many nodes a busy worker expands between looks at the idle count, and
  * how many times an idle worker yields its CPU before it sleeps. */
 enum { CHECK_EVERY = 256, SPIN = 2000 };
 
+/* Bytes in an aligned pair of cache lines. */
+enum { PAIR = 128 };
+
+/* Added to a start count, it makes every size taken from it read as at
+ * least UNKNOWN, which is above every remaining budget. */
+#define UNKNOWN ((uint64_t)1 << 63)
+
 typedef struct {
     int32_t v, c, max_used;
+    uint64_t start; /* the worker's count when v took colour c, plus
+                     * UNKNOWN once part of c's subtree is given away */
+    uint64_t last;  /* the nodes of the subtree of v's previous colour; at
+                     * least UNKNOWN for v's first colour, or when part of
+                     * that subtree was given away */
 } frame_t;
 
 typedef struct {
@@ -135,24 +164,29 @@ struct worker;
 
 typedef struct piece {
     struct piece *next;   /* the next piece in serial order */
-    struct worker *owner; /* the worker searching it; NULL once finished */
+    struct piece *resume; /* the continuation its owner resumes after it */
+    struct worker *owner; /* the worker searching it or holding it as a
+                           * continuation; NULL once finished */
+    int32_t end;          /* a continuation's: the depth it ends at */
     int status;           /* once finished: FOUND, NONE or BUDGET */
     int64_t count;        /* once finished: its nodes (up to the colouring) */
+    int64_t limit;        /* while owned: it stops once its count passes
+                           * this; -1 once it is cut off */
 } piece_t;
 
 typedef struct worker {
     state_t s;
     struct shared *sh;
     piece_t *piece;       /* the piece being searched; NULL when idle */
-    int32_t d0, v0, m0;   /* its root frame: depth, vertex and max_used */
-    int32_t depth;        /* frames still coloured when search() returns */
-    int64_t limit;        /* the piece stops once its count passes this; -1
-                           * once it is cut off */
+    int32_t v0, m0;       /* a new piece's root frame: vertex and max_used */
+    int32_t end;          /* the piece ends on backtracking to this depth */
+    int32_t depth;        /* frames coloured when search() starts or ends */
+    int64_t base;         /* the worker's count when the piece began */
     int ready;            /* waiting for a piece */
     int running;          /* a helper thread runs this worker */
     pthread_t thread;
     pthread_cond_t wake;
-} __attribute__((aligned(64))) worker_t; /* no two share a cache line */
+} __attribute__((aligned(PAIR))) worker_t; /* no two share a fetch */
 
 typedef struct shared {
     /* Fixed before the first node. */
@@ -350,11 +384,13 @@ static size_t lines(size_t n, size_t size)
     return (n * size + 63) / 64 * 64;
 }
 
-/* A zeroed block of `size` bytes on a cache-line boundary, or NULL. */
+/* A zeroed block of `size` bytes on a PAIR boundary, with PAIR bytes to
+ * spare after it, or NULL. Processors fetch cache lines in aligned pairs,
+ * so no two such blocks, one thread's memory each, share a fetch. */
 static void *zalloc_lines(size_t size)
 {
     void *p;
-    return posix_memalign(&p, 64, size) ? NULL : memset(p, 0, size);
+    return posix_memalign(&p, PAIR, size + PAIR) ? NULL : memset(p, 0, size);
 }
 
 /* Allocate s for sh's renumbered graph, every vertex uncoloured, in one
@@ -415,17 +451,30 @@ static void release(shared_t *sh, piece_t *x)
     sh->free = x;
 }
 
-/* Record the end of me's piece, then settle the pieces in one pass over
- * them in serial order. Called with the lock held. */
-static void finish(worker_t *me, int status, int64_t count)
+/* A piece from the free list, which the pool's size keeps from running
+ * dry. */
+static piece_t *fresh(shared_t *sh)
+{
+    piece_t *x = sh->free;
+    sh->free = x->next;
+    return x;
+}
+
+/* Record the end of me's piece, settle the pieces in one pass over them in
+ * serial order, and move me on to its next continuation. Called with the
+ * lock held. Returns me's new piece, NULL when it has none left. */
+static piece_t *finish(worker_t *me, int status, int64_t count)
 {
     shared_t *sh = me->sh;
-    piece_t *x = me->piece, *y, *next, *prev = NULL; /* prev: the piece before y */
+    piece_t *x = me->piece, *c = x->resume, *y, *next, *prev = NULL; /* prev: the piece before y */
     int64_t before = sh->committed; /* the nodes of the finished pieces before y */
-    me->piece = NULL;
-    if (me->limit < 0) { /* cut off: no longer in the order */
+    /* A continuation cut off meanwhile stops at its first node. */
+    me->piece = c;
+    if (c)
+        me->end = c->end;
+    if (x->limit < 0) { /* cut off: no longer in the order */
         release(sh, x);
-        return;
+        return c;
     }
     /* A piece in the order comes before every piece that may decide, so
      * its colouring is the first one found in serial order so far. */
@@ -435,7 +484,7 @@ static void finish(worker_t *me, int status, int64_t count)
     for (y = sh->head; y; y = next) {
         next = y->next;
         if (y->owner) {
-            STORE(y->owner->limit, sh->cap - before);
+            STORE(y->limit, sh->cap - before);
             prev = y;
             continue;
         }
@@ -446,7 +495,7 @@ static void finish(worker_t *me, int status, int64_t count)
             for (piece_t *z = next; z; z = next) {
                 next = z->next;
                 if (z->owner)
-                    STORE(z->owner->limit, -1);
+                    STORE(z->limit, -1);
                 else
                     release(sh, z);
             }
@@ -483,50 +532,75 @@ static void finish(worker_t *me, int status, int64_t count)
     if (sh->stop)
         for (int32_t i = 0; i < sh->threads; i++)
             pthread_cond_signal(&sh->workers[i].wake);
+    return c;
 }
 
-/* The shallowest frame of me's piece at depth d or deeper, up to depth - 1,
- * that has colours left to try; depth when there is none. */
-static int32_t shallowest(const worker_t *me, int32_t d, int32_t depth, int64_t w)
+/* Among the frames of me's stack at depth d or deeper, up to depth - 1,
+ * that have colours left to try: the shallowest whose last finished sibling
+ * subtree had at most `room` nodes, else the deepest, whose colours come
+ * next in serial order; depth when no frame has any. */
+static int32_t choose(const worker_t *me, int32_t d, int32_t depth, uint64_t room)
 {
-    for (; d < depth; d++)
-        for (int64_t j = 0; j < w; j++)
-            if (me->s.rest[d * w + j])
-                return d;
-    return depth;
+    int64_t w = me->sh->w;
+    int32_t deepest = depth;
+    for (; d < depth; d++) {
+        for (int64_t j = 0; j < w; j++) {
+            if (me->s.rest[d * w + j]) {
+                if (me->s.stack[d].last <= room)
+                    return d;
+                deepest = d;
+                break;
+            }
+        }
+    }
+    return deepest;
 }
 
-/* Give each ready worker the untried colours of me's shallowest frame that
- * has any, as a new piece right after me's. Returns 0 when no frame has
- * any. */
-static int donate(worker_t *me, int32_t depth)
+/* Give each ready worker the untried colours of a frame d of me's piece, as
+ * a new piece right after me's, d as choose() picks it with `room` the
+ * piece's remaining budget (UINT64_MAX without one). Me's piece then ends
+ * at d, and the untried colours of the frames above d, if any, become a
+ * continuation right after the new piece, which me resumes in place once
+ * it backtracks to d. Those frames' current subtrees are no longer all
+ * me's, so their sizes become unknown. Returns 0 when no frame has untried
+ * colours. */
+static int donate(worker_t *me, int32_t depth, uint64_t room)
 {
     shared_t *sh = me->sh;
+    piece_t *p = me->piece;
     int64_t w = sh->w;
-    int32_t d = shallowest(me, me->d0, depth, w);
+    int32_t d = choose(me, me->end, depth, room);
     if (d == depth)
         return 0;
     pthread_mutex_lock(&sh->lock);
-    for (int32_t i = 0; i < sh->threads && d < depth && me->limit >= 0; i++) {
+    for (int32_t i = 0; i < sh->threads && d < depth && p->limit >= 0; i++) {
         worker_t *x = sh->workers + i;
-        piece_t *p = sh->free;
-        if (!x->ready || !p)
+        if (!x->ready)
             continue;
-        sh->free = p->next;
-        *p = (piece_t){.next = me->piece->next, .owner = x};
-        me->piece->next = p;
-        STORE(x->piece, p);
+        if (choose(me, me->end, d, UINT64_MAX) < d) {
+            piece_t *c = fresh(sh);
+            *c = (piece_t){.next = p->next, .resume = p->resume, .owner = me,
+                           .end = me->end, .limit = p->limit};
+            p->next = p->resume = c;
+        }
+        piece_t *q = fresh(sh);
+        *q = (piece_t){.next = p->next, .owner = x, .limit = p->limit};
+        p->next = q;
+        for (int32_t f = me->end; f < d; f++)
+            me->s.stack[f].start |= UNKNOWN;
+        me->end = d;
+        STORE(x->piece, q);
         x->ready = 0;
         STORE(sh->idle, sh->idle - 1);
-        x->d0 = d;
+        x->end = x->depth = d;
         x->v0 = me->s.stack[d].v;
         x->m0 = me->s.stack[d].max_used;
-        STORE(x->limit, me->limit);
+        x->base = 0;
         memcpy(x->s.stack, me->s.stack, (size_t)d * sizeof(frame_t));
         memcpy(x->s.rest + d * w, me->s.rest + d * w, (size_t)w * sizeof(uint64_t));
         memset(me->s.rest + d * w, 0, (size_t)w * sizeof(uint64_t));
         pthread_cond_signal(&x->wake);
-        d = shallowest(me, d + 1, depth, w);
+        d = choose(me, d + 1, depth, room);
     }
     pthread_mutex_unlock(&sh->lock);
     return 1;
@@ -541,9 +615,13 @@ static void spawn(shared_t *sh)
 {
     worker_t *ws = sh->workers;
     int32_t t = sh->threads, conds = 0;
+    /* A worker owns its running piece and at most one continuation per
+     * depth shallower than that piece's end, so at most n pieces, and each
+     * finished piece in the order follows an owned one. */
+    size_t pool = 2 * (size_t)t * (size_t)sh->n;
     sigset_t all, old;
     sh->spawn_after = INT64_MAX; /* one attempt */
-    sh->pieces = calloc(2 * (size_t)t, sizeof(piece_t));
+    sh->pieces = calloc(pool, sizeof(piece_t));
     if (!sh->pieces)
         return;
     for (int32_t i = 1; i < t; i++)
@@ -561,10 +639,9 @@ static void spawn(shared_t *sh)
     }
     /* The rest of the whole tree is the calling thread's piece. */
     sh->head = sh->pieces;
-    sh->head->owner = ws;
+    *sh->head = (piece_t){.owner = ws, .limit = sh->cap};
     ws->piece = sh->head;
-    ws->limit = sh->cap;
-    for (int32_t i = 2 * t - 1; i > 0; i--)
+    for (size_t i = pool - 1; i > 0; i--)
         release(sh, sh->pieces + i);
     sh->started = 1;
     /* Signals go to the calling thread, not to the helpers. */
@@ -589,32 +666,37 @@ static __attribute__((noinline)) int64_t checkpoint(worker_t *me, int64_t count,
         if (!sh->started)
             return sh->spawn_after < sh->cap ? sh->spawn_after : sh->cap;
     }
-    int64_t limit = LOAD(me->limit), step = CHECK_EVERY;
+    /* From here on counts are the piece's, which began at me->base. */
+    int64_t limit = LOAD(me->piece->limit), step = CHECK_EVERY;
+    count -= me->base;
     if (count > limit)
-        return limit;
+        return me->base + limit;
     /* With nothing to give yet, look again at the next node. */
-    if (LOAD(sh->idle) && !donate(me, depth))
+    if (LOAD(sh->idle) &&
+        !donate(me, depth, sh->cap == INT64_MAX ? UINT64_MAX : (uint64_t)(limit - count)))
         step = 1;
-    return limit - count < step ? limit : count + step;
+    return me->base + (limit - count < step ? limit : count + step);
 }
 
-/* Search me's piece: frames 0..d0-1 are coloured and rest[d0] holds the
- * colours still to try at the root frame. The piece's count starts at
- * `count`. Returns FOUND, NONE or BUDGET, stores the count in *nodes and
- * leaves me->depth frames coloured. */
+/* Search me's piece from me->depth coloured frames, with the worker's count
+ * at `count`: either a new piece, whose root frame is at that depth with
+ * its untried colours in rest, or a continuation, resumed in place where
+ * the piece before it backtracked to its end. Returns FOUND, NONE or BUDGET,
+ * stores the count in *nodes and leaves me->depth frames coloured. */
 INLINE int search(worker_t *me, int64_t count, int64_t *nodes, int64_t w,
                   int64_t vw)
 {
     state_t *s = &me->s;
-    int32_t kk = me->sh->kk, d0 = me->d0, depth = d0, v = me->v0,
+    int32_t kk = me->sh->kk, end = me->end, depth = me->depth, v = me->v0,
             max_used = me->m0, from = 0;
     int64_t threshold = count;
+    uint64_t last = UINT64_MAX;
     int status;
     for (;;) {
         int32_t c = take_lowest(s->rest + depth * w, w);
         /* Backtrack while no colour is left. */
         while (!c) {
-            if (depth == d0) {
+            if (depth == end) {
                 status = NONE;
                 goto done;
             }
@@ -622,20 +704,26 @@ INLINE int search(worker_t *me, int64_t count, int64_t *nodes, int64_t w,
             v = f.v;
             max_used = f.max_used;
             c = take_lowest(s->rest + depth * w, w);
-            if (c)
+            if (c) {
                 from = f.c;
-            else
+                last = (uint64_t)count - f.start;
+            } else {
                 recolour(s, v, f.c, 0, w, vw);
+            }
         }
-        s->stack[depth++] = (frame_t){v, c, max_used};
+        s->stack[depth++] = (frame_t){v, c, max_used, (uint64_t)count, last};
         recolour(s, v, from, c, w, vw);
         from = 0;
+        last = UINT64_MAX;
         if (c > max_used)
             max_used = c;
         /* Expand a new node. */
-        if (++count > threshold && (threshold = checkpoint(me, count, depth)) < count) {
-            status = BUDGET;
-            break;
+        if (++count > threshold) {
+            if ((threshold = checkpoint(me, count, depth)) < count) {
+                status = BUDGET;
+                break;
+            }
+            end = me->end;
         }
         if (depth == s->n) {
             status = FOUND;
@@ -657,13 +745,20 @@ static int run(worker_t *me, int64_t count, int64_t *nodes)
                                      : search(me, count, nodes, sh->w, sh->vw);
 }
 
-/* Hand in me's finished piece and uncolour its frames. */
+/* Hand in me's finished piece and search each continuation it moves on
+ * to; then uncolour its frames. */
 static void settle(worker_t *me, int status, int64_t count)
 {
     shared_t *sh = me->sh;
-    pthread_mutex_lock(&sh->lock);
-    finish(me, status, count);
-    pthread_mutex_unlock(&sh->lock);
+    for (;;) {
+        pthread_mutex_lock(&sh->lock);
+        piece_t *c = finish(me, status, count - me->base);
+        pthread_mutex_unlock(&sh->lock);
+        if (!c)
+            break;
+        me->base = count;
+        status = run(me, count, &count);
+    }
     walk(&me->s, me->depth, 0, sh->w, sh->vw);
 }
 
@@ -690,18 +785,19 @@ static void *work(void *arg)
         if (!piece)
             return NULL;
         int64_t count;
-        walk(&me->s, me->d0, 1, sh->w, sh->vw);
+        walk(&me->s, me->depth, 1, sh->w, sh->vw);
         int status = run(me, 0, &count);
         settle(me, status, count);
     }
 }
 
-/* Neighbours of v are indices[indptr[v] .. indptr[v+1]-1], all in [0, n),
- * none repeated and none equal to v. The search runs on up to `threads`
- * threads, starting the helpers after spawn_after nodes; the result does
- * not depend on either. On FOUND, color[0..n-1] holds colours in 1..k;
- * otherwise color may have been written. Returns the status, or NOMEM when
- * an allocation fails; *nodes receives the node count. */
+/* Neighbours of v are indices[indptr[v] .. indptr[v+1]-1], all in [0, n).
+ * The search runs on up to `threads` threads, starting the helpers after
+ * spawn_after nodes; the result does not depend on either. On FOUND,
+ * color[0..n-1] holds colours in 1..k; otherwise color may have been
+ * written. Returns the status, NOT_SIMPLE when a vertex is its own
+ * neighbour or has a neighbour twice, or NOMEM when an allocation fails;
+ * *nodes receives the node count. */
 int condchrom_search(int32_t n, const int32_t *indptr, const int32_t *indices,
                      const int64_t *req, int64_t k, int64_t budget,
                      int32_t threads, int64_t spawn_after, int32_t *color,
@@ -710,36 +806,57 @@ int condchrom_search(int32_t n, const int32_t *indptr, const int32_t *indices,
     *nodes = 0;
     if (n == 0)
         return FOUND;
-    if (k < 1)
-        return NONE;
+    int64_t m = indptr[n];
+    int32_t *order = calloc((size_t)n, sizeof(int32_t)); /* new id -> old */
+    int32_t *rank = calloc((size_t)n + 1, sizeof(int32_t)); /* old id -> new */
+    int32_t *ptr = malloc(((size_t)n + 1) * sizeof(int32_t));
+    int32_t *idx = malloc(((size_t)m + 1) * sizeof(int32_t));
+    uint64_t *nb = NULL;
+    worker_t *me = NULL;
+    shared_t sh = {.n = n};
+    int status = NOMEM;
+    if (!order || !rank || !ptr || !idx)
+        goto out;
+    /* The graph must be simple, which also keeps every degree below n.
+     * Until the sort fills it, order[u] == v + 1 marks u as a neighbour of
+     * v already seen. */
+    status = NOT_SIMPLE;
+    for (int32_t v = 0; v < n; v++) {
+        for (int32_t j = indptr[v]; j < indptr[v + 1]; j++) {
+            int32_t u = indices[j];
+            if (u == v || order[u] == v + 1)
+                goto out;
+            order[u] = v + 1;
+        }
+    }
     /* A vertex's neighbours avoid its own colour, so at most k-1 distinct
-     * colours can ever appear around it. */
+     * colours can ever appear around it, and at most d(v) ever can. */
+    status = NONE;
+    if (k < 1)
+        goto out;
     for (int32_t v = 0; v < n; v++)
-        if (req[v] > k - 1)
-            return NONE;
+        if (req[v] > k - 1 || req[v] > indptr[v + 1] - indptr[v])
+            goto out;
     /* A negative budget stops at the root node. */
     if (budget < 0) {
         *nodes = 1;
-        return BUDGET;
+        status = BUDGET;
+        goto out;
     }
     /* Colours above n are never reached: a new colour needs a new vertex. */
     int32_t kk = k < n ? (int32_t)k : n;
     if (threads < 1)
         threads = 1;
-    shared_t sh = {
+    sh = (shared_t){
         .n = n, .kk = kk, .threads = threads, .w = kk / 64 + 1,
         .vw = (n + 63) / 64, .cap = budget ? budget : INT64_MAX, .req = req,
         .color = color, .spawn_after = threads > 1 ? spawn_after : INT64_MAX,
     };
-    int64_t m = indptr[n];
-    int32_t *order = malloc((size_t)n * sizeof(int32_t)); /* new id -> old */
-    int32_t *rank = calloc((size_t)n + 1, sizeof(int32_t)); /* old id -> new */
-    int32_t *ptr = malloc(((size_t)n + 1) * sizeof(int32_t));
-    int32_t *idx = malloc(((size_t)m + 1) * sizeof(int32_t));
-    uint64_t *nb = WORDS(sh.w, sh.vw) ? calloc(2 * (size_t)n, sizeof(uint64_t)) : NULL;
-    worker_t *me = sh.workers = zalloc_lines((size_t)threads * sizeof(worker_t));
-    int status = NOMEM;
-    if (!order || !rank || !ptr || !idx || !me || (WORDS(sh.w, sh.vw) && !nb))
+    if (WORDS(sh.w, sh.vw))
+        nb = calloc(2 * (size_t)n, sizeof(uint64_t));
+    me = sh.workers = zalloc_lines((size_t)threads * sizeof(worker_t));
+    status = NOMEM;
+    if (!me || (WORDS(sh.w, sh.vw) && !nb))
         goto out;
 
     /* Counting sort on the key n-1-degree, which is in 0..n-1 because the

@@ -7,16 +7,17 @@ interpreter's cache tag, so an edited source is rebuilt and a built one is
 reused. Any failure to build or load raises ImportError with the compiler's
 message, and `kernel._load` falls back to the pure kernel.
 
-Semantics are those of _kernel_py.search_coloring, node counts included.
-The C search renumbers the vertices by degree and takes each DSATUR pick
-from per-saturation bitsets of the uncoloured vertices instead of scanning
-every vertex; the neighbor lists must be those of a simple graph. A search
-of at most 64 vertices with min(k, n) <= 63 keeps its state in 64-bit
-words: per colour, the vertices coloured with it and the vertices that see
-it, so that a recolouring updates the colour sets and saturation only of
-the neighbours whose set of seen colours changes. Every larger search
-keeps a counter per colour and vertex and updates each neighbour. The
-choice depends on n and k alone, and both give the same results.
+Semantics are those of _kernel_py.search_coloring, node counts included,
+and a loop or a repeated neighbor raises the same ValueError. The C search
+renumbers the vertices by degree and takes each DSATUR pick from
+per-saturation bitsets of the uncoloured vertices instead of scanning
+every vertex. A search of at most 64 vertices with min(k, n) <= 63 keeps
+its state in 64-bit words: per colour, the vertices coloured with it and
+the vertices that see it, so that a recolouring updates the colour sets
+and saturation only of the neighbours whose set of seen colours changes.
+Every larger search keeps a counter per colour and vertex and updates each
+neighbour. The choice depends on n and k alone, and both give the same
+results.
 
 Each call searches on as many threads as the process may run on
 (`os.sched_getaffinity`), starting the helpers only once the search has
@@ -24,7 +25,13 @@ expanded SPAWN_AFTER nodes. Status, colouring and node count do not depend
 on the thread count or on timing: the tree is split into pieces in
 depth-first order, and the pieces' results are combined in that order, so
 the first colouring or budget overrun in serial order decides, with the
-serial node count (see the header of _kernel.c).
+serial node count (see the header of _kernel.c). An idle thread is given
+the untried colours of a busy thread's shallowest branch; under a node
+budget, of its shallowest branch whose last finished sibling fitted in
+what is left of the budget, or failing that of its deepest branch, so
+that the split lands inside the budget. The busy thread then also keeps
+the untried colours of the branches above that one, as a continuation it
+resumes in place.
 """
 
 from __future__ import annotations
@@ -36,9 +43,13 @@ import zlib
 from array import array
 from itertools import accumulate, chain
 
+from ._kernel_py import NOT_SIMPLE
+
 FOUND = 0
 NONE = 1
 BUDGET = 2
+
+_NOT_SIMPLE = -2  # condchrom_search's status for a loop or a repeated neighbor
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _FLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
@@ -124,9 +135,6 @@ def _search_coloring(neighbors, req, k, budget, threads, spawn_after):
     indices = array("i", chain.from_iterable(neighbors))
     if indices and not (0 <= min(indices) and max(indices) < n):
         raise ValueError("neighbor id out of range")
-    # The kernel sorts the vertices on n-1-degree, which must not go below 0.
-    if n and max(map(len, neighbors)) >= n:
-        raise ValueError(f"a vertex has {n} or more neighbors")
     indptr = array("i", accumulate(map(len, neighbors), initial=0))
     req = array("q", req)
     colors = array("i", bytes(4 * n))
@@ -145,6 +153,8 @@ def _search_coloring(neighbors, req, k, budget, threads, spawn_after):
         colors.buffer_info()[0],
         nodes.buffer_info()[0],
     )
+    if status == _NOT_SIMPLE:
+        raise ValueError(NOT_SIMPLE)
     if status < 0:
         raise MemoryError("C kernel: allocation failed")
     if status == FOUND:

@@ -28,24 +28,29 @@ from __future__ import annotations
 FOUND = 0
 NONE = 1
 BUDGET = 2
+NOT_SIMPLE = "a vertex is its own neighbor or has a repeated neighbor"
 
 
 def search_coloring(neighbors, req, k, budget):
     """Find colors[0..n-1] in 1..k satisfying C1 and |c(N(v))| >= req[v].
 
-    neighbors: sorted adjacency lists; req[v] <= d(v) is the per-vertex
-    distinct-neighbor-color demand; budget: max search nodes (0 = unlimited).
+    neighbors: sorted adjacency lists of a simple graph (ValueError for a
+    loop or a repeated neighbor); req[v] is the per-vertex
+    distinct-neighbor-color demand, refuted at once above d(v) or k - 1;
+    budget: max search nodes (0 = unlimited).
     Returns (status, colors or None, nodes).
     """
     n = len(neighbors)
+    if any(v in nb or len(set(nb)) < len(nb) for v, nb in enumerate(neighbors)):
+        raise ValueError(NOT_SIMPLE)
     if n == 0:
         return FOUND, [], 0
     deg = [len(neighbors[v]) for v in range(n)]
     if k < 1:
         return NONE, None, 0
     # A vertex's neighbors avoid its own color, so at most k-1 distinct
-    # colors can ever appear around it.
-    if req and max(req) > k - 1:
+    # colors can ever appear around it, and at most d(v) ever can.
+    if any(r > k - 1 or r > d for r, d in zip(req, deg)):
         return NONE, None, 0
 
     color = [0] * n

@@ -12,7 +12,8 @@
  *   req[0] .. req[n-1]
  *   then for each vertex v: its degree, then its neighbours.
  * Output: "status nodes colours", colours comma-separated or "-" unless the
- * status is FOUND (0). Exits 2 on malformed input or a failed allocation. */
+ * status is FOUND (0). Exits 2 on malformed input, a vertex that is its own
+ * neighbour or has a neighbour twice, or a failed allocation. */
 
 #include <stdint.h>
 #include <stdio.h>

@@ -1,14 +1,15 @@
 """Kernel semantics pinned row by row: status, node count and coloring of
 every corpus graph at every r <= Delta, every k <= n and budgets
 {0, 1, 7, 50}, plus two budget-cut rows on the hard tail. The backends are
-also compared on random graphs, with requirements up to two above the
-degree, on graphs that need more than 64 colours, on regular graphs where
-degree ties decide the pick, on graphs of more than 64 and 128 vertices,
-and at 63 to 65 vertices and 62 to 64 colours, where the C kernel switches
-from its word state to its counter state. The C kernel's search on
-several threads must give the serial answer for every thread count and
-every start of its helpers, and runs without a data race under
-ThreadSanitizer and without undefined behaviour under
+also compared on random graphs, with requirements from 0 to the degree
+(above it both refute at once), on graphs that need more than 64
+colours, on regular graphs where degree ties decide the pick, on graphs
+of more than 64 and 128 vertices, and at 63 to 65 vertices and 62 to 64
+colours, where the C kernel switches from its word state to its counter
+state. The C kernel's search on several threads must give the serial
+answer for every thread count and every start of its helpers, also when
+the budget runs out next to where the search is split, and runs without
+a data race under ThreadSanitizer and without undefined behaviour under
 UndefinedBehaviorSanitizer. The loader's fallback is checked with no
 compiler on PATH."""
 
@@ -105,10 +106,11 @@ def _dense_graphs(draw, min_n, max_n):
 def test_parallel_search_agrees_with_pure_on_random_graphs(case, spawn_after):
     # Besides fixed budgets, N - 1, N and N + 1 nodes, N being the unbudgeted
     # search's count, run out at or next to the end of the last piece, and
-    # N // 2 inside the search. On 16 to 22 vertices each r goes down from
-    # k = n while the pure kernel colours within 3,000 nodes, and only the
-    # colourings found after 200 nodes or more are searched on 3 or 4
-    # threads: there a piece that finds one joins the finished piece before it.
+    # N // 4, N // 2 and 3N // 4 inside the search. On 16 to 22 vertices
+    # each r goes down from k = n while the pure kernel colours within
+    # 3,000 nodes, and only the colourings found after 200 nodes or more
+    # are searched on 3 or 4 threads: there a piece that finds one joins
+    # the finished piece before it.
     g, threads = case
     search = kernel.backends()["c"]._search_coloring
     pure = kernel.backends()["pure"].search_coloring
@@ -121,7 +123,8 @@ def test_parallel_search_agrees_with_pure_on_random_graphs(case, spawn_after):
                 break
             if cap and nodes < 200:
                 continue
-            for budget in (0, 1, 7, 50, nodes - 1, nodes, nodes + 1, nodes // 2):
+            for budget in (0, 1, 7, 50, nodes - 1, nodes, nodes + 1, nodes // 4, nodes // 2,
+                           3 * nodes // 4):
                 want = pure(adj, req, k, budget)
                 got = search(adj, req, k, budget, threads, spawn_after)
                 assert got == want, (r, k, budget)
@@ -131,14 +134,23 @@ def test_parallel_search_agrees_with_pure_on_random_graphs(case, spawn_after):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(graphs(max_n=14), st.just(_circulant(66, (1, 2, 3)))), st.data())
 def test_backends_agree_with_requirements_above_the_degree(g, data):
-    # req[v] in 0..d(v)+2: a vertex asked for more colours than it has
-    # neighbours has negative slack and never limits its neighbours' colours.
+    # A vertex asked for more colours than it has neighbours can never see
+    # them, so every backend refutes at once. With req[v] in 0..d(v) the
+    # backends agree.
     adj, mods = g.adjacency_lists(), kernel.backends()
-    req = [data.draw(st.integers(min_value=0, max_value=g.degree(v) + 2)) for v in range(g.n)]
+    req = [data.draw(st.integers(min_value=0, max_value=g.degree(v))) for v in range(g.n)]
+    over = req[:]
+    if g.n:
+        v = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+        over[v] = g.degree(v) + data.draw(st.integers(min_value=1, max_value=2))
     for k in range(1, min(g.n, 14) + 1):
         for budget in (0, 1, 7, 50) if g.n <= 14 else (1, 7, 5000):
             results = {name: mod.search_coloring(adj, req, k, budget) for name, mod in mods.items()}
             assert len(set(map(repr, results.values()))) == 1, (k, budget, results)
+            for name, mod in mods.items():
+                assert mod.search_coloring(adj, over, k, budget) == (kernel.NONE, None, 0), name
+    for name, mod in mods.items():
+        assert mod.search_coloring([[1], [0]], [2, 0], 3, 0) == (kernel.NONE, None, 0), name
 
 
 # (spec, r, k, budget, status, nodes, colours) recorded from the pure kernel:
@@ -159,6 +171,40 @@ def test_parallel_search_repeats_the_serial_answer(spec, r, k, budget, status, n
     adj, req = _instance(spec, r)
     for _ in range(20):
         assert c._search_coloring(adj, req, k, budget, 4, c.SPAWN_AFTER) == (status, colors, nodes)
+
+
+# M(K_{4,4}) at r = 6, k = 7 (budget 300,000 above): when the search has
+# expanded 16,384 nodes, the untried colours of depths 8, 7 and 6 begin at
+# nodes 17,066, 33,046 and 145,853, so a parallel search splits its tree
+# there. A budget that runs out one node before, at or after such a
+# boundary must still stop after budget + 1 nodes.
+@needs_c
+@pytest.mark.parametrize("boundary", [17_066, 33_046, 145_853])
+def test_parallel_search_cuts_the_budget_at_piece_boundaries(boundary):
+    search = kernel.backends()["c"]._search_coloring
+    adj, req = _instance("M(kpart:4,4)", 6)
+    for budget in (boundary - 1, boundary, boundary + 1):
+        for threads in (1, 2, 3, 4):
+            for spawn_after in (0, 1, 7, 16_384):
+                got = search(adj, req, 7, budget, threads, spawn_after)
+                assert got == (kernel.BUDGET, None, budget + 1), (budget, threads, spawn_after)
+
+
+@needs_c
+@pytest.mark.parametrize("spec, r, k, budget, status, nodes, colors", HARD_PINS[:2],
+                         ids=["refuted", "found"])
+def test_parallel_search_cuts_the_budget_next_to_the_end(spec, r, k, budget, status, nodes, colors):
+    # The budget runs out one node before the search's last node N, or just
+    # fits it. Under a budget the search splits off continuations, and each
+    # must run to its very end.
+    c = kernel.backends()["c"]
+    adj, req = _instance(spec, r)
+    for threads in (2, 4):
+        for spawn_after in (0, c.SPAWN_AFTER):
+            assert c._search_coloring(adj, req, k, nodes - 1, threads, spawn_after) == (
+                kernel.BUDGET, None, nodes)
+            assert c._search_coloring(adj, req, k, nodes, threads, spawn_after) == (
+                status, colors, nodes)
 
 
 def _cocktail(n):
@@ -242,11 +288,23 @@ def test_parallel_search_has_no_data_race(tmp_path):
               for spec, r, k, budget, status, nodes, colors in HARD_PINS[1:]]
     for adj, req, k, budget, want in cases:
         assert _driver_result(exe, adj, req, k, budget, 4, 1000) == want, (len(adj), k)
+    _check_budget_cut(exe)
+
+
+def _check_budget_cut(exe):
+    """M(K_{4,4}) at r = 6, k = 7 cut at 33,046 nodes on 2 and 4 threads with
+    helpers from the first node: the searches split off continuations and
+    cut pieces by their own limits."""
+    adj, req = _instance("M(kpart:4,4)", 6)
+    for threads in (2, 4):
+        got = _driver_result(exe, adj, req, 7, 33_046, threads, 0)
+        assert got == (kernel.BUDGET, None, 33_047), threads
 
 
 def test_kernel_has_no_undefined_behaviour(tmp_path):
     # The searches at 63 to 65 vertices and 62 to 64 colours on one thread
-    # and on two, the hard pins on four, and requirements far below 0.
+    # and on two, the hard pins on four, a budget cut on two and four, and
+    # requirements far below 0.
     exe = _sanitized_driver(tmp_path, ["-fsanitize=undefined", "-fno-sanitize-recover=undefined"],
                             "UndefinedBehaviorSanitizer")
     for adj, req, k, budget, want in _boundary_cases():
@@ -256,6 +314,7 @@ def test_kernel_has_no_undefined_behaviour(tmp_path):
     for spec, r, k, budget, status, nodes, colors in HARD_PINS:
         got = _driver_result(exe, *_instance(spec, r), k, budget, 4, 1000)
         assert got == (status, colors, nodes), spec
+    _check_budget_cut(exe)
     # A requirement far below 0 acts as 0, without overflowing d - req.
     adj, req = [[1], [0, 2], [1]], [-2**63, 0, -1]
     want = kernel.backends()["pure"].search_coloring(adj, req, 3, 0)
@@ -354,11 +413,17 @@ def test_backends_agree_on_ties_and_wide_vertex_sets(name, case):
                 assert search(adj, req, k, budget) == pure(adj, req, k, budget), (k, budget)
 
 
-@pytest.mark.parametrize("name", sorted(set(kernel.backends()) - {"pure"}))
-def test_compiled_kernel_rejects_n_or_more_neighbours(name):
+@pytest.mark.parametrize("name", sorted(kernel.backends()))
+def test_kernel_rejects_loops_and_repeated_neighbours(name):
+    # Checked before anything else, so even k = 0 does not get past it.
     search = kernel.backends()[name].search_coloring
-    with pytest.raises(ValueError, match="2 or more neighbors"):
-        search([[1, 1], [0]], [1, 1], 3, 0)
+    cases = [([[0, 1], [0], []], [1, 1, 0], 2),  # 0 is its own neighbour
+             ([[1, 2, 2], [0], [0, 0]], [2, 1, 1], 3),  # 2 twice, then 0 twice
+             ([[1, 1], [0]], [1, 1], 3),  # n neighbours
+             ([[0]], [0], 0)]
+    for adj, req, k in cases:
+        with pytest.raises(ValueError, match="its own neighbor or has a repeated neighbor"):
+            search(adj, req, k, 0)
 
 
 def _import_backend(tmp_path, backend):

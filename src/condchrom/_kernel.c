@@ -94,11 +94,15 @@
  * them: the finished pieces at the front are committed and dropped, a
  * finished piece joins a finished one just before it, the first finished
  * piece that may decide cuts off every piece after it, and each owned
- * piece gets its limit. Its owner then resumes its next continuation,
- * which stops at its first node if it has been cut off. After the pass
+ * piece gets its limit. When the finished piece ended NONE, at its end
+ * depth, its owner then resumes its next continuation in place; that stops
+ * at its first node if it has been cut off. A piece that stopped (FOUND or
+ * BUDGET) may decide, so every continuation after it is cut off, and its
+ * owner hands them back unsearched. After the pass
  *   - no two finished pieces are adjacent, and a worker owns its running
  *     piece and at most one continuation per depth shallower than that
- *     piece's end, so at most 2 * threads * n pieces are in use;
+ *     piece's end, so at most 2 * threads * n pieces are in use under a
+ *     budget, and 2 * threads without one, where there is no continuation;
  *   - nothing follows a finished piece that may decide;
  *   - an owned piece in the order has limit >= 0, and a cut piece has limit
  *     -1 until its owner finishes it.
@@ -468,7 +472,6 @@ static piece_t *finish(worker_t *me, int status, int64_t count)
     shared_t *sh = me->sh;
     piece_t *x = me->piece, *c = x->resume, *y, *next, *prev = NULL; /* prev: the piece before y */
     int64_t before = sh->committed; /* the nodes of the finished pieces before y */
-    /* A continuation cut off meanwhile stops at its first node. */
     me->piece = c;
     if (c)
         me->end = c->end;
@@ -606,6 +609,54 @@ static int donate(worker_t *me, int32_t depth, uint64_t room)
     return 1;
 }
 
+/* Built with -DCONDCHROM_CHECK, as tests/kernel_driver.c is under the
+ * sanitizers, the parallel search checks itself and aborts on a fault:
+ *   - CHECK_DEAD fills the untried colours of a stopped piece's frames, from
+ *     its depth down, with bytes 0xfe, many colours but never colour 0
+ *     (none), so that a search that resumed from them would recolour
+ *     coloured vertices;
+ *   - CHECK_CUT checks that every continuation after a stopped piece is cut;
+ *   - CHECK_BLANK checks that a worker's state is as state_init left it, as
+ *     it must be once the worker has uncoloured its frames. */
+#ifdef CONDCHROM_CHECK
+static void check_blank(const worker_t *me)
+{
+    const shared_t *sh = me->sh;
+    const state_t *s = &me->s;
+    int64_t n = sh->n, w = sh->w, vw = sh->vw, kk = sh->kk, words = WORDS(w, vw);
+    uint64_t zero = 0, any = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t req = sh->req[sh->order[i]];
+        if (s->color[i] || s->sat[i] || !(s->bucket[i / 64] >> (i % 64) & 1) ||
+            s->slack[i] != s->indptr[i + 1] - s->indptr[i] - (req < 0 ? 0 : req))
+            abort();
+        zero |= (uint64_t)!s->slack[i] << (i % 64);
+        for (int64_t j = 0; j < w; j++)
+            any |= s->seen[i * w + j];
+    }
+    for (int64_t j = vw; j < (kk + 1) * vw; j++)
+        any |= s->bucket[j];
+    for (int64_t j = 0; j < (words ? 2 * (kk + 1) : 0); j++)
+        any |= s->cls[j];
+    for (int64_t j = 0; j < (words ? 0 : (kk + 1) * n); j++)
+        any |= (uint64_t)s->cnt[j];
+    if (any || (words && s->zero != zero))
+        abort();
+}
+#define CHECK_DEAD(me, status)                                                  \
+    if ((status) != NONE)                                                       \
+        memset((me)->s.rest + (me)->depth * (me)->sh->w, 0xfe,                  \
+               (size_t)((me)->sh->n - (me)->depth) * (size_t)(me)->sh->w * 8)
+#define CHECK_CUT(c, status)                                                    \
+    if ((c) && (status) != NONE && (c)->limit >= 0)                             \
+        abort()
+#define CHECK_BLANK(me) check_blank(me)
+#else
+#define CHECK_DEAD(me, status) (void)0
+#define CHECK_CUT(c, status) (void)0
+#define CHECK_BLANK(me) (void)0
+#endif
+
 static void *work(void *arg);
 
 /* Start the helpers. Their arrays are allocated here, in the calling
@@ -616,9 +667,10 @@ static void spawn(shared_t *sh)
     worker_t *ws = sh->workers;
     int32_t t = sh->threads, conds = 0;
     /* A worker owns its running piece and at most one continuation per
-     * depth shallower than that piece's end, so at most n pieces, and each
-     * finished piece in the order follows an owned one. */
-    size_t pool = 2 * (size_t)t * (size_t)sh->n;
+     * depth shallower than that piece's end, so at most n pieces, or one
+     * without a budget, and each finished piece in the order follows an
+     * owned one. */
+    size_t pool = 2 * (size_t)t * (sh->cap == INT64_MAX ? 1 : (size_t)sh->n);
     sigset_t all, old;
     sh->spawn_after = INT64_MAX; /* one attempt */
     sh->pieces = calloc(pool, sizeof(piece_t));
@@ -746,20 +798,27 @@ static int run(worker_t *me, int64_t count, int64_t *nodes)
 }
 
 /* Hand in me's finished piece and search each continuation it moves on
- * to; then uncolour its frames. */
+ * to; then uncolour its frames. A continuation resumes where the piece
+ * before it ended NONE, at its end depth. After a piece that stopped, it
+ * is cut off and handed back unsearched: the stopped piece's frames from
+ * its depth down hold no colours to resume from. */
 static void settle(worker_t *me, int status, int64_t count)
 {
     shared_t *sh = me->sh;
     for (;;) {
+        CHECK_DEAD(me, status);
         pthread_mutex_lock(&sh->lock);
         piece_t *c = finish(me, status, count - me->base);
+        CHECK_CUT(c, status);
         pthread_mutex_unlock(&sh->lock);
         if (!c)
             break;
         me->base = count;
-        status = run(me, count, &count);
+        if (status == NONE)
+            status = run(me, count, &count);
     }
     walk(&me->s, me->depth, 0, sh->w, sh->vw);
+    CHECK_BLANK(me);
 }
 
 /* Search each piece me is given until the search is decided. */

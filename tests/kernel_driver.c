@@ -1,11 +1,13 @@
 /* Runs one condchrom_search call read from stdin, so that the C kernel can be
  * built and run outside Python, for instance under ThreadSanitizer or
- * UndefinedBehaviorSanitizer:
+ * UndefinedBehaviorSanitizer, and with the kernel's self-checks, which abort
+ * on a fault of the parallel search:
  *
- *   cc -std=c99 -fsanitize=thread -pthread -g -O1 \
+ *   cc -std=c99 -DCONDCHROM_CHECK -fsanitize=thread -pthread -g -O1 \
  *      tests/kernel_driver.c src/condchrom/_kernel.c -o driver
- *   cc -std=c99 -fsanitize=undefined -fno-sanitize-recover=undefined \
- *      -pthread -g -O1 tests/kernel_driver.c src/condchrom/_kernel.c -o driver
+ *   cc -std=c99 -DCONDCHROM_CHECK -fsanitize=undefined \
+ *      -fno-sanitize-recover=undefined -pthread -g -O1 \
+ *      tests/kernel_driver.c src/condchrom/_kernel.c -o driver
  *
  * Input, whitespace-separated integers:
  *   n k budget threads spawn_after

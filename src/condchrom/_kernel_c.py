@@ -9,29 +9,14 @@ message, and `kernel._load` falls back to the pure kernel.
 
 Semantics are those of _kernel_py.search_coloring, node counts included,
 and a loop or a repeated neighbor raises the same ValueError. The C search
-renumbers the vertices by degree and takes each DSATUR pick from
-per-saturation bitsets of the uncoloured vertices instead of scanning
-every vertex. A search of at most 64 vertices with min(k, n) <= 63 keeps
-its state in 64-bit words: per colour, the vertices coloured with it and
-the vertices that see it, so that a recolouring updates the colour sets
-and saturation only of the neighbours whose set of seen colours changes.
-Every larger search keeps a counter per colour and vertex and updates each
-neighbour. The choice depends on n and k alone, and both give the same
-results.
+keeps one of two state layouts, chosen by n and k alone, and both give the
+same results.
 
 Each call searches on as many threads as the process may run on
 (`os.sched_getaffinity`), starting the helpers only once the search has
 expanded SPAWN_AFTER nodes. Status, colouring and node count do not depend
-on the thread count or on timing: the tree is split into pieces in
-depth-first order, and the pieces' results are combined in that order, so
-the first colouring or budget overrun in serial order decides, with the
-serial node count (see the header of _kernel.c). An idle thread is given
-the untried colours of a busy thread's shallowest branch; under a node
-budget, of its shallowest branch whose last finished sibling fitted in
-what is left of the budget, or failing that of its deepest branch, so
-that the split lands inside the budget. The busy thread then also keeps
-the untried colours of the branches above that one, as a continuation it
-resumes in place.
+on the thread count or on timing. The header of _kernel.c describes the
+state layouts and how the search is split between threads.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ Exit codes: 0 success/valid, 1 invalid coloring or formula mismatch,
 2 input error, 3 the node budget left the solve bracket open (lo < hi).
 
 `main` builds the argument parser once per process, on its first call, and
-reuses it; CONDCHROM_MAX_NODES is read on every call that leaves out
---max-nodes.
+reuses it.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import inspect
 import io
 import json
 import math
-import os
 import sys
 
 from . import constructions, families, solver
@@ -129,7 +127,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    g = _load_graph(args, math.inf if args.force else args.size_cap)
+    g = _load_graph(args, math.inf if args.force else solver.DEFAULT_SIZE_CAP)
     res = solver.chi_r_exact(g, args.r, budget=args.max_nodes)
     print(json.dumps(res.to_json_dict(), indent=2))
     return EXIT_OK if res.proven else EXIT_BUDGET
@@ -248,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("spec", nargs="?", help="family spec")
     s.add_argument("--file", help="DIMACS col file instead of a spec")
     s.add_argument("-r", type=int, required=True)
-    s.add_argument("--max-nodes", type=node_budget)
-    s.add_argument("--size-cap", type=size_cap, default=solver.DEFAULT_SIZE_CAP)
+    s.add_argument("--max-nodes", type=node_budget, default=0)
     s.add_argument("--force", action="store_true", help="ignore the size cap")
     s.set_defaults(func=cmd_solve)
 
@@ -269,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("spec", nargs="?")
     b.add_argument("--file")
     b.add_argument("-r", type=int, required=True)
-    b.add_argument("--max-nodes", type=node_budget)
+    b.add_argument("--max-nodes", type=node_budget, default=0)
     b.set_defaults(func=cmd_bounds)
 
     t = sub.add_parser("table", help="formula-vs-exact comparison table")
@@ -277,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--k", help="range like 3..4")
     t.add_argument("--n", help="range like 1..3")
     t.add_argument("--format", choices=("csv", "json"), default="csv")
-    t.add_argument("--max-nodes", type=node_budget)
+    t.add_argument("--max-nodes", type=node_budget, default=0)
     t.add_argument("--size-cap", type=size_cap, default=solver.DEFAULT_SIZE_CAP)
     t.add_argument(
         "--timing",
@@ -293,22 +290,8 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _env_budget(parser: argparse.ArgumentParser) -> int:
-    """--max-nodes when the command line leaves it out; a bad value is a
-    usage error (exit 2)."""
-    text = os.environ.get("CONDCHROM_MAX_NODES", "0")
-    try:
-        return node_budget(text)
-    except (ValueError, argparse.ArgumentTypeError):
-        parser.error(f"CONDCHROM_MAX_NODES: invalid node budget {text!r} "
-                     "(expected an integer >= 0)")
-
-
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "max_nodes", 0) is None:
-        args.max_nodes = _env_budget(parser)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParameterError, InputError, UnsupportedCaseError, PreconditionError,

@@ -10,6 +10,9 @@ Family spec grammar (used by the CLI):
 
     wd:k,n | fr:n | cyc:n | kpart:n1,...,nk | L(<spec>) | M(<spec>)
 
+with at most NESTING_LIMIT L( and M( nested, so that no spec runs the
+parser or the builders, which recurse once per level, out of stack.
+
 One builder, _transform, makes both transforms: M(G) is L(G)'s adjacency
 on the edge vertices, numbered after the n vertices of G, plus an edge from
 each edge vertex to its two endpoints.
@@ -32,6 +35,7 @@ from .graphs import EDGE_LIMIT, VERTEX_LIMIT, Graph, _clip
 
 VERTEX = "vertex"
 EDGE = "edge"
+NESTING_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -88,12 +92,15 @@ def parse_spec(text: str) -> FamilySpec:
     return spec
 
 
-def _parse_at(text: str, pos: int) -> tuple[FamilySpec, int]:
+def _parse_at(text: str, pos: int, depth: int = 0) -> tuple[FamilySpec, int]:
     s = text[pos:].lstrip()
     pos = len(text) - len(s)
     if s.startswith(("L(", "M(")):
+        if depth == NESTING_LIMIT:
+            raise ParameterError(f"more than {NESTING_LIMIT} nested L( or M( "
+                                 f"at position {pos}")
         tag = s[0]
-        inner, p = _parse_at(text, pos + 2)
+        inner, p = _parse_at(text, pos + 2, depth + 1)
         if p >= len(text) or text[p] != ")":
             raise ParameterError(f"expected ')' at position {p}")
         return FamilySpec(tag, inner=inner), p + 1

@@ -28,16 +28,6 @@ class Coloring:
     def colors_used(self) -> int:
         return len(set(self.colors))
 
-    def renumbered(self) -> "Coloring":
-        """Remap to consecutive colors 1..colors_used (first-use order)."""
-        remap: dict[int, int] = {}
-        out = []
-        for c in self.colors:
-            if c not in remap:
-                remap[c] = len(remap) + 1
-            out.append(remap[c])
-        return Coloring(tuple(out), len(remap))
-
     def to_json_dict(self) -> dict:
         return {"k": self.k, "colors": list(self.colors)}
 

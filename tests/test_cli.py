@@ -99,11 +99,27 @@ def test_solve_size_cap(capsys):
 
 
 def test_negative_size_cap_is_a_usage_error(capsys):
-    for argv in (["solve", "cyc:4", "-r", "2"], ["table", "all"]):
-        with pytest.raises(SystemExit) as exit_:
-            main([*argv, "--size-cap", "-1"])
-        assert exit_.value.code == 2, argv
-        assert "size cap must be >= 0, got -1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        main(["table", "all", "--size-cap", "-1"])
+    assert exit_.value.code == 2
+    assert "size cap must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", [101, 1200])
+def test_deeply_nested_spec_is_an_input_error(capsys, depth):
+    spec = "L(" * depth + "cyc:4" + ")" * depth
+    for argv in (["generate", spec], ["solve", spec, "-r", "2"],
+                 ["construct", spec, "-r", "2"], ["bounds", spec, "-r", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[0]
+        assert err.startswith("error: more than 100 nested"), argv[0]
+
+
+def test_spec_nested_to_the_limit_builds(capsys):
+    # L(C_4) is C_4 again.
+    spec = "L(" * 100 + "cyc:4" + ")" * 100
+    code, out, _ = run(capsys, "generate", spec)
+    assert code == 0 and out.splitlines()[0] == "p edge 4 4"
 
 
 @pytest.mark.parametrize("spec", ["cyc:4 " + "x" * 3000, "kpart:1," + "," * 3000, "z" * 3000],
@@ -426,16 +442,7 @@ def test_table_bad_proposition(capsys):
     assert code == 2 and err.startswith("error:") and "proposition" in err
 
 
-def test_bad_budget_variable(capsys, monkeypatch):
-    monkeypatch.setenv("CONDCHROM_MAX_NODES", "abc")
-    with pytest.raises(SystemExit) as exit_:
-        main(["solve", "wd:3,2", "-r", "2"])
-    assert exit_.value.code == 2 and "error:" in capsys.readouterr().err
-    monkeypatch.setenv("CONDCHROM_MAX_NODES", "-5")
-    with pytest.raises(SystemExit) as exit_:
-        main(["solve", "wd:3,2", "-r", "2"])
-    assert exit_.value.code == 2 and "error:" in capsys.readouterr().err
-    monkeypatch.delenv("CONDCHROM_MAX_NODES")
+def test_negative_budget_is_a_usage_error(capsys):
     # A negative budget is a usage error on every command that takes one.
     for argv in (["solve", "cyc:5", "-r", "2"], ["bounds", "cyc:5", "-r", "2"],
                  ["table", "5"]):
@@ -443,7 +450,7 @@ def test_bad_budget_variable(capsys, monkeypatch):
             main([*argv, "--max-nodes", "-1"])
         assert exit_.value.code == 2, argv
         assert "error:" in capsys.readouterr().err
-    # Commands without --max-nodes do not read it.
+    # Commands without --max-nodes have no budget.
     code, _, _ = run(capsys, "construct", "wd:3,2", "-r", "2")
     assert code == 0
 
@@ -466,26 +473,15 @@ def test_parser_is_built_once(monkeypatch, capsys):
         cli._parser.cache_clear()
 
 
-def test_budget_variable_is_read_on_every_call(capsys, monkeypatch):
-    def solve(*extra):
-        code, out, _ = run(capsys, "solve", "M(fr:3)", "-r", "7", *extra)
-        doc = json.loads(out)
-        return code, doc["bracket"], doc["nodes_expanded"]
-
+def test_solve_is_set_by_its_options_alone(capsys, monkeypatch):
+    # The node budget comes from --max-nodes only, and the size cap is
+    # lifted by --force only.
     monkeypatch.setenv("CONDCHROM_MAX_NODES", "5")
-    assert solve() == (3, [8, 16], 6)
-    monkeypatch.delenv("CONDCHROM_MAX_NODES")
-    code, bracket, _ = solve()
-    assert (code, bracket) == (0, [8, 8])
-    # --max-nodes on the command line wins over the variable, good or bad.
-    monkeypatch.setenv("CONDCHROM_MAX_NODES", "5")
-    assert solve("--max-nodes", "0")[:2] == (0, [8, 8])
-    for bad in ("abc", "-5"):
-        monkeypatch.setenv("CONDCHROM_MAX_NODES", bad)
-        assert solve("--max-nodes", "5") == (3, [8, 16], 6)
-        with pytest.raises(SystemExit) as exit_:
-            main(["solve", "M(fr:3)", "-r", "7"])
-        assert exit_.value.code == 2 and "error:" in capsys.readouterr().err
+    code, out, _ = run(capsys, "solve", "M(fr:3)", "-r", "7")
+    assert (code, json.loads(out)["bracket"]) == (0, [8, 8])
+    with pytest.raises(SystemExit) as exit_:
+        main(["solve", "cyc:4", "-r", "2", "--size-cap", "30"])
+    assert exit_.value.code == 2 and "--size-cap" in capsys.readouterr().err
 
 
 def test_help_twice(capsys):

@@ -33,13 +33,6 @@ def test_coloring_validation():
     assert Coloring((1, 3, 3), 3).colors_used == 2
 
 
-def test_renumbering():
-    c = Coloring((2, 5, 2), 5)
-    r = c.renumbered()
-    assert r.colors == (1, 2, 1)
-    assert r.k == 2
-
-
 def test_check_proper():
     assert check_proper(k3(), Coloring((1, 2, 3), 3)).valid
     rep = check_proper(Graph(2, [(0, 1)]), Coloring((1, 1), 1))

@@ -1,7 +1,14 @@
 """Conditional (k,r)-coloring toolkit: graph families, verifiers, lower
 bounds, an exact chi_r solver, and the published closed-form constructions."""
 
-from .bounds import BoundReport, basic_lower_bound, best_lower_bound, clique_number, max_vset_d2r
+from .bounds import (
+    BoundReport,
+    basic_lower_bound,
+    best_lower_bound,
+    clique_number,
+    distinct_clique,
+    max_vset_d2r,
+)
 from .constructions import (
     ClaimedColoring,
     chi_windmill,
@@ -38,6 +45,7 @@ from .verify import (
     ConditionalReport,
     check_c3,
     check_conditional,
+    check_distinct_set,
     check_proper,
     check_vset_d2r,
     lemma2_conclusion,

@@ -1,10 +1,11 @@
 """Lower bounds on the conditional chromatic number.
 
-Three sources, each sound on every graph it applies to: the clique number
+Four sources, each sound on every graph it applies to: the clique number
 (omega <= chi_r), the cited min{r, Delta} + 1 bound on any graph with an
 edge (a vertex of degree Delta sees min{r, Delta} colors, none of them its
-own), and maximization of Vset-d2r certificates (a Vset-d2r of size s
-forces chi_r >= s).
+own), maximization of Vset-d2r certificates (a Vset-d2r of size s forces
+chi_r >= s), and the distinctness clique, a set of vertices that must all
+get different colors. The last dominates the clique and Vset-d2r bounds.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .verify import check_vset_d2r
 CLIQUE = "clique"
 VSET = "vset-d2r"
 BASIC = "basic-r-delta"
+DISTINCT = "distinct-clique"
 
 DEFAULT_VSET_BUDGET = 200_000
 
@@ -26,7 +28,7 @@ DEFAULT_VSET_BUDGET = 200_000
 class BoundReport:
     value: int
     kind: str
-    certificate: tuple | None = None  # sorted vertex ids for clique/vset
+    certificate: tuple | None = None  # sorted vertex ids, None for basic
     exact: bool = True  # False when a search budget was exhausted
 
     def to_json_dict(self) -> dict:
@@ -38,47 +40,78 @@ class BoundReport:
         }
 
 
-def clique_number(g: Graph) -> BoundReport:
-    """Exact maximum clique via branch and bound with a greedy-coloring
-    bound (Tomita-style). Intended for desk-scale graphs."""
-    if g.n == 0:
-        return BoundReport(0, CLIQUE, ())
-    adj = [g.neighbors(v) for v in range(g.n)]
+def _max_clique(adj: list) -> list[int]:
+    """Members of a maximum clique of the graph with neighbour sets `adj`,
+    by branch and bound with a greedy-coloring bound (Tomita-style)."""
+    rank = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
+    pos = [0] * len(adj)
+    for i, v in enumerate(rank):
+        pos[v] = i
     best: list[int] = []
 
     def branches(cands: list[int]) -> list:
-        # [(vertex, color-class index) pairs, highest color first; cands].
-        classes: list[list[int]] = []
+        # [(vertex, color-class index) pairs, highest color first; the
+        # candidates as a set]. `cands` is in root rank order. Each class is
+        # kept as a set as well, so testing a vertex against it costs at
+        # most the vertex's degree.
+        classes: list[tuple[list[int], set[int]]] = []
         for v in cands:
-            for cls in classes:
+            for members, cls in classes:
                 if adj[v].isdisjoint(cls):
-                    cls.append(v)
+                    members.append(v)
+                    cls.add(v)
                     break
             else:
-                classes.append([v])
-        ordered = [(v, ci) for ci, cls in enumerate(classes, start=1) for v in cls]
-        return [reversed(ordered), cands]
+                classes.append(([v], {v}))
+        ordered = [(v, ci) for ci, (members, _) in enumerate(classes, start=1)
+                   for v in members]
+        return [reversed(ordered), set(cands)]
 
     # Depth-first on an explicit stack: the frame at depth i branches on the
     # vertices that extend current[:i]; when a branch is done, its vertex
     # leaves the candidates of the frame below.
     current: list[int] = []
-    stack = [branches(sorted(range(g.n), key=lambda v: (-len(adj[v]), v)))]
+    stack = [branches(rank)]
     while stack:
         frame = stack[-1]
         step = next(frame[0], None)
         if step is None or len(current) + step[1] <= len(best):
             stack.pop()
             if stack:
-                done = current.pop()
-                stack[-1][1] = [u for u in stack[-1][1] if u != done]
+                stack[-1][1].discard(current.pop())
             continue
         current.append(step[0])
-        nxt = [u for u in frame[1] if u in adj[step[0]]]
+        nxt = sorted(adj[step[0]] & frame[1], key=pos.__getitem__)
         if not nxt and len(current) > len(best):
             best = list(current)
         stack.append(branches(nxt))
+    return best
+
+
+def clique_number(g: Graph) -> BoundReport:
+    """Exact maximum clique of g. Intended for desk-scale graphs."""
+    best = _max_clique([g.neighbors(v) for v in range(g.n)])
     return BoundReport(len(best), CLIQUE, tuple(sorted(best)))
+
+
+def distinct_clique(g: Graph, r: int) -> BoundReport:
+    """Maximum clique of H, the graph g plus every pair of neighbours of
+    each vertex of degree <= r. Two vertices adjacent in H get different
+    colours in every conditional coloring at level r: by C1, or by C2 at
+    their common neighbour w, whose d(w) <= r neighbours must all differ.
+    Every clique of g and every Vset-d2r is a clique of H."""
+    if r < 1:
+        raise ParameterError(f"r must be >= 1, got {r}")
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    for w in range(g.n):
+        around = g.neighbors(w)
+        if len(around) <= r:
+            for u in around:
+                adj[u] |= around
+    for u in range(g.n):
+        adj[u].discard(u)
+    best = _max_clique(adj)
+    return BoundReport(len(best), DISTINCT, tuple(sorted(best)))
 
 
 def basic_lower_bound(g: Graph, r: int) -> BoundReport:
@@ -166,12 +199,13 @@ def lower_bounds(
     g: Graph, r: int, vset_budget: int = DEFAULT_VSET_BUDGET
 ) -> list[BoundReport]:
     """Every sound lower bound, each computed once: the clique bound, the
-    min{r,Delta}+1 bound when the graph has an edge, and the Vset-d2r bound,
-    in that order."""
+    min{r,Delta}+1 bound when the graph has an edge, the Vset-d2r bound and
+    the distinctness-clique bound, in that order."""
     reports = [clique_number(g)]
     if g.m >= 1:
         reports.append(basic_lower_bound(g, r))
     reports.append(max_vset_d2r(g, r, budget=vset_budget))
+    reports.append(distinct_clique(g, r))
     return reports
 
 
@@ -181,5 +215,9 @@ def strongest(reports: list[BoundReport]) -> BoundReport:
 
 
 def best_lower_bound(g: Graph, r: int) -> BoundReport:
-    """Maximum of `lower_bounds`, with the winning certificate."""
-    return strongest(lower_bounds(g, r))
+    """The largest of the min{r,Delta}+1 bound (when the graph has an edge)
+    and the distinctness-clique bound, with the winning certificate. The
+    latter is at least the clique and Vset-d2r bounds, so this is the value
+    of `strongest(lower_bounds(g, r))`, found without their searches."""
+    reports = [basic_lower_bound(g, r)] if g.m >= 1 else []
+    return strongest([*reports, distinct_clique(g, r)])

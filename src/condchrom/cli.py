@@ -167,7 +167,7 @@ def cmd_bounds(args) -> int:
     g = _load_graph(args)
     budget = args.max_nodes or DEFAULT_VSET_BUDGET
     reports = lower_bounds(g, args.r, vset_budget=budget)
-    clique, *basic, vset = reports
+    clique, *basic, vset, distinct = reports
     out = {
         "clique": clique.to_json_dict(),
         "vset_d2r": vset.to_json_dict(),
@@ -175,6 +175,7 @@ def cmd_bounds(args) -> int:
     }
     if basic:
         out["basic_r_delta"] = basic[0].to_json_dict()
+    out["distinct_clique"] = distinct.to_json_dict()
     print(json.dumps(out, indent=2))
     return EXIT_OK
 

@@ -157,7 +157,7 @@ def _transform_size(tag: str, degrees: list) -> tuple[int, int]:
 def _check_size(spec: str | FamilySpec, size: tuple[int, int]) -> None:
     n, m = size
     if n > VERTEX_LIMIT or m > EDGE_LIMIT:
-        raise ParameterError(f"{spec} has {n} vertices and {m} edges; the limits "
+        raise ParameterError(f"{_clip(spec)} has {n} vertices and {m} edges; the limits "
                              f"are {VERTEX_LIMIT} vertices and {EDGE_LIMIT} edges")
 
 

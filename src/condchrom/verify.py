@@ -1,5 +1,6 @@
 """Checkers for proper coloring (C1), conditional neighborhood diversity
-(C2), the structural condition (C3), and Vset-d2r certificates.
+(C2), the structural condition (C3), and Vset-d2r and distinctness-set
+certificates.
 
 A conditional (k,r)-coloring is a proper coloring in which every vertex v
 sees at least min{d(v), r} distinct colors in its neighborhood.
@@ -148,6 +149,24 @@ def check_vset_d2r(g: Graph, members, r: int) -> bool:
                 continue
             common = g.neighbors(u1) & g.neighbors(u2) & sset
             if not common:
+                return False
+    return True
+
+
+def check_distinct_set(g: Graph, members, r: int) -> bool:
+    """Distinctness certificate check: every member pair is adjacent or has
+    a common neighbor of degree <= r, so the members need pairwise distinct
+    colors in every conditional coloring at level r."""
+    if r < 1:
+        raise ParameterError(f"r must be >= 1, got {r}")
+    s = sorted(set(members))
+    for v in s:
+        g._check_vertex(v)
+    for a_idx, u1 in enumerate(s):
+        for u2 in s[a_idx + 1 :]:
+            if g.has_edge(u1, u2):
+                continue
+            if not any(g.degree(w) <= r for w in g.neighbors(u1) & g.neighbors(u2)):
                 return False
     return True
 

@@ -71,3 +71,77 @@ def max_vset_d2r_bruteforce(g, r):
         ):
             best = len(members)
     return best
+
+
+def distinctness_graph(g, r):
+    """Neighbour sets of H: u and v are adjacent when they are adjacent in g
+    or share a neighbour of degree <= r, the pairs that need distinct
+    colours at level r."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in combinations(range(g.n), 2):
+        common = g.neighbors(u) & g.neighbors(v)
+        if g.has_edge(u, v) or any(g.degree(w) <= r for w in common):
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+def distinct_clique_bruteforce(g, r):
+    """omega(H) for H = distinctness_graph(g, r), by trying every subset of
+    the vertices; only for graphs of at most 14 vertices."""
+    assert g.n <= 14, "subset enumeration is for tiny graphs only"
+    closed = [sum(1 << u for u in nbrs) | 1 << v
+              for v, nbrs in enumerate(distinctness_graph(g, r))]
+    best = 0
+    for mask in range(1 << g.n):
+        size = bin(mask).count("1")
+        if size > best and all(
+            mask & ~closed[v] == 0 for v in range(g.n) if mask >> v & 1
+        ):
+            best = size
+    return best
+
+
+def clique_list_scan(adj):
+    """The clique branch and bound as it was before its branches intersected
+    neighbour sets: each branch rescans the candidate list. Takes the
+    neighbour sets of the vertices 0..n-1 and returns (size, sorted
+    members), so a rewrite can be held to the same search."""
+    n = len(adj)
+    if n == 0:
+        return 0, ()
+    best: list[int] = []
+
+    def branches(cands: list[int]) -> list:
+        # [(vertex, color-class index) pairs, highest color first; cands].
+        classes: list[list[int]] = []
+        for v in cands:
+            for cls in classes:
+                if adj[v].isdisjoint(cls):
+                    cls.append(v)
+                    break
+            else:
+                classes.append([v])
+        ordered = [(v, ci) for ci, cls in enumerate(classes, start=1) for v in cls]
+        return [reversed(ordered), cands]
+
+    # Depth-first on an explicit stack: the frame at depth i branches on the
+    # vertices that extend current[:i]; when a branch is done, its vertex
+    # leaves the candidates of the frame below.
+    current: list[int] = []
+    stack = [branches(sorted(range(n), key=lambda v: (-len(adj[v]), v)))]
+    while stack:
+        frame = stack[-1]
+        step = next(frame[0], None)
+        if step is None or len(current) + step[1] <= len(best):
+            stack.pop()
+            if stack:
+                done = current.pop()
+                stack[-1][1] = [u for u in stack[-1][1] if u != done]
+            continue
+        current.append(step[0])
+        nxt = [u for u in frame[1] if u in adj[step[0]]]
+        if not nxt and len(current) > len(best):
+            best = list(current)
+        stack.append(branches(nxt))
+    return len(best), tuple(sorted(best))

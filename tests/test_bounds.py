@@ -4,16 +4,23 @@ import sys
 
 import pytest
 from hypothesis import given, settings
-from oracles import max_vset_d2r_bruteforce
+from oracles import (
+    clique_list_scan,
+    distinct_clique_bruteforce,
+    distinctness_graph,
+    max_vset_d2r_bruteforce,
+)
 from test_graphs import graphs
 
 from condchrom import (
     basic_lower_bound,
     best_lower_bound,
     build,
+    check_distinct_set,
     check_vset_d2r,
     clique_number,
     cycle,
+    distinct_clique,
     max_vset_d2r,
     paper_indexing,
 )
@@ -137,11 +144,12 @@ def test_max_vset_monotone_in_r(corpus):
 def test_best_lower_bound_winners():
     g, _ = build("M(fr:1)")
     rep = best_lower_bound(g, 4)
-    assert rep.value == 6 and rep.kind == "vset-d2r"
+    assert rep.value == 6 and rep.kind == "distinct-clique"
 
+    # The clique of L(F_2) ties min{3, 4} + 1, which is listed first.
     g, _ = build("L(fr:2)")
     rep = best_lower_bound(g, 3)
-    assert rep.value == 4 and rep.kind == "clique"
+    assert rep.value == 4 and rep.kind == "basic-r-delta"
 
     k4, _ = build("wd:4,1")
     assert best_lower_bound(k4, 3).value == 4
@@ -154,9 +162,9 @@ def test_best_lower_bound_winners():
 
 def test_lower_bounds_lists_every_bound():
     kinds = [rep.kind for rep in lower_bounds(Graph(4, [(0, 1)]), 2)]
-    assert kinds == ["clique", "basic-r-delta", "vset-d2r"]
+    assert kinds == ["clique", "basic-r-delta", "vset-d2r", "distinct-clique"]
     kinds = [rep.kind for rep in lower_bounds(Graph(3, []), 2)]
-    assert kinds == ["clique", "vset-d2r"]
+    assert kinds == ["clique", "vset-d2r", "distinct-clique"]
 
 
 def test_certificates_revalidate(corpus):
@@ -172,3 +180,47 @@ def test_certificates_revalidate(corpus):
             )
         elif rep.kind == "vset-d2r":
             assert check_vset_d2r(g, rep.certificate, r)
+        elif rep.kind == "distinct-clique":
+            assert len(rep.certificate) == rep.value
+            assert check_distinct_set(g, rep.certificate, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=14))
+def test_distinct_clique_matches_bruteforce(g):
+    omega = clique_number(g).value
+    for r in range(1, g.max_degree() + 2):
+        rep = distinct_clique(g, r)
+        assert rep.exact and len(rep.certificate) == rep.value
+        assert rep.value == distinct_clique_bruteforce(g, r)
+        assert check_distinct_set(g, rep.certificate, r)
+        assert rep.value >= max(omega, max_vset_d2r(g, r).value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=14))
+def test_clique_search_matches_list_scanning_search(g):
+    # The same nodes in the same order give the same value and certificate,
+    # on g itself and on the distinctness graph H.
+    rep = clique_number(g)
+    assert (rep.value, rep.certificate) == clique_list_scan(
+        [g.neighbors(v) for v in range(g.n)])
+    for r in range(1, g.max_degree() + 2):
+        rep = distinct_clique(g, r)
+        assert (rep.value, rep.certificate) == clique_list_scan(distinctness_graph(g, r))
+
+
+def test_distinct_clique_examples():
+    # L(F_4) at r = 5: no Vset-d2r beyond one vertex, but the 8 edges at
+    # the centre form a clique.
+    g, _ = build("L(fr:4)")
+    assert max_vset_d2r(g, 5).value == 1
+    assert distinct_clique(g, 5).value == clique_number(g).value == 8
+    # At r >= Delta, H is the square of g: C_5 squared is K_5.
+    assert distinct_clique(cycle(5)[0], 2).certificate == (0, 1, 2, 3, 4)
+    # On a long cycle at r = 2, H is the square of the cycle: omega(H) = 3.
+    assert distinct_clique(build("cyc:1500")[0], 2).value == 3
+    assert distinct_clique(Graph(0, []), 1).value == 0
+    with pytest.raises(ParameterError):
+        distinct_clique(cycle(4)[0], 0)
+

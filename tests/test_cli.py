@@ -130,6 +130,14 @@ def test_long_bad_spec_is_quoted_in_part(capsys, spec):
     assert len(err.encode()) < 200, err
 
 
+def test_spec_over_the_size_limits_is_quoted_in_part(capsys):
+    spec = "kpart:" + ",".join(["1"] * 3000)
+    for command in ("construct", "bounds"):
+        code, out, err = run(capsys, command, spec, "-r", "2")
+        assert (code, out) == (2, "") and err.startswith("error:"), command
+        assert "has 3000 vertices" in err and len(err.encode()) < 200, err
+
+
 def test_solve_builds_each_graph_once(capsys, monkeypatch):
     # A spec is sized before it is built; sizing a line or middle graph of a
     # line or middle graph would build its inner graph, so that is built once,
@@ -371,15 +379,27 @@ def test_bounds_command(capsys):
     assert doc["best"] == max(shown, key=lambda rep: rep["value"])
 
 
+def test_solve_starts_from_the_best_bound_of_bounds(capsys, corpus):
+    for spec, g in corpus:
+        for r in range(1, g.max_degree() + 2):
+            _, out, _ = run(capsys, "solve", spec, "-r", str(r))
+            solved = json.loads(out)
+            _, out, _ = run(capsys, "bounds", spec, "-r", str(r))
+            best = json.loads(out)["best"]
+            assert solved["proven"], (spec, r)
+            assert solved["lower_bound"]["value"] == best["value"] <= solved["chi_r"], (spec, r)
+
+
 def test_basic_bound_on_a_disconnected_graph(tmp_path, capsys):
     # K_{1,4} plus an isolated vertex: min{r, Delta} + 1 holds on any graph
-    # with an edge, and at r = 3 it beats the clique (2) and the Vset (2).
+    # with an edge, and at r = 3 it beats the clique (2), the Vset (2) and
+    # the distinctness clique (2).
     path = tmp_path / "star.col"
     path.write_text("p edge 6 4\ne 1 2\ne 1 3\ne 1 4\ne 1 5\n")
     code, out, _ = run(capsys, "bounds", "--file", str(path), "-r", "3")
     doc = json.loads(out)
     assert code == 0
-    assert list(doc) == ["clique", "vset_d2r", "best", "basic_r_delta"]
+    assert list(doc) == ["clique", "vset_d2r", "best", "basic_r_delta", "distinct_clique"]
     assert doc["best"] == {"value": 4, "kind": "basic-r-delta",
                            "certificate": None, "exact": True}
     code, out, _ = run(capsys, "solve", "--file", str(path), "-r", "3")

@@ -6,6 +6,7 @@ from condchrom import (
     build,
     check_c3,
     check_conditional,
+    check_distinct_set,
     check_proper,
     check_vset_d2r,
     lemma2_conclusion,
@@ -100,6 +101,30 @@ def test_check_vset_d2r():
     # antipodal pair: the common neighbors exist but are outside the set
     assert not check_vset_d2r(g, {0, 2}, 2)
     assert check_vset_d2r(g, {0, 1, 2}, 2)
+
+
+def test_check_distinct_set():
+    # Path 0-1-2-3: 0 and 2 share vertex 1, of degree 2.
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert check_distinct_set(g, {0, 1, 2}, 2)
+    assert check_distinct_set(g, [2, 1, 2], 1)
+    # The only common neighbour of 0 and 2 has degree 2 > r = 1.
+    assert not check_distinct_set(g, {0, 2}, 1)
+    # 0 and 3 share no neighbour at all.
+    assert not check_distinct_set(g, {0, 3}, 3)
+    with pytest.raises(InputError):
+        check_distinct_set(g, {0, 4}, 2)
+    with pytest.raises(InputError):
+        check_distinct_set(g, {-1}, 2)
+    with pytest.raises(ParameterError):
+        check_distinct_set(g, {0}, 0)
+
+
+def test_check_distinct_set_accepts_every_vset_d2r():
+    g, _ = build("M(fr:1)")
+    prov = paper_indexing("M(fr:1)")
+    s = {prov.internal_of(i) for i in (1, 2, 3, 4, 5, 6)}
+    assert check_vset_d2r(g, s, 4) and check_distinct_set(g, s, 4)
 
 
 def test_check_vset_paper_certificate_middle_friendship():

@@ -10,6 +10,7 @@ get different colors. The last dominates the clique and Vset-d2r bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -124,7 +125,8 @@ def basic_lower_bound(g: Graph, r: int) -> BoundReport:
 
 
 def max_vset_d2r(
-    g: Graph, r: int, budget: int = DEFAULT_VSET_BUDGET
+    g: Graph, r: int, budget: int = DEFAULT_VSET_BUDGET, *,
+    ceiling: int | None = None
 ) -> BoundReport:
     """Largest Vset-d2r found by include/exclude branch and bound, run once
     per anchor.
@@ -138,11 +140,22 @@ def max_vset_d2r(
     candidates than the incumbent has members is skipped. `budget` counts
     nodes over all anchors together. The certificate always validates;
     `exact` is False when the budget ran out before every anchor was done.
+
+    `ceiling`, when given, must be an upper bound on the size of every
+    Vset-d2r of g at level r; the search stops, with `exact` True, as soon
+    as the incumbent has that many members. omega(H), the value of
+    `distinct_clique(g, r)`, is one, because a Vset-d2r is a clique of H:
+    two of its members are adjacent in g or have a common neighbour among
+    its members, and every member has degree <= r. The incumbent is
+    replaced only by a larger set, so the stop changes neither the value
+    nor the certificate, only `exact`.
     """
     if r < 1:
         raise ParameterError(f"r must be >= 1, got {r}")
     adj = [g.neighbors(v) for v in range(g.n)]
     low = [len(adj[v]) <= r for v in range(g.n)]
+    if ceiling is None:
+        ceiling = math.inf
     best: list[int] = []
     nodes = 0
 
@@ -175,6 +188,8 @@ def max_vset_d2r(
                 break
             if len(chosen) > len(best) and coverable(chosen, set(chosen)):
                 best = list(chosen)
+                if len(best) >= ceiling:
+                    break
             if idx == len(cands):
                 continue
             if len(chosen) + (len(cands) - idx) <= len(best):
@@ -188,7 +203,7 @@ def max_vset_d2r(
                 stack.append((idx + 1, chosen))
             if include:
                 stack.append((idx + 1, with_v))
-        if nodes > budget:
+        if nodes > budget or len(best) >= ceiling:
             break
     if best:
         assert check_vset_d2r(g, best, r)
@@ -200,12 +215,17 @@ def lower_bounds(
 ) -> list[BoundReport]:
     """Every sound lower bound, each computed once: the clique bound, the
     min{r,Delta}+1 bound when the graph has an edge, the Vset-d2r bound and
-    the distinctness-clique bound, in that order."""
+    the distinctness-clique bound, in that order. The distinctness clique
+    is computed first and is the Vset-d2r search's ceiling, so that search
+    stops once its set reaches omega(H). Where the budget runs out first,
+    the set found is below omega(H), so the exact distinctness clique is
+    the strictly larger bound."""
+    distinct = distinct_clique(g, r)
     reports = [clique_number(g)]
     if g.m >= 1:
         reports.append(basic_lower_bound(g, r))
-    reports.append(max_vset_d2r(g, r, budget=vset_budget))
-    reports.append(distinct_clique(g, r))
+    reports.append(max_vset_d2r(g, r, budget=vset_budget, ceiling=distinct.value))
+    reports.append(distinct)
     return reports
 
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     clique_list_scan,
     distinct_clique_bruteforce,
@@ -24,7 +25,7 @@ from condchrom import (
     max_vset_d2r,
     paper_indexing,
 )
-from condchrom.bounds import lower_bounds
+from condchrom.bounds import DEFAULT_VSET_BUDGET, lower_bounds, strongest
 from condchrom.errors import ParameterError
 from condchrom.graphs import Graph
 
@@ -139,6 +140,20 @@ def test_max_vset_monotone_in_r(corpus):
     for spec, g in corpus[:8]:
         values = [max_vset_d2r(g, r).value for r in range(1, g.max_degree() + 1)]
         assert values == sorted(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=12), st.one_of(st.integers(1, 300), st.just(DEFAULT_VSET_BUDGET)))
+def test_max_vset_ceiling_stops_at_the_same_set(g, budget):
+    # omega(H) bounds every Vset-d2r, and the incumbent is replaced only by
+    # a larger set: stopping there keeps the value and certificate, and a
+    # search that stops short of omega(H) loses to the distinctness clique.
+    for r in range(1, g.max_degree() + 2):
+        full = max_vset_d2r(g, r, budget)
+        capped = max_vset_d2r(g, r, budget, ceiling=distinct_clique(g, r).value)
+        assert (capped.value, capped.certificate) == (full.value, full.certificate)
+        assert capped.exact or not full.exact
+        assert strongest(lower_bounds(g, r, vset_budget=budget)).exact
 
 
 def test_best_lower_bound_winners():

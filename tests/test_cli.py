@@ -379,6 +379,18 @@ def test_bounds_command(capsys):
     assert doc["best"] == max(shown, key=lambda rep: rep["value"])
 
 
+def test_bounds_vset_search_stops_at_the_distinctness_clique(capsys):
+    # The Vset-d2r of L(W_{4,12}) at r = 37 is omega(H) = 39. The search
+    # reaches it at node 39 and stops there; without that stop it runs out
+    # of any budget up to 200,000 nodes and reports the set as inexact.
+    code, out, _ = run(capsys, "bounds", "L(wd:4,12)", "-r", "37", "--max-nodes", "1000")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["distinct_clique"]["value"] == 39
+    assert doc["vset_d2r"]["value"] == 39 and doc["vset_d2r"]["exact"] is True
+    assert doc["best"]["exact"] is True
+
+
 def test_solve_starts_from_the_best_bound_of_bounds(capsys, corpus):
     for spec, g in corpus:
         for r in range(1, g.max_degree() + 2):

@@ -39,7 +39,7 @@ from .families import (
 )
 from .graphs import Graph, from_dimacs, to_dimacs, to_dot
 from .kernel import BACKEND_NAME
-from .solver import SolveResult, chi_r_exact, exists_conditional_coloring, random_c2_colorings, sweep
+from .solver import SolveResult, chi_r_exact, exists_conditional_coloring, sweep
 from .verify import (
     Coloring,
     ConditionalReport,

@@ -15,6 +15,7 @@
  * c, and vertex sets bitmasks of vw = ceil(n/64) words, bit u for vertex u.
  * Per vertex u it keeps
  *   seen[u]         bit c set when a neighbour of u is coloured c,
+ * and, as its state's layout below keeps them,
  *   sat[u]          distinct[u], the number of bits in seen[u],
  *   slack[u]        distinct[u] + uncoloured[u] - req[u], never below 0.
  * Colour c is allowed at v unless c is in seen[v] (C1) or in seen[u] for
@@ -28,25 +29,37 @@
  *     w = vw = 1. It keeps the neighbours nb[v] of each vertex as one word,
  *     and nb2[v], the other vertices that share a neighbour with v; per
  *     colour c, cls[c], the vertices coloured c, and nz[c], the vertices
- *     with a neighbour coloured c; and zero, the vertices with slack 0.
+ *     with a neighbour coloured c; and unc, the uncoloured vertices.
  *     Recolouring v from b to c, the vertices that newly see c are
  *     nb[v] & ~nz[c], and those that no longer see b are the ones of nb[v]
  *     outside the OR of nb[x] over x in cls[b] & nb2[v], the only other
- *     vertices coloured b that can reach them. Only these change seen, sat
- *     and bucket; the slack of the rest of nb[v] moves by one. The C2 test
- *     reads seen[u] only for u in nb[v] & zero.
+ *     vertices coloured b that can reach them. Only these change seen and
+ *     sat; the slack of the rest of nb[v] moves by one.
+ *     sat and slack are bit-sliced into planes p = 0..5: bit u of sp[p] is
+ *     bit p of sat[u], and bit u of kp[p] is bit p of slack[u]. A sat is at
+ *     most kk and a slack at most a degree, so neither passes 63, and only
+ *     the planes below P, the bit length of kk, and below the bit length of
+ *     the highest slack are ever set. Moving a set of vertices one level up
+ *     or down is a ripple carry (or borrow) through the planes that stops
+ *     once no vertex carries, so a recolouring costs a few word operations
+ *     however many neighbours it moves. The vertices with slack 0 are
+ *     ~(kp[0] | ... | kp[5]), and the C2 test reads seen[u] only for those
+ *     in nb[v]. The pick starts from unc and, from the top plane down,
+ *     keeps the vertices in sp[p] whenever one is; the lowest vertex left
+ *     is the pick.
  *   - The counter state, for every other search. It keeps
- *     cnt[c * n + u], the neighbours of u coloured c, and a recolouring
- *     updates the counters, seen, sat and slack of each neighbour in turn.
- *
- * The pick reads saturation buckets: bucket[d] is the set of uncoloured
- * vertices u with sat[u] == d, for d in 0..min(k, n). A vertex moves to the
- * next bucket up or down only when a colour is first seen around it or no
- * longer seen, leaves its bucket when it is coloured and returns when it is
- * uncoloured. `top` is at least the highest non-empty level; the pick walks
- * it down to a non-empty bucket and takes the lowest vertex there. All of
- * this state is a function of the colouring alone, so colouring the frames
- * of a path in any way rebuilds it.
+ *     cnt[c * n + u], the neighbours of u coloured c, and sat and slack as
+ *     one counter per vertex, and a recolouring updates the counters, seen,
+ *     sat and slack of each neighbour in turn. Its pick reads saturation
+ *     buckets: bucket[d] is the set of uncoloured vertices u with
+ *     sat[u] == d, for d in 0..kk. A vertex moves to the next bucket up or
+ *     down only when a colour is first seen around it or no longer seen,
+ *     leaves its bucket when it is coloured and returns when it is
+ *     uncoloured. `top` is at least the highest non-empty level; the pick
+ *     walks it down to a non-empty bucket and takes the lowest vertex
+ *     there.
+ * All of this state is a function of the colouring alone, so colouring the
+ * frames of a path in any way rebuilds it.
  *
  * Parallel search. One call runs on up to `threads` threads and returns
  * exactly what the serial search returns, whatever the timing:
@@ -153,15 +166,26 @@ typedef struct {
                      * that subtree was given away */
 } frame_t;
 
+/* A sat or slack of the word state is at most 63, so 6 bit planes hold it. */
+enum { PLANES = 6 };
+
 typedef struct {
     int64_t n;
     const int32_t *indptr, *indices;
-    const uint64_t *nb, *nb2; /* word state only */
-    int32_t *color, *cnt, *sat, top;
-    uint64_t *seen, *bucket, *rest, *cls, *nz, zero;
-    int64_t *slack;
+    int32_t *color;
+    uint64_t *seen, *rest;
     frame_t *stack;
-    void *block; /* holds every array above but indptr, indices, nb, nb2 */
+    void *block; /* holds every array pointed to here but indptr, indices,
+                  * nb, nb2 */
+    /* Word state only. */
+    const uint64_t *nb, *nb2;
+    uint64_t *cls, *nz, sp[PLANES], kp[PLANES], unc;
+    int32_t nsp, nkp; /* the planes in use: bit lengths of kk and of the
+                       * highest slack */
+    /* Counter state only. */
+    int32_t *cnt, *sat, top;
+    uint64_t *bucket;
+    int64_t *slack;
 } state_t;
 
 struct worker;
@@ -213,10 +237,21 @@ typedef struct shared {
     int64_t nodes;
 } shared_t;
 
-/* The lowest uncoloured vertex in the highest non-empty bucket. At least one
- * vertex is uncoloured. */
-INLINE int32_t pick(state_t *s, int64_t vw)
+/* The lowest-numbered uncoloured vertex among those with the highest sat. At
+ * least one vertex is uncoloured. */
+INLINE int32_t pick(state_t *s, int64_t w, int64_t vw)
 {
+    if (WORDS(w, vw)) {
+        uint64_t cand = s->unc;
+        if (!(cand & (cand - 1))) /* a single candidate */
+            return __builtin_ctzll(cand);
+        for (int32_t p = PLANES; p--;) {
+            uint64_t in = cand & s->sp[p];
+            cand = in ? in : cand;
+        }
+        return __builtin_ctzll(cand);
+    }
+    /* The lowest vertex in the highest non-empty bucket. */
     for (;; s->top--) {
         const uint64_t *b = s->bucket + s->top * vw;
         for (int64_t j = 0; j < vw; j++)
@@ -230,8 +265,10 @@ INLINE void allowed(const state_t *s, int32_t v, int32_t limit, uint64_t *mask,
                     int64_t w, int64_t vw)
 {
     if (WORDS(w, vw)) { /* limit <= 63, so 2 << limit wraps at worst to 0 */
-        uint64_t m = (((uint64_t)2 << limit) - 2) & ~s->seen[v];
-        for (uint64_t z = s->nb[v] & s->zero; z; z &= z - 1)
+        uint64_t m = (((uint64_t)2 << limit) - 2) & ~s->seen[v], loose = 0;
+        for (int32_t j = 0; j < s->nkp; j++) /* loose: slack above 0 */
+            loose |= s->kp[j];
+        for (uint64_t z = s->nb[v] & ~loose; z; z &= z - 1)
             m &= ~s->seen[__builtin_ctzll(z)];
         *mask = m;
         return;
@@ -271,27 +308,23 @@ INLINE void flip(state_t *s, int32_t d, int32_t u, int64_t vw)
     s->bucket[d * vw + u / 64] ^= (uint64_t)1 << (u % 64);
 }
 
-/* Word state: move each vertex of m up (d = 1) or down (d = -1) one
- * saturation level, and an uncoloured one to the next bucket. */
-INLINE void shift_sat(state_t *s, uint64_t m, int32_t d)
+/* Word state: of the numbers that plane[0..planes-1] bit-slice, add 1 to
+ * those of the vertices in up and subtract 1 from those in down, two
+ * disjoint sets: a ripple carry and borrow that stops once no vertex carries
+ * or borrows. No number leaves 0..2^planes - 1, so none carries out of the
+ * top plane or borrows from beyond it; a checked build aborts if one does. */
+INLINE void shift(uint64_t *plane, int32_t planes, uint64_t up, uint64_t down)
 {
-    for (; m; m &= m - 1) {
-        int32_t u = __builtin_ctzll(m), e = s->sat[u] += d;
-        if (!s->color[u]) {
-            s->bucket[e - d] ^= m & -m;
-            s->bucket[e] ^= m & -m;
-            if (e > s->top)
-                s->top = e;
-        }
-    }
-}
-
-/* Word state: add d to the slack of each vertex of m and keep `zero`. */
-INLINE void shift_slack(state_t *s, uint64_t m, int64_t d)
-{
-    for (; m; m &= m - 1) {
-        int32_t u = __builtin_ctzll(m);
-        s->zero = (s->zero & ~(m & -m)) | (uint64_t)!(s->slack[u] += d) << u;
+    (void)planes;
+    for (int32_t p = 0; up | down; p++) {
+#ifdef CONDCHROM_CHECK
+        if (p == planes)
+            abort();
+#endif
+        uint64_t x = plane[p];
+        plane[p] = x ^ up ^ down;
+        up &= x;
+        down &= ~x;
     }
 }
 
@@ -302,11 +335,6 @@ INLINE void recolour(state_t *s, int32_t v, int32_t b, int32_t c, int64_t w,
                      int64_t vw)
 {
     s->color[v] = c;
-    if (!b || !c) {
-        flip(s, s->sat[v], v, vw);
-        if (!c && s->sat[v] > s->top)
-            s->top = s->sat[v];
-    }
     if (WORDS(w, vw)) {
         /* lost: the neighbours that no longer see b; gain: those that
          * newly see c. A neighbour's saturation moves with what it gains
@@ -314,6 +342,8 @@ INLINE void recolour(state_t *s, int32_t v, int32_t b, int32_t c, int64_t w,
          * for having seen c already (dec). */
         uint64_t nbv = s->nb[v], bit = (uint64_t)1 << v, lost = 0, gain = 0,
                  inc = 0, dec = 0, m;
+        if (!b || !c)
+            s->unc ^= bit;
         if (b) {
             uint64_t keep = 0;
             for (m = (s->cls[b] &= ~bit) & s->nb2[v]; m; m &= m - 1)
@@ -332,11 +362,14 @@ INLINE void recolour(state_t *s, int32_t v, int32_t b, int32_t c, int64_t w,
                 s->seen[__builtin_ctzll(m)] |= (uint64_t)1 << c;
             dec = nbv & ~gain;
         }
-        shift_sat(s, gain & ~lost, 1);
-        shift_sat(s, lost & ~gain, -1);
-        shift_slack(s, inc & ~dec, 1);
-        shift_slack(s, dec & ~inc, -1);
+        shift(s->sp, s->nsp, gain & ~lost, lost & ~gain);
+        shift(s->kp, s->nkp, inc & ~dec, dec & ~inc);
         return;
+    }
+    if (!b || !c) {
+        flip(s, s->sat[v], v, vw);
+        if (!c && s->sat[v] > s->top)
+            s->top = s->sat[v];
     }
     int32_t *cb = s->cnt + b * s->n, *cc = s->cnt + c * s->n;
     uint64_t *seenb = s->seen + b / 64, bitb = (uint64_t)1 << (b % 64);
@@ -397,6 +430,16 @@ static void *zalloc_lines(size_t size)
     return posix_memalign(&p, PAIR, size + PAIR) ? NULL : memset(p, 0, size);
 }
 
+/* Vertex i's slack with nothing coloured: its degree less its requirement.
+ * A requirement below 0 prunes no more than 0 does: either way the slack of
+ * a vertex with a neighbour stays above 0, and that of a vertex without one
+ * is never read. Clamping keeps d - req in range. */
+static int64_t initial_slack(const shared_t *sh, int32_t i)
+{
+    int64_t req = sh->req[sh->order[i]];
+    return sh->indptr[i + 1] - sh->indptr[i] - (req < 0 ? 0 : req);
+}
+
 /* Allocate s for sh's renumbered graph, every vertex uncoloured, in one
  * cache-aligned block. Returns 0 when the allocation fails. */
 static int state_init(state_t *s, const shared_t *sh)
@@ -406,17 +449,16 @@ static int state_init(state_t *s, const shared_t *sh)
     size_t ints = lines(n, sizeof(int32_t)),
            colours = words ? lines(2 * (kk + 1), sizeof(uint64_t))
                            : lines((kk + 1) * n, sizeof(int32_t)),
-           masks = lines(n * w, sizeof(uint64_t)),
+           masks = lines(n * w, sizeof(uint64_t)), stack = lines(n, sizeof(frame_t)),
            bucket = lines((kk + 1) * (size_t)sh->vw, sizeof(uint64_t)),
-           slack = lines(n, sizeof(int64_t)), stack = lines(n, sizeof(frame_t)),
-           size = 2 * ints + colours + 2 * masks + bucket + slack + stack;
+           counters = words ? 0 : ints + bucket + lines(n, sizeof(int64_t)),
+           size = ints + colours + 2 * masks + stack + counters;
     *s = (state_t){.n = sh->n, .indptr = sh->indptr, .indices = sh->indices,
                    .nb = sh->nb, .nb2 = sh->nb2, .block = zalloc_lines(size)};
     char *p = s->block;
     if (!p)
         return 0;
     s->color = (int32_t *)p;
-    s->sat = (int32_t *)(p += ints);
     if (words) {
         s->cls = (uint64_t *)(p += ints);
         s->nz = s->cls + kk + 1;
@@ -425,17 +467,25 @@ static int state_init(state_t *s, const shared_t *sh)
     }
     s->seen = (uint64_t *)(p += colours);
     s->rest = (uint64_t *)(p += masks);
-    s->bucket = (uint64_t *)(p += masks);
-    s->slack = (int64_t *)(p += bucket);
-    s->stack = (frame_t *)(p + slack);
+    s->stack = (frame_t *)(p += masks);
+    if (words) {
+        while (kk >> s->nsp)
+            s->nsp++;
+        for (int32_t i = 0; i < sh->n; i++) {
+            int64_t slack = initial_slack(sh, i);
+            for (int j = 0; j < PLANES; j++)
+                s->kp[j] |= (uint64_t)(slack >> j & 1) << i;
+            while (slack >> s->nkp)
+                s->nkp++;
+            s->unc |= (uint64_t)1 << i;
+        }
+        return 1;
+    }
+    s->sat = (int32_t *)(p += stack);
+    s->bucket = (uint64_t *)(p += ints);
+    s->slack = (int64_t *)(p + bucket);
     for (int32_t i = 0; i < sh->n; i++) {
-        /* A requirement below 0 prunes no more than 0 does: either way the
-         * slack of a vertex with a neighbour stays above 0, and that of a
-         * vertex without one is never read. Clamping keeps d - req in range. */
-        int64_t req = sh->req[sh->order[i]];
-        s->slack[i] = sh->indptr[i + 1] - sh->indptr[i] - (req < 0 ? 0 : req);
-        if (words)
-            s->zero |= (uint64_t)!s->slack[i] << i;
+        s->slack[i] = initial_slack(sh, i);
         flip(s, 0, i, sh->vw);
     }
     return 1;
@@ -617,30 +667,43 @@ static int donate(worker_t *me, int32_t depth, uint64_t room)
  *     coloured vertices;
  *   - CHECK_CUT checks that every continuation after a stopped piece is cut;
  *   - CHECK_BLANK checks that a worker's state is as state_init left it, as
- *     it must be once the worker has uncoloured its frames. */
+ *     it must be once the worker has uncoloured its frames;
+ *   - shift() checks that no sat or slack of the word state carries out of
+ *     its top plane or borrows from beyond it. */
 #ifdef CONDCHROM_CHECK
 static void check_blank(const worker_t *me)
 {
     const shared_t *sh = me->sh;
     const state_t *s = &me->s;
-    int64_t n = sh->n, w = sh->w, vw = sh->vw, kk = sh->kk, words = WORDS(w, vw);
-    uint64_t zero = 0, any = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t req = sh->req[sh->order[i]];
-        if (s->color[i] || s->sat[i] || !(s->bucket[i / 64] >> (i % 64) & 1) ||
-            s->slack[i] != s->indptr[i + 1] - s->indptr[i] - (req < 0 ? 0 : req))
+    int64_t n = sh->n, w = sh->w, vw = sh->vw, kk = sh->kk;
+    uint64_t any = 0;
+    for (int32_t i = 0; i < n; i++) {
+        int64_t slack = initial_slack(sh, i);
+        if (WORDS(w, vw)) {
+            for (int j = 0; j < PLANES; j++)
+                slack ^= (int64_t)(s->kp[j] >> i & 1) << j;
+            if (slack || !(s->unc >> i & 1))
+                abort();
+        } else if (s->sat[i] || !(s->bucket[i / 64] >> (i % 64) & 1) || s->slack[i] != slack) {
             abort();
-        zero |= (uint64_t)!s->slack[i] << (i % 64);
+        }
+        any |= (uint64_t)s->color[i];
         for (int64_t j = 0; j < w; j++)
             any |= s->seen[i * w + j];
     }
-    for (int64_t j = vw; j < (kk + 1) * vw; j++)
-        any |= s->bucket[j];
-    for (int64_t j = 0; j < (words ? 2 * (kk + 1) : 0); j++)
-        any |= s->cls[j];
-    for (int64_t j = 0; j < (words ? 0 : (kk + 1) * n); j++)
-        any |= (uint64_t)s->cnt[j];
-    if (any || (words && s->zero != zero))
+    if (WORDS(w, vw)) {
+        for (int j = 0; j < PLANES; j++)
+            any |= s->sp[j];
+        any |= s->unc ^ (~(uint64_t)0 >> (64 - n));
+        for (int64_t j = 0; j < 2 * (kk + 1); j++)
+            any |= s->cls[j];
+    } else {
+        for (int64_t j = vw; j < (kk + 1) * vw; j++)
+            any |= s->bucket[j];
+        for (int64_t j = 0; j < (kk + 1) * n; j++)
+            any |= (uint64_t)s->cnt[j];
+    }
+    if (any)
         abort();
 }
 #define CHECK_DEAD(me, status)                                                  \
@@ -781,7 +844,7 @@ INLINE int search(worker_t *me, int64_t count, int64_t *nodes, int64_t w,
             status = FOUND;
             break;
         }
-        v = pick(s, vw);
+        v = pick(s, w, vw);
         allowed(s, v, max_used < kk ? max_used + 1 : kk, s->rest + depth * w, w, vw);
     }
 done:
@@ -960,7 +1023,7 @@ int condchrom_search(int32_t n, const int32_t *indptr, const int32_t *indices,
         goto out;
 
     /* The root node, counted here, and its frame: the whole tree's piece. */
-    me->v0 = pick(&me->s, sh.vw);
+    me->v0 = pick(&me->s, sh.w, sh.vw);
     allowed(&me->s, me->v0, 1, me->s.rest, sh.w, sh.vw);
     status = run(me, 1, nodes);
     if (!sh.started) {

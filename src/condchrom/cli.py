@@ -2,7 +2,9 @@
 
 Commands: generate | solve | construct | verify | bounds | table.
 Exit codes: 0 success/valid, 1 invalid coloring or formula mismatch,
-2 input error, 3 the node budget left the solve bracket open (lo < hi).
+2 input error, 3 the node budget left the solve bracket open (lo < hi),
+141 stdout was closed before the output was written (128 + SIGPIPE, as for
+a process that SIGPIPE ends; nothing is printed).
 
 `main` builds the argument parser once per process, on its first call, and
 reuses it.
@@ -17,6 +19,7 @@ import inspect
 import io
 import json
 import math
+import os
 import sys
 
 from . import constructions, families, solver
@@ -36,6 +39,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 
 # The instances `condchrom table P` checks. A grid's parameters are the
@@ -294,7 +298,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone, as under `| head`. Pointing stdout
+        # at devnull keeps the interpreter's final flush from failing too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (ParameterError, InputError, UnsupportedCaseError, PreconditionError,
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)

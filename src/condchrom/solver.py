@@ -9,7 +9,6 @@ proven exactly when lo == hi.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 
@@ -116,64 +115,6 @@ def chi_r_exact(g: Graph, r: int, budget: int = 0) -> SolveResult:
     else:
         witness = Coloring(tuple(range(1, g.n + 1)), g.n)
     return SolveResult(r, witness, total_nodes, lb, (lo, witness.k))
-
-
-def random_c2_colorings(
-    g: Graph, r: int, k: int, count: int, seed: int = 0
-) -> list[Coloring]:
-    """Sample colorings that satisfy C2 at level r but are NOT constrained
-    to be proper. Used to exercise the C3+C2 => C1 implication.
-
-    Randomized backtracking: random vertex order, shuffled colors, same
-    reachability prune as the solver kernel minus the C1 constraint.
-    """
-    if k < 1 or count < 0:
-        raise ParameterError("need k >= 1 and count >= 0")
-    r_eff = _normalized_r(g, r)
-    req = _requirements(g, r_eff)
-    adj = g.adjacency_lists()
-    n = g.n
-    rng = random.Random(seed)
-    out: list[Coloring] = []
-
-    def sample() -> list[int] | None:
-        order = list(range(n))
-        rng.shuffle(order)
-        color = [0] * n
-
-        def reaches(u: int) -> bool:
-            """u can still see req[u] distinct colours if each of its
-            uncoloured neighbours brings a new one."""
-            around = [color[w] for w in adj[u]]
-            return len(set(around) - {0}) + around.count(0) >= req[u]
-
-        # tries[pos]: the shuffled colours left to try at position pos; one
-        # shuffle per position entered, in the order a recursive search
-        # would make them, so a seed gives the same samples.
-        tries = []
-        pos = 0
-        while 0 <= pos < n:
-            v = order[pos]
-            if len(tries) == pos:
-                cs = list(range(1, k + 1))
-                rng.shuffle(cs)
-                tries.append(iter(cs))
-            for c in tries[pos]:
-                color[v] = c
-                if all(reaches(u) for u in adj[v]):
-                    pos += 1
-                    break
-            else:
-                color[v] = 0
-                tries.pop()
-                pos -= 1
-        return color if pos == n else None
-
-    for _ in range(count):
-        colors = sample()
-        if colors is not None:
-            out.append(Coloring(tuple(colors), k))
-    return out
 
 
 def sweep(entries, budget: int = 0, size_cap: int = DEFAULT_SIZE_CAP) -> list[dict]:

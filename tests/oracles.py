@@ -1,12 +1,15 @@
-"""Independent brute-force oracles used only by the tests.
+"""Independent brute-force oracles and samplers used only by the tests.
 
 These deliberately share no code with condchrom.solver or condchrom.bounds:
 plain recursive enumeration in vertex-id order, no saturation ordering, no
-incremental C2 counters, no branch and bound.
+incremental C2 counters, no branch and bound. random_c2_colorings samples
+assignments that satisfy C2 but need not be proper.
 """
 
+import random
 from itertools import combinations, product
 
+from condchrom.errors import ParameterError
 from condchrom.verify import Coloring, check_conditional
 
 
@@ -145,3 +148,63 @@ def clique_list_scan(adj):
             best = list(current)
         stack.append(branches(nxt))
     return len(best), tuple(sorted(best))
+
+
+def random_c2_colorings(
+    g, r: int, k: int, count: int, seed: int = 0
+) -> list[Coloring]:
+    """Sample colorings that satisfy C2 at level r but are NOT constrained
+    to be proper. Used to exercise the C3+C2 => C1 implication.
+
+    Randomized backtracking: random vertex order, shuffled colors, same
+    reachability prune as the solver kernel minus the C1 constraint.
+    """
+    if k < 1 or count < 0:
+        raise ParameterError("need k >= 1 and count >= 0")
+    if r < 1:
+        raise ParameterError(f"r must be >= 1, got {r}")
+    r_eff = min(r, g.max_degree()) if g.m > 0 else 0
+    req = [min(g.degree(v), r_eff) for v in range(g.n)]
+    adj = g.adjacency_lists()
+    n = g.n
+    rng = random.Random(seed)
+    out: list[Coloring] = []
+
+    def sample() -> list[int] | None:
+        order = list(range(n))
+        rng.shuffle(order)
+        color = [0] * n
+
+        def reaches(u: int) -> bool:
+            """u can still see req[u] distinct colours if each of its
+            uncoloured neighbours brings a new one."""
+            around = [color[w] for w in adj[u]]
+            return len(set(around) - {0}) + around.count(0) >= req[u]
+
+        # tries[pos]: the shuffled colours left to try at position pos; one
+        # shuffle per position entered, in the order a recursive search
+        # would make them, so a seed gives the same samples.
+        tries = []
+        pos = 0
+        while 0 <= pos < n:
+            v = order[pos]
+            if len(tries) == pos:
+                cs = list(range(1, k + 1))
+                rng.shuffle(cs)
+                tries.append(iter(cs))
+            for c in tries[pos]:
+                color[v] = c
+                if all(reaches(u) for u in adj[v]):
+                    pos += 1
+                    break
+            else:
+                color[v] = 0
+                tries.pop()
+                pos -= 1
+        return color if pos == n else None
+
+    for _ in range(count):
+        colors = sample()
+        if colors is not None:
+            out.append(Coloring(tuple(colors), k))
+    return out

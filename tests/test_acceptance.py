@@ -15,11 +15,10 @@ from condchrom import (
     color_middle_cycle,
     max_vset_d2r,
     predicted_chi_r,
-    random_c2_colorings,
 )
 from condchrom.cli import main
 from condchrom.errors import ParameterError
-from oracles import chromatic_number_bruteforce
+from oracles import chromatic_number_bruteforce, random_c2_colorings
 
 
 def _chi(spec, r):

@@ -569,3 +569,20 @@ def test_oversized_inputs_exit_2_before_building(tmp_path):
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert _capped_cli("solve", "M(cyc:5)", "-r", "2").returncode == 0
+
+
+def test_closed_stdout_exits_141_without_a_message(tmp_path):
+    # The witness of C_9000 is about 80 kB of JSON, more than a pipe holds,
+    # so writing it fails once the reader has closed the pipe after 100
+    # bytes, as `| head -c 100` does. That is not an input error: a missing
+    # --file still is.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    with subprocess.Popen(
+            [sys.executable, "-m", "condchrom.cli", "solve", "cyc:9000", "-r", "2", "--force"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+    missing = _capped_cli("solve", "--file", str(tmp_path / "missing.col"), "-r", "2")
+    assert missing.returncode == 2 and missing.stderr.startswith("error:")

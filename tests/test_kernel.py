@@ -6,12 +6,13 @@ also compared on random graphs, with requirements from 0 to the degree
 colours, on regular graphs where degree ties decide the pick, on graphs
 of more than 64 and 128 vertices, and at 63 to 65 vertices and 62 to 64
 colours, where the C kernel switches from its word state to its counter
-state. The C kernel's search on several threads must give the serial
-answer for every thread count and every start of its helpers, also when
-the budget runs out next to where the search is split, and runs without
-a data race under ThreadSanitizer and without undefined behaviour under
-UndefinedBehaviorSanitizer. The loader's fallback is checked with no
-compiler on PATH."""
+state, and on K_{1,40}, whose centre's slack and saturation reach the
+top bit plane of the word state. The C kernel's search on several
+threads must give the serial answer for every thread count and every
+start of its helpers, also when the budget runs out next to where the
+search is split, and runs without a data race under ThreadSanitizer and
+without undefined behaviour under UndefinedBehaviorSanitizer. The
+loader's fallback is checked with no compiler on PATH."""
 
 import functools
 import os
@@ -240,6 +241,33 @@ def test_c_kernel_agrees_with_pure_at_64_vertices_and_63_colours():
         assert got == want, (len(adj), req[0], k, budget)
 
 
+@functools.cache
+def _top_plane_cases():
+    """(adj, req, k, budget, pure kernel's answer) on K_{1,40}, which keeps
+    the word state (n = 41). At r = 1 the centre's slack starts at 39, and
+    at r = 40 with k = 41 or 42 its saturation climbs to 40: both use bit
+    plane 5 of the word state's sat or slack. Budget 41 stops one node short
+    of the colouring."""
+    pure, cases = kernel.backends()["pure"].search_coloring, []
+    g = build("kpart:1,40")[0]
+    adj = g.adjacency_lists()
+    for r, ks in ((1, (2, 3)), (40, (41, 42))):
+        req = [min(g.degree(v), r) for v in range(g.n)]
+        for k in ks:
+            for budget in (0, 7, 41):
+                cases.append((adj, req, k, budget, pure(adj, req, k, budget)))
+    return cases
+
+
+@needs_c
+def test_c_kernel_agrees_with_pure_on_the_top_bit_planes():
+    search = kernel.backends()["c"]._search_coloring
+    for adj, req, k, budget, want in _top_plane_cases():
+        for threads in (1, 2):
+            got = search(adj, req, k, budget, threads, 0)
+            assert got == want, (req[0], k, budget, threads)
+
+
 def _run_driver(exe, adj, req, k, budget, threads, spawn_after):
     lines = [f"{len(adj)} {k} {budget} {threads} {spawn_after}", " ".join(map(str, req))]
     lines += [" ".join(map(str, [len(nb), *nb])) for nb in adj]
@@ -306,12 +334,12 @@ def _check_budget_cut(exe):
 
 
 def test_kernel_has_no_undefined_behaviour(tmp_path):
-    # The searches at 63 to 65 vertices and 62 to 64 colours on one thread
-    # and on two, the hard pins on four, a budget cut on two and four, and
-    # requirements far below 0.
+    # The searches at 63 to 65 vertices and 62 to 64 colours and on the top
+    # bit planes on one thread and on two, the hard pins on four, a budget
+    # cut on two and four, and requirements far below 0.
     exe = _sanitized_driver(tmp_path, ["-fsanitize=undefined", "-fno-sanitize-recover=undefined"],
                             "UndefinedBehaviorSanitizer")
-    for adj, req, k, budget, want in _boundary_cases():
+    for adj, req, k, budget, want in _boundary_cases() + _top_plane_cases():
         for threads in (1, 2):
             got = _driver_result(exe, adj, req, k, budget, threads, 0)
             assert got == want, (len(adj), req[0], k, budget, threads)

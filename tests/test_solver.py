@@ -6,13 +6,12 @@ from condchrom import (
     chi_r_exact,
     exists_conditional_coloring,
     families,
-    random_c2_colorings,
     sweep,
 )
 from condchrom.errors import ParameterError
 from condchrom.graphs import Graph
 from condchrom.kernel import backends
-from oracles import chi_r_bruteforce, proper_colorings
+from oracles import chi_r_bruteforce, proper_colorings, random_c2_colorings
 
 
 def test_chi_r_paper_examples():

@@ -210,21 +210,19 @@ def max_vset_d2r(
     return BoundReport(len(best), VSET, tuple(sorted(best)), exact=nodes <= budget)
 
 
-def lower_bounds(
-    g: Graph, r: int, vset_budget: int = DEFAULT_VSET_BUDGET
-) -> list[BoundReport]:
+def lower_bounds(g: Graph, r: int) -> list[BoundReport]:
     """Every sound lower bound, each computed once: the clique bound, the
     min{r,Delta}+1 bound when the graph has an edge, the Vset-d2r bound and
     the distinctness-clique bound, in that order. The distinctness clique
     is computed first and is the Vset-d2r search's ceiling, so that search
-    stops once its set reaches omega(H). Where the budget runs out first,
-    the set found is below omega(H), so the exact distinctness clique is
-    the strictly larger bound."""
+    stops once its set reaches omega(H). Where its default budget runs out
+    first, the set found is below omega(H), so the exact distinctness
+    clique is the strictly larger bound."""
     distinct = distinct_clique(g, r)
     reports = [clique_number(g)]
     if g.m >= 1:
         reports.append(basic_lower_bound(g, r))
-    reports.append(max_vset_d2r(g, r, budget=vset_budget, ceiling=distinct.value))
+    reports.append(max_vset_d2r(g, r, ceiling=distinct.value))
     reports.append(distinct)
     return reports
 

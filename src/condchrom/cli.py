@@ -25,12 +25,7 @@ import sys
 from . import constructions, families, solver
 # lower_bounds calls bounds.clique_number, not this binding; it stays because
 # condbench/test_condbench.py checks that the tracer patches cli.clique_number.
-from .bounds import (  # noqa: F401
-    DEFAULT_VSET_BUDGET,
-    clique_number,
-    lower_bounds,
-    strongest,
-)
+from .bounds import clique_number, lower_bounds, strongest  # noqa: F401
 from .errors import InputError, ParameterError, PreconditionError, UnsupportedCaseError
 from .graphs import VERTEX_LIMIT, Graph, from_dimacs, to_dimacs, to_dot
 from .verify import Coloring, check_conditional
@@ -58,19 +53,12 @@ TABLE_GRIDS = {
 CROSS_CHECKS = {"M(fr:1)": [("M(kpart:1,1,1)", 4)]}
 
 
-def node_budget(text: str) -> int:
-    """argparse type of --max-nodes: an integer >= 0 (0 = unlimited)."""
+def non_negative_int(text: str) -> int:
+    """argparse type of --max-nodes (0 = unlimited) and --size-cap: an
+    integer >= 0."""
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"node budget must be >= 0, got {value}")
-    return value
-
-
-def size_cap(text: str) -> int:
-    """argparse type of --size-cap: a vertex count >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"size cap must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -168,9 +156,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    g = _load_graph(args)
-    budget = args.max_nodes or DEFAULT_VSET_BUDGET
-    reports = lower_bounds(g, args.r, vset_budget=budget)
+    reports = lower_bounds(_load_graph(args), args.r)
     clique, *basic, vset, distinct = reports
     out = {
         "clique": clique.to_json_dict(),
@@ -251,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("spec", nargs="?", help="family spec")
     s.add_argument("--file", help="DIMACS col file instead of a spec")
     s.add_argument("-r", type=int, required=True)
-    s.add_argument("--max-nodes", type=node_budget, default=0)
+    s.add_argument("--max-nodes", type=non_negative_int, default=0)
     s.add_argument("--force", action="store_true", help="ignore the size cap")
     s.set_defaults(func=cmd_solve)
 
@@ -271,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("spec", nargs="?")
     b.add_argument("--file")
     b.add_argument("-r", type=int, required=True)
-    b.add_argument("--max-nodes", type=node_budget, default=0)
     b.set_defaults(func=cmd_bounds)
 
     t = sub.add_parser("table", help="formula-vs-exact comparison table")
@@ -279,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--k", help="range like 3..4")
     t.add_argument("--n", help="range like 1..3")
     t.add_argument("--format", choices=("csv", "json"), default="csv")
-    t.add_argument("--max-nodes", type=node_budget, default=0)
-    t.add_argument("--size-cap", type=size_cap, default=solver.DEFAULT_SIZE_CAP)
+    t.add_argument("--max-nodes", type=non_negative_int, default=0)
+    t.add_argument("--size-cap", type=non_negative_int, default=solver.DEFAULT_SIZE_CAP)
     t.add_argument(
         "--timing",
         action="store_true",

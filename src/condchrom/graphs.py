@@ -6,7 +6,6 @@ verify, bounds, solver) operate on this one representation.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator
 
 from .errors import InputError, ParameterError
@@ -71,22 +70,6 @@ class Graph:
     def adjacency_lists(self) -> list[list[int]]:
         """Sorted neighbor lists (fresh, safe to mutate)."""
         return [sorted(s) for s in self._adj]
-
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            raise InputError("connectivity of empty graph is undefined")
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        return count == self.n
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.n))

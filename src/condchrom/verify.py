@@ -131,44 +131,36 @@ def check_c3(g: Graph, r: int) -> tuple[bool, dict]:
     return True, witnesses
 
 
-def check_vset_d2r(g: Graph, members, r: int) -> bool:
-    """Vset-d2r certificate check: (i) every member has degree <= r;
-    (ii) every member pair is adjacent or has a common neighbor inside
-    the set itself."""
+def _pairs_linked(g: Graph, members, r: int, witness) -> bool:
+    """True iff every pair of members is adjacent or has a common neighbour
+    w with witness(w). InputError on an out-of-range id."""
     if r < 1:
         raise ParameterError(f"r must be >= 1, got {r}")
     s = sorted(set(members))
     for v in s:
         g._check_vertex(v)
-        if g.degree(v) > r:
-            return False
-    sset = set(s)
     for a_idx, u1 in enumerate(s):
         for u2 in s[a_idx + 1 :]:
-            if g.has_edge(u1, u2):
-                continue
-            common = g.neighbors(u1) & g.neighbors(u2) & sset
-            if not common:
+            if not g.has_edge(u1, u2) and not any(
+                map(witness, g.neighbors(u1) & g.neighbors(u2))
+            ):
                 return False
     return True
+
+
+def check_vset_d2r(g: Graph, members, r: int) -> bool:
+    """Vset-d2r certificate check: (i) every member has degree <= r;
+    (ii) every member pair is adjacent or has a common neighbor inside
+    the set itself."""
+    s = set(members)
+    return _pairs_linked(g, s, r, s.__contains__) and all(g.degree(v) <= r for v in s)
 
 
 def check_distinct_set(g: Graph, members, r: int) -> bool:
     """Distinctness certificate check: every member pair is adjacent or has
     a common neighbor of degree <= r, so the members need pairwise distinct
     colors in every conditional coloring at level r."""
-    if r < 1:
-        raise ParameterError(f"r must be >= 1, got {r}")
-    s = sorted(set(members))
-    for v in s:
-        g._check_vertex(v)
-    for a_idx, u1 in enumerate(s):
-        for u2 in s[a_idx + 1 :]:
-            if g.has_edge(u1, u2):
-                continue
-            if not any(g.degree(w) <= r for w in g.neighbors(u1) & g.neighbors(u2)):
-                return False
-    return True
+    return _pairs_linked(g, members, r, lambda w: g.degree(w) <= r)
 
 
 def lemma2_conclusion(g: Graph, c: Coloring, r: int) -> bool:

@@ -1,4 +1,5 @@
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,20 @@ import pytest
 from condchrom import build
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# When a @given test fails, hypothesis' pytest plugin imports this module to
+# suggest an explicit example. It imports libcst, whose import warns through
+# mypy_extensions; pyproject.toml turns every warning into an error, and an
+# error raised inside the plugin's report hook ends the whole run in an
+# INTERNALERROR. Importing it once here, with that one warning category
+# ignored, leaves the report hook a cached module. Without libcst it does not
+# import, and the plugin skips the suggestion.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # Connected desk-scale instances exercised by the property and acceptance
 # suites. All have at most 12 vertices so exact solves stay cheap.

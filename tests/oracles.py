@@ -76,6 +76,35 @@ def max_vset_d2r_bruteforce(g, r):
     return best
 
 
+def is_connected(g):
+    """Whether g has one component, by breadth-first search from vertex 0."""
+    seen = frontier = {0}
+    while frontier:
+        frontier = {w for u in frontier for w in g.neighbors(u)} - seen
+        seen = seen | frontier
+    return len(seen) == g.n
+
+
+def vset_d2r_oracle(g, members, r):
+    """Whether members is a Vset-d2r at level r: every member has degree
+    <= r, and every pair is adjacent or has a common neighbour that is a
+    member itself."""
+    inside = set(members)
+    return all(g.degree(v) <= r for v in inside) and all(
+        g.has_edge(u, v) or any(w in inside for w in g.neighbors(u) & g.neighbors(v))
+        for u, v in combinations(sorted(inside), 2)
+    )
+
+
+def distinct_set_oracle(g, members, r):
+    """Whether every pair of members is adjacent or has a common neighbour
+    of degree <= r."""
+    return all(
+        g.has_edge(u, v) or any(g.degree(w) <= r for w in g.neighbors(u) & g.neighbors(v))
+        for u, v in combinations(sorted(set(members)), 2)
+    )
+
+
 def distinctness_graph(g, r):
     """Neighbour sets of H: u and v are adjacent when they are adjacent in g
     or share a neighbour of degree <= r, the pairs that need distinct

@@ -153,7 +153,7 @@ def test_max_vset_ceiling_stops_at_the_same_set(g, budget):
         capped = max_vset_d2r(g, r, budget, ceiling=distinct_clique(g, r).value)
         assert (capped.value, capped.certificate) == (full.value, full.certificate)
         assert capped.exact or not full.exact
-        assert strongest(lower_bounds(g, r, vset_budget=budget)).exact
+        assert strongest(lower_bounds(g, r)).exact
 
 
 def test_best_lower_bound_winners():

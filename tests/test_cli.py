@@ -102,7 +102,7 @@ def test_negative_size_cap_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["table", "all", "--size-cap", "-1"])
     assert exit_.value.code == 2
-    assert "size cap must be >= 0, got -1" in capsys.readouterr().err
+    assert "argument --size-cap: must be >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("depth", [101, 1200])
@@ -339,10 +339,12 @@ def dimacs_texts(draw):
 def test_dimacs_files_exit_cleanly_on_both_backends(tmp_path, monkeypatch, text, command, r):
     # The file is rewritten for every example. kernel._backend is swapped in
     # place, so the `backend` field of solve names the loaded backend in
-    # both runs and the rest of stdout must match.
+    # both runs and the rest of stdout must match. Only solve takes a budget.
     path = tmp_path / "g.col"
     path.write_text(text)
-    argv = [command, "--file", str(path), "-r", str(r), "--max-nodes", "2000"]
+    argv = [command, "--file", str(path), "-r", str(r)]
+    if command == "solve":
+        argv += ["--max-nodes", "2000"]
     runs = []
     for mod in kernel.backends().values():
         monkeypatch.setattr(kernel, "_backend", mod)
@@ -368,13 +370,7 @@ def test_bounds_command(capsys):
     assert doc["clique"]["value"] == 3
     assert doc["vset_d2r"]["value"] == 6
     assert doc["best"]["value"] == 6 and doc["best"]["kind"] == "vset-d2r"
-
-    # A small --max-nodes cuts the Vset search; best is picked from the
-    # reports shown, not from a second search under another budget.
-    code, out, _ = run(capsys, "bounds", "M(fr:1)", "-r", "4", "--max-nodes", "3")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["vset_d2r"]["exact"] is False
+    # best is picked from the reports shown, not from a search of its own.
     shown = [rep for key, rep in doc.items() if key != "best"]
     assert doc["best"] == max(shown, key=lambda rep: rep["value"])
 
@@ -382,8 +378,8 @@ def test_bounds_command(capsys):
 def test_bounds_vset_search_stops_at_the_distinctness_clique(capsys):
     # The Vset-d2r of L(W_{4,12}) at r = 37 is omega(H) = 39. The search
     # reaches it at node 39 and stops there; without that stop it runs out
-    # of any budget up to 200,000 nodes and reports the set as inexact.
-    code, out, _ = run(capsys, "bounds", "L(wd:4,12)", "-r", "37", "--max-nodes", "1000")
+    # of its default 200,000 nodes and reports the set as inexact.
+    code, out, _ = run(capsys, "bounds", "L(wd:4,12)", "-r", "37")
     assert code == 0
     doc = json.loads(out)
     assert doc["distinct_clique"]["value"] == 39
@@ -476,8 +472,7 @@ def test_table_bad_proposition(capsys):
 
 def test_negative_budget_is_a_usage_error(capsys):
     # A negative budget is a usage error on every command that takes one.
-    for argv in (["solve", "cyc:5", "-r", "2"], ["bounds", "cyc:5", "-r", "2"],
-                 ["table", "5"]):
+    for argv in (["solve", "cyc:5", "-r", "2"], ["table", "5"]):
         with pytest.raises(SystemExit) as exit_:
             main([*argv, "--max-nodes", "-1"])
         assert exit_.value.code == 2, argv
@@ -514,6 +509,13 @@ def test_solve_is_set_by_its_options_alone(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exit_:
         main(["solve", "cyc:4", "-r", "2", "--size-cap", "30"])
     assert exit_.value.code == 2 and "--size-cap" in capsys.readouterr().err
+
+
+def test_bounds_takes_no_node_budget(capsys):
+    # Every bound that `bounds` reports runs under its own fixed budget.
+    with pytest.raises(SystemExit) as exit_:
+        main(["bounds", "cyc:5", "-r", "2", "--max-nodes", "5"])
+    assert exit_.value.code == 2 and "--max-nodes" in capsys.readouterr().err
 
 
 def test_help_twice(capsys):

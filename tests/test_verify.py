@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import distinct_set_oracle, vset_d2r_oracle
+from test_graphs import graphs
 
 from condchrom import (
     build,
@@ -125,6 +127,30 @@ def test_check_distinct_set_accepts_every_vset_d2r():
     prov = paper_indexing("M(fr:1)")
     s = {prov.internal_of(i) for i in (1, 2, 3, 4, 5, 6)}
     assert check_vset_d2r(g, s, 4) and check_distinct_set(g, s, 4)
+
+
+@st.composite
+def graphs_with_members(draw):
+    g = draw(graphs(max_n=9))
+    members = draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+    return g, members, draw(st.integers(1, g.n))
+
+
+@given(graphs_with_members())
+def test_certificate_checks_match_pair_loop_oracles(case):
+    # Member lists repeat ids; each check reads them as a set.
+    g, members, r = case
+    assert check_vset_d2r(g, members, r) == vset_d2r_oracle(g, members, r)
+    assert check_distinct_set(g, members, r) == distinct_set_oracle(g, members, r)
+
+
+@given(graphs_with_members(), st.booleans())
+def test_certificate_checks_reject_out_of_range_ids(case, above):
+    g, members, r = case
+    members = [*members, g.n if above else -1]
+    for check in (check_vset_d2r, check_distinct_set):
+        with pytest.raises(InputError):
+            check(g, members, r)
 
 
 def test_check_vset_paper_certificate_middle_friendship():

@@ -120,6 +120,9 @@
  *   - an owned piece in the order has limit >= 0, and a cut piece has limit
  *     -1 until its owner finishes it.
  * Every array is allocated by the calling thread before a helper starts.
+ *
+ * The end of the file holds condchrom_local_search, the twin of
+ * _kernel_py.local_search, which shares nothing with the search above.
  */
 
 #define _POSIX_C_SOURCE 200809L
@@ -1052,5 +1055,158 @@ out:
             free(me[i].s.block);
     free(me);
     free(sh.pieces);
+    return status;
+}
+
+/* The number of set bits of x, without the library call that a compiler
+ * targeting baseline x86-64 makes for __builtin_popcountll. */
+INLINE int64_t ones(uint64_t x)
+{
+    x -= x >> 1 & 0x5555555555555555u;
+    x = (x & 0x3333333333333333u) + (x >> 2 & 0x3333333333333333u);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fu;
+    return (int64_t)((x * 0x0101010101010101u) >> 56);
+}
+
+/* Compiled twin of _kernel_py.local_search: the same tabu search, move for
+ * move, with the same score, candidate vertices, move order (vertices, then
+ * colours, ascending), xorshift64 tie-breaking, tenure and aspiration, so
+ * that both return the same colouring and move count. It searches in the
+ * caller's ids, on one thread.
+ *
+ * cnt[v * (k + 1) + c] counts the neighbours of v coloured c, distinct[v]
+ * the colours in 1..k that v sees, nshort[v] the neighbours of v short of
+ * their requirement, and nz[c], a mask of vw = ceil(n/64) words, the
+ * vertices that see c. The neighbours of a candidate v that count toward
+ * its moves (see _kernel_py.local_search) form the mask rel, so a move to c
+ * costs an AND and a popcount per word: rel & nz[c] are those that see c.
+ * A requirement is clamped into 0..n: every distinct count is below n, so
+ * the clamp moves a vertex's deficit by a constant and changes no move, and
+ * no deficit can overflow.
+ *
+ * color holds the start colouring (1..k) on entry and the last colouring on
+ * return. Returns FOUND when that colouring has score 0, NONE when the moves
+ * ran out or none was allowed, or NOMEM; *moves receives the moves made. */
+int condchrom_local_search(int32_t n, const int32_t *indptr,
+                           const int32_t *indices, const int64_t *req_in,
+                           int32_t k, int32_t *color, int64_t max_moves,
+                           int64_t tenure, uint64_t seed, int64_t *moves)
+{
+    size_t kw = (size_t)k + 1, vw = ((size_t)n + 63) / 64;
+    int32_t *cnt = calloc(((size_t)n + 1) * kw, sizeof(int32_t));
+    int64_t *tabu = calloc(((size_t)n + 1) * kw, sizeof(int64_t));
+    uint64_t *nz = calloc(kw * vw + vw + 1, sizeof(uint64_t)), *rel = nz + kw * vw;
+    int32_t *distinct = calloc(2 * ((size_t)n + 1), sizeof(int32_t));
+    int32_t *nshort = distinct + n + 1;
+    int64_t *req = malloc(((size_t)n + 1) * sizeof(int64_t));
+    int64_t made = 0;
+    int status = NOMEM;
+    if (!cnt || !tabu || !nz || !distinct || !req)
+        goto out;
+    for (int32_t v = 0; v < n; v++) {
+        req[v] = req_in[v] < 0 ? 0 : req_in[v] > n ? n : req_in[v];
+        for (int32_t j = indptr[v]; j < indptr[v + 1]; j++) {
+            uint32_t u = (uint32_t)indices[j];
+            cnt[u * kw + color[v]]++;
+            nz[color[v] * vw + u / 64] |= (uint64_t)1 << u % 64;
+        }
+    }
+    int64_t score = 0, best;
+    for (int32_t v = 0; v < n; v++) {
+        const int32_t *row = cnt + (size_t)v * kw;
+        for (int32_t c = 1; c <= k; c++)
+            distinct[v] += row[c] > 0;
+        score += row[color[v]];
+    }
+    score /= 2;
+    for (int32_t u = 0; u < n; u++) {
+        if (distinct[u] >= req[u])
+            continue;
+        score += req[u] - distinct[u];
+        for (int32_t j = indptr[u]; j < indptr[u + 1]; j++)
+            nshort[indices[j]]++;
+    }
+    best = score;
+    uint64_t rng = seed;
+    while (score && made < max_moves) {
+        int64_t aspire = best - score; /* a tabu move must lower d below it */
+        int32_t pv = -1, pc = 0;
+        int64_t top = 0;
+        uint64_t ties = 0;
+        for (int32_t v = 0; v < n; v++) {
+            const int32_t *row = cnt + (size_t)v * kw;
+            int32_t b = color[v];
+            if (!row[b] && !nshort[v])
+                continue;
+            int64_t base = -row[b];
+            memset(rel, 0, vw * sizeof(uint64_t));
+            for (int32_t j = indptr[v]; j < indptr[v + 1]; j++) {
+                uint32_t u = (uint32_t)indices[j];
+                int64_t s = req[u] - distinct[u];
+                int lose = cnt[u * kw + b] == 1;
+                base -= (s >= 1) & !lose;
+                rel[u / 64] |= (uint64_t)((s >= 1) | ((s == 0) & lose)) << u % 64;
+            }
+            const int64_t *ban = tabu + (size_t)v * kw;
+            for (int32_t c = 1; c <= k; c++) {
+                if (c == b)
+                    continue;
+                int64_t d = base + row[c];
+                for (size_t j = 0; j < vw; j++)
+                    d += ones(rel[j] & nz[c * vw + j]);
+                if (ban[c] > made && d >= aspire)
+                    continue;
+                if (pv < 0 || d < top) {
+                    top = d;
+                    pv = v;
+                    pc = c;
+                    ties = 1;
+                } else if (d == top) {
+                    ties++;
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    if (rng % ties == 0) {
+                        pv = v;
+                        pc = c;
+                    }
+                }
+            }
+        }
+        if (pv < 0)
+            break;
+        int32_t b = color[pv];
+        color[pv] = pc;
+        for (int32_t j = indptr[pv]; j < indptr[pv + 1]; j++) {
+            uint32_t u = (uint32_t)indices[j];
+            int32_t *ru = cnt + u * kw;
+            uint64_t bit = (uint64_t)1 << u % 64;
+            int was = distinct[u] < req[u];
+            if (!--ru[b]) {
+                distinct[u]--;
+                nz[b * vw + u / 64] &= ~bit;
+            }
+            if (!ru[pc]++) {
+                distinct[u]++;
+                nz[pc * vw + u / 64] |= bit;
+            }
+            int is = distinct[u] < req[u];
+            for (int32_t i = indptr[u]; i < indptr[u + 1] && is != was; i++)
+                nshort[indices[i]] += is - was;
+        }
+        made++;
+        tabu[(size_t)pv * kw + b] = made + tenure;
+        score += top;
+        if (score < best)
+            best = score;
+    }
+    status = score ? NONE : FOUND;
+out:
+    *moves = made;
+    free(cnt);
+    free(tabu);
+    free(nz);
+    free(distinct);
+    free(req);
     return status;
 }

@@ -10,7 +10,8 @@ message, and `kernel._load` falls back to the pure kernel.
 Semantics are those of _kernel_py.search_coloring, node counts included,
 and a loop or a repeated neighbor raises the same ValueError. The C search
 keeps one of two state layouts, chosen by n and k alone, and both give the
-same results.
+same results. local_search is _kernel_py.local_search, move for move; the
+pure module's TENURE and SEED are passed to it.
 
 Each call searches on as many threads as the process may run on
 (`os.sched_getaffinity`), starting the helpers only once the search has
@@ -28,7 +29,7 @@ import zlib
 from array import array
 from itertools import accumulate, chain
 
-from ._kernel_py import NOT_SIMPLE
+from ._kernel_py import NOT_SIMPLE, SEED, TENURE
 
 FOUND = 0
 NONE = 1
@@ -40,8 +41,8 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _FLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 _INT64_MAX = 2**63 - 1
 # A search starts its helper threads once it has expanded this many nodes,
-# well above the largest search of `table all` (632 nodes in all), so that
-# small searches pay for no thread.
+# well above the largest search of `table all` (87 nodes, M(fr:2) at r = 5;
+# 632 over all its searches), so that small searches pay for no thread.
 SPAWN_AFTER = 2**14
 
 
@@ -85,17 +86,17 @@ def _load():
         lib = ctypes.CDLL(_build())
     except OSError as e:
         raise ImportError(f"cannot build or load the C kernel: {e}") from e
-    fn = lib.condchrom_search
     # Pointers are passed as the addresses of array.array buffers, which
-    # search_coloring keeps alive for the call.
-    ptr = ctypes.c_void_p
-    fn.argtypes = [ctypes.c_int32, ptr, ptr, ptr, ctypes.c_int64,
-                   ctypes.c_int64, ctypes.c_int32, ctypes.c_int64, ptr, ptr]
-    fn.restype = ctypes.c_int
-    return fn
+    # the callers keep alive for the call.
+    ptr, i32, i64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64
+    search, local = lib.condchrom_search, lib.condchrom_local_search
+    search.argtypes = [i32, ptr, ptr, ptr, i64, i64, i32, i64, ptr, ptr]
+    local.argtypes = [i32, ptr, ptr, ptr, i32, ptr, i64, i64, ctypes.c_uint64, ptr]
+    search.restype = local.restype = ctypes.c_int
+    return search, local
 
 
-_search = _load()
+_search, _local_search = _load()
 
 
 def search_coloring(neighbors, req, k, budget):
@@ -111,9 +112,8 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _search_coloring(neighbors, req, k, budget, threads, spawn_after):
-    """search_coloring on up to `threads` threads, started after
-    `spawn_after` nodes. The result does not depend on either."""
+def _csr(neighbors, req):
+    """(indptr, indices, req) as arrays for the C kernel."""
     n = len(neighbors)
     if len(req) != n:
         raise ValueError(f"req has {len(req)} entries for {n} vertices")
@@ -121,7 +121,36 @@ def _search_coloring(neighbors, req, k, budget, threads, spawn_after):
     if indices and not (0 <= min(indices) and max(indices) < n):
         raise ValueError("neighbor id out of range")
     indptr = array("i", accumulate(map(len, neighbors), initial=0))
-    req = array("q", req)
+    return indptr, indices, array("q", req)
+
+
+def local_search(neighbors, req, k, start, max_moves):
+    """(colors or None, moves); see _kernel_py.local_search."""
+    indptr, indices, req = _csr(neighbors, req)
+    colors = array("i", start)
+    moves = array("q", [0])
+    status = _local_search(
+        len(neighbors),
+        indptr.buffer_info()[0],
+        indices.buffer_info()[0],
+        req.buffer_info()[0],
+        k,
+        colors.buffer_info()[0],
+        max(-1, min(max_moves, _INT64_MAX)),
+        TENURE,
+        SEED,
+        moves.buffer_info()[0],
+    )
+    if status < 0:
+        raise MemoryError("C kernel: allocation failed")
+    return (colors.tolist() if status == FOUND else None), moves[0]
+
+
+def _search_coloring(neighbors, req, k, budget, threads, spawn_after):
+    """search_coloring on up to `threads` threads, started after
+    `spawn_after` nodes. The result does not depend on either."""
+    n = len(neighbors)
+    indptr, indices, req = _csr(neighbors, req)
     colors = array("i", bytes(4 * n))
     nodes = array("q", [0])
     # Every k < 1 fails at once and every budget < 0 stops at the first

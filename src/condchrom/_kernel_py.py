@@ -113,3 +113,95 @@ def search_coloring(neighbors, req, k, budget):
             cc[u] += 1
         if c > max_used:
             max_used = c
+
+
+# The local search's tabu tenure, in moves, and the seed of its tie-breaking
+# xorshift64 generator. _kernel_c passes both to the C twin.
+TENURE = 7
+SEED = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def local_search(neighbors, req, k, start, max_moves):
+    """Tabu search for colors[0..n-1] in 1..k with no C1 clash and
+    |c(N(v))| >= req[v] for every v, from the coloring `start`.
+
+    The score is the number of monochromatic edges plus the sum over v of
+    max(0, req[v] - distinct[v]). A move recolors one vertex that is in a
+    clash or has a neighbour short of its requirement, and the search makes
+    the move that lowers the score most (raises it least), ties broken by a
+    reservoir pick from a fixed-seed xorshift64. Moving a vertex away from
+    a color makes moving it back tabu for TENURE moves, unless that move
+    reaches a score below the best so far. The search stops at score 0,
+    after max_moves moves, or when no move is allowed.
+
+    Returns (colors or None, moves made).
+
+    For a move of v from b to c, write s[u] = req[u] - distinct[u] for a
+    neighbour u of v, and lose[u] when v is u's only neighbour colored b.
+    The score changes by cnt[v][c] - cnt[v][b] (C1), plus, per neighbour
+    u, +1 when lose[u], s[u] >= 0 and u sees c (u loses b and gains
+    nothing), -1 when not lose[u], s[u] >= 1 and u does not see c (u gains
+    c), and 0 otherwise. So u counts toward v's moves when s[u] >= 1, or
+    s[u] == 0 and lose[u]: it adds 1 to each color it sees and, unless
+    lose[u], -1 to every color.
+    """
+    n = len(neighbors)
+    color = list(start)
+    cnt = [[0] * (k + 1) for _ in range(n)]  # cnt[u][c]: neighbors of u colored c
+    for v, nb in enumerate(neighbors):
+        for u in nb:
+            cnt[u][color[v]] += 1
+    distinct = [k + 1 - row.count(0) for row in cnt]  # row[0] is always 0
+    score = sum(cnt[v][color[v]] for v in range(n)) // 2
+    score += sum(max(0, r - d) for r, d in zip(req, distinct))
+    best = score
+    tabu = [[0] * (k + 1) for _ in range(n)]  # v may take c once moves >= tabu
+    rng = SEED
+    moves = 0
+    while score and moves < max_moves:
+        short = [d < r for r, d in zip(req, distinct)]
+        pick = None
+        for v, nb in enumerate(neighbors):
+            b = color[v]
+            if not cnt[v][b] and not any(short[u] for u in nb):
+                continue
+            base = -cnt[v][b]
+            pen = cnt[v]
+            for u in nb:
+                s = req[u] - distinct[u]
+                if s >= 1 or (s == 0 and cnt[u][b] == 1):
+                    if cnt[u][b] != 1:
+                        base -= 1
+                    pen = [p + (x > 0) for p, x in zip(pen, cnt[u])]
+            ban = tabu[v]
+            for c in range(1, k + 1):
+                if c == b:
+                    continue
+                d = base + pen[c]
+                if ban[c] > moves and score + d >= best:
+                    continue
+                if pick is None or d < top:
+                    top, pick, ties = d, (v, c), 1
+                elif d == top:
+                    ties += 1
+                    rng ^= (rng << 13) & _MASK64
+                    rng ^= rng >> 7
+                    rng ^= (rng << 17) & _MASK64
+                    if rng % ties == 0:
+                        pick = (v, c)
+        if pick is None:
+            break
+        v, c = pick
+        b = color[v]
+        color[v] = c
+        for u in neighbors[v]:
+            row = cnt[u]
+            row[b] -= 1
+            distinct[u] += (row[c] == 0) - (row[b] == 0)
+            row[c] += 1
+        moves += 1
+        tabu[v][b] = moves + TENURE
+        score += top
+        best = min(best, score)
+    return (color if score == 0 else None), moves

@@ -95,12 +95,11 @@ def clique_number(g: Graph) -> BoundReport:
     return BoundReport(len(best), CLIQUE, tuple(sorted(best)))
 
 
-def distinct_clique(g: Graph, r: int) -> BoundReport:
-    """Maximum clique of H, the graph g plus every pair of neighbours of
+def distinctness_graph(g: Graph, r: int) -> list[set[int]]:
+    """Neighbour sets of H, the graph g plus every pair of neighbours of
     each vertex of degree <= r. Two vertices adjacent in H get different
     colours in every conditional coloring at level r: by C1, or by C2 at
-    their common neighbour w, whose d(w) <= r neighbours must all differ.
-    Every clique of g and every Vset-d2r is a clique of H."""
+    their common neighbour w, whose d(w) <= r neighbours must all differ."""
     if r < 1:
         raise ParameterError(f"r must be >= 1, got {r}")
     adj = [set(g.neighbors(v)) for v in range(g.n)]
@@ -111,7 +110,13 @@ def distinct_clique(g: Graph, r: int) -> BoundReport:
                 adj[u] |= around
     for u in range(g.n):
         adj[u].discard(u)
-    best = _max_clique(adj)
+    return adj
+
+
+def distinct_clique(g: Graph, r: int) -> BoundReport:
+    """Maximum clique of H, the distinctness graph of g at level r. Every
+    clique of g and every Vset-d2r is a clique of H."""
+    best = _max_clique(distinctness_graph(g, r))
     return BoundReport(len(best), DISTINCT, tuple(sorted(best)))
 
 

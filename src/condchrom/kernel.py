@@ -1,4 +1,4 @@
-"""Backend selection for the coloring search kernel.
+"""Backend selection for the coloring search kernel and its local search.
 
 The compiled kernel (_kernel_c, built from _kernel.c on first use) is
 preferred when it builds and loads; CONDCHROM_BACKEND=pure forces the Python
@@ -38,6 +38,15 @@ _backend, BACKEND_NAME = _load()
 def search_coloring(neighbors, req, k, budget=0):
     """(status, colors|None, nodes); see _kernel_py.search_coloring."""
     return _backend.search_coloring(neighbors, req, k, budget)
+
+
+def local_search(neighbors, req, k, start, max_moves):
+    """(colors|None, moves); see _kernel_py.local_search. `start` must
+    color every vertex with a color in 1..k."""
+    if len(start) != len(neighbors) or not all(1 <= c <= k for c in start):
+        raise ValueError(f"start must give each of the {len(neighbors)} vertices "
+                         f"a color in 1..{k}")
+    return _backend.local_search(neighbors, req, k, start, max_moves)
 
 
 def backends():

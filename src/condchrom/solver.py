@@ -3,33 +3,59 @@
 chi_r(G) is found by iterating the color budget k upward from the best
 lower bound and running the backtracking decision kernel at each level.
 The result is a bracket (lo, hi): every level below lo is refuted by a
-sound bound or by search, and the witness coloring uses hi colors. chi_r is
-proven exactly when lo == hi.
+sound bound or by search, and the witness coloring uses hi colors. The
+witness is the kernel's, or, when the node budget stops the ladder first,
+a verified coloring from the kernel's local search, or else the all-distinct
+coloring. chi_r is proven exactly when lo == hi.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from . import kernel
-from .bounds import BoundReport, best_lower_bound
+from .bounds import BoundReport, best_lower_bound, distinctness_graph
 from .errors import ParameterError
 from .graphs import Graph
-from .verify import Coloring
+from .verify import Coloring, check_conditional
 
 # The most vertices of an instance that sweep, `condchrom solve` and
 # `condchrom table` build unless told otherwise.
 DEFAULT_SIZE_CAP = 24
 
+# Where a solve's hi comes from: the witness of a kernel search, a local
+# search's coloring that check_conditional accepted, or the coloring of
+# every vertex apart. An edgeless graph takes one color with no search.
+KERNEL = "kernel"
+LOCAL_SEARCH = "local-search"
+ALL_DISTINCT = "all-distinct"
+EDGELESS = "edgeless"
+
+# When the node budget stops the ladder, the local search tries the levels
+# lo, lo + 1, ... below n, at most LOCAL_LEVELS of them, each for at most
+# LOCAL_MOVES moves.
+LOCAL_MOVES = 500
+LOCAL_LEVELS = 4
+
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solve's bracket and witness. nodes_expanded counts kernel nodes
+    alone; upper_source says where the witness, and so hi, came from (one
+    of KERNEL, LOCAL_SEARCH, ALL_DISTINCT and EDGELESS), and local_moves
+    how many moves the local search made over all its levels (0 when it
+    did not run). Every field is deterministic; only `backend` differs
+    between backends."""
+
     r: int
     witness: Coloring
     nodes_expanded: int
     lower_bound_used: BoundReport
     bracket: tuple  # (lo, hi): lo <= chi_r <= hi, hi colors in the witness
+    upper_source: str = KERNEL
+    local_moves: int = 0
     backend: str = kernel.BACKEND_NAME
 
     @property
@@ -50,6 +76,7 @@ class SolveResult:
             "lower_bound": self.lower_bound_used.to_json_dict(),
             "proven": self.proven,
             "bracket": list(self.bracket),
+            "upper_bound": {"source": self.upper_source, "moves": self.local_moves},
             "backend": self.backend,
         }
 
@@ -80,22 +107,66 @@ def exists_conditional_coloring(
     return ("none" if status == kernel.NONE else "unknown"), None, nodes
 
 
+def greedy_start(h: list, k: int, order) -> list[int]:
+    """A coloring in colors 1..k of the graph with neighbour sets `h`,
+    greedy in the vertex order `order`: each vertex takes the lowest color
+    that none of its colored neighbours has, or else the color fewest of
+    them have (the lowest on a tie)."""
+    color = [0] * len(h)
+    for v in order:
+        around = Counter(color[u] for u in h[v])
+        c = 1
+        while around[c]:
+            c += 1
+        if c > k:
+            c = min(range(1, k + 1), key=around.__getitem__)
+        color[v] = c
+    return color
+
+
+def _local_upper(g: Graph, r_eff: int, lo: int, adj, req):
+    """(witness or None, moves): the local search's coloring at the first
+    level from lo up that it colors and check_conditional accepts, its
+    colors renumbered 1..hi in increasing order. It tries at most
+    LOCAL_LEVELS levels, all below n, each from greedy_start on the
+    distinctness graph in the kernel's vertex order (degree descending,
+    then id)."""
+    h = distinctness_graph(g, r_eff)
+    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
+    moves = 0
+    for k in range(lo, min(lo + LOCAL_LEVELS, g.n)):
+        start = greedy_start(h, k, order)
+        colors, made = kernel.local_search(adj, req, k, start, LOCAL_MOVES)
+        moves += made
+        if colors is None:
+            continue
+        rank = {c: i for i, c in enumerate(sorted(set(colors)), start=1)}
+        witness = Coloring(tuple(rank[c] for c in colors), len(rank))
+        if check_conditional(g, witness, r_eff).valid:
+            return witness, moves
+    return None, moves
+
+
 def chi_r_exact(g: Graph, r: int, budget: int = 0) -> SolveResult:
     """Minimum number of distinct colors admitting a conditional coloring
     at level r (r is capped at Delta first; C2 saturates at d(v)).
 
     Levels k climb from the best lower bound until the kernel finds a
-    coloring, runs out of nodes, or the node budget (0 = unlimited) is
-    spent. lo is the first level not refuted; hi is the number of colors of
-    the kernel's witness, or else n for the all-distinct coloring. The
-    result is proven when lo == hi.
+    coloring or the node budget (0 = unlimited) is spent. lo is the first
+    level not refuted. hi is the number of colors of the kernel's witness.
+    When the budget stops the ladder first, hi comes from the local search
+    (kernel.local_search), which climbs from lo and whose coloring is used
+    only once check_conditional accepts it; where it finds none, hi is n,
+    for the all-distinct coloring. The result is proven when lo == hi, and
+    its nodes_expanded counts kernel nodes alone.
     """
     if g.n < 1:
         raise ParameterError("graph must have at least one vertex")
     r_eff = _normalized_r(g, r)
     if g.m == 0:
         witness = Coloring((1,) * g.n, 1)
-        return SolveResult(r, witness, 0, BoundReport(1, "clique", (0,)), (1, 1))
+        return SolveResult(r, witness, 0, BoundReport(1, "clique", (0,)), (1, 1),
+                           EDGELESS)
 
     lb = best_lower_bound(g, r_eff)
     adj = g.adjacency_lists()
@@ -112,9 +183,12 @@ def chi_r_exact(g: Graph, r: int, budget: int = 0) -> SolveResult:
             break
     if status == kernel.FOUND:
         witness = Coloring(tuple(colors), max(colors))
-    else:
-        witness = Coloring(tuple(range(1, g.n + 1)), g.n)
-    return SolveResult(r, witness, total_nodes, lb, (lo, witness.k))
+        return SolveResult(r, witness, total_nodes, lb, (lo, witness.k))
+    witness, moves = _local_upper(g, r_eff, lo, adj, req)
+    source = LOCAL_SEARCH
+    if witness is None:
+        witness, source = Coloring(tuple(range(1, g.n + 1)), g.n), ALL_DISTINCT
+    return SolveResult(r, witness, total_nodes, lb, (lo, witness.k), source, moves)
 
 
 def sweep(entries, budget: int = 0, size_cap: int = DEFAULT_SIZE_CAP) -> list[dict]:

@@ -12,9 +12,12 @@
  * Input, whitespace-separated integers:
  *   n k budget threads spawn_after
  *   req[0] .. req[n-1]
- *   then for each vertex v: its degree, then its neighbours.
+ *   then for each vertex v: its degree, then its neighbours;
+ *   then, optionally, max_moves tenure seed start[0] .. start[n-1], to run
+ *   condchrom_local_search at the same k from that colouring as well.
  * Output: "status nodes colours", colours comma-separated or "-" unless the
- * status is FOUND (0). Exits 2 on malformed input, a vertex that is its own
+ * status is FOUND (0), then for a local search "status moves colours" in
+ * the same form. Exits 2 on malformed input, a vertex that is its own
  * neighbour or has a neighbour twice, or a failed allocation. */
 
 #include <stdint.h>
@@ -25,6 +28,10 @@ int condchrom_search(int32_t n, const int32_t *indptr, const int32_t *indices,
                      const int64_t *req, int64_t k, int64_t budget,
                      int32_t threads, int64_t spawn_after, int32_t *color,
                      int64_t *nodes);
+int condchrom_local_search(int32_t n, const int32_t *indptr,
+                           const int32_t *indices, const int64_t *req_in,
+                           int32_t k, int32_t *color, int64_t max_moves,
+                           int64_t tenure, uint64_t seed, int64_t *moves);
 
 /* The next integer, which must lie in lo..hi. */
 static int64_t next(int64_t lo, int64_t hi)
@@ -35,6 +42,18 @@ static int64_t next(int64_t lo, int64_t hi)
         exit(2);
     }
     return x;
+}
+
+/* Print "status count colours" as the output lines do. */
+static void print_result(int status, int64_t count, int32_t n, const int32_t *color)
+{
+    printf("%d %lld ", status, (long long)count);
+    if (status == 0)
+        for (int32_t v = 0; v < n; v++)
+            printf(v ? ",%d" : "%d", (int)color[v]);
+    else
+        putchar('-');
+    putchar('\n');
 }
 
 int main(void)
@@ -62,13 +81,21 @@ int main(void)
                                   spawn_after, color, &nodes);
     if (status < 0)
         return 2;
-    printf("%d %lld ", status, (long long)nodes);
-    if (status == 0)
+    print_result(status, nodes, n, color);
+    long long max_moves;
+    if (scanf("%lld", &max_moves) == 1) {
+        int64_t tenure = next(0, INT32_MAX), moves = 0;
+        unsigned long long seed;
+        if (scanf("%llu", &seed) != 1)
+            return 2;
         for (int32_t v = 0; v < n; v++)
-            printf(v ? ",%d" : "%d", (int)color[v]);
-    else
-        putchar('-');
-    putchar('\n');
+            color[v] = (int32_t)next(1, k < INT32_MAX ? k : INT32_MAX);
+        status = condchrom_local_search(n, indptr, indices, req, (int32_t)k, color,
+                                        max_moves, tenure, seed, &moves);
+        if (status < 0)
+            return 2;
+        print_result(status, moves, n, color);
+    }
     free(req);
     free(indptr);
     free(indices);

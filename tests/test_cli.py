@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from test_graphs import graphs
 from condchrom import cli, families, kernel
 from condchrom.cli import main
 from condchrom.graphs import to_dimacs
+from condchrom.verify import Coloring, check_conditional
 
 
 def run(capsys, *argv):
@@ -157,15 +159,55 @@ def test_solve_builds_each_graph_once(capsys, monkeypatch):
 
 
 def test_solve_budget_exit(capsys):
+    # The budget stops the kernel at k = 6, where the local search finds a
+    # coloring (before it, hi was 11 and the exit 3).
     code, out, _ = run(capsys, "solve", "M(fr:2)", "-r", "5", "--max-nodes", "3")
-    assert code == 3
-    assert json.loads(out)["proven"] is False
-    # The budget runs out at k = 5, but the exact Vset-d2r bound 5 meets the
-    # all-distinct coloring of C_5: the bracket is closed, so exit 0.
+    doc = json.loads(out)
+    assert code == 0 and doc["bracket"] == [6, 6]
+    assert doc["upper_bound"] == {"source": "local-search", "moves": 2}
+    # k = 7 fails 500 moves, then k = 8 is colored: the bracket stays open.
+    code, out, _ = run(capsys, "solve", "M(kpart:4,4)", "-r", "6", "--max-nodes", "1000")
+    doc = json.loads(out)
+    assert code == 3 and doc["proven"] is False and doc["bracket"] == [7, 8]
+    assert doc["nodes_expanded"] == 1001
+    # The budget runs out at k = 5, but the bound 5 meets the all-distinct
+    # coloring of C_5: the bracket is closed, so exit 0, with no search.
     code, out, _ = run(capsys, "solve", "cyc:5", "-r", "2", "--max-nodes", "1")
     doc = json.loads(out)
     assert code == 0
     assert doc["bracket"] == [5, 5] and doc["proven"] is True and doc["chi_r"] == 5
+    assert doc["upper_bound"] == {"source": "all-distinct", "moves": 0}
+
+
+@pytest.mark.parametrize("spec, r, budget, code, bracket, moves", [
+    ("M(fr:5)", 11, 500_000, 0, [12, 12], 2),
+    ("M(kpart:4,4)", 6, 300_000, 3, [7, 8], 511),
+])
+def test_budget_cut_solve_takes_hi_from_the_local_search(capsys, spec, r, budget,
+                                                         code, bracket, moves):
+    # The kernel cannot color M(F_5) at r = 11, k = 12 in 500,000 nodes; the
+    # local search does in 2 moves, so chi_11 = 12 is proven. On M(K_{4,4})
+    # at r = 6 it fails k = 7 and colors k = 8 (chi_6 = 8).
+    got = run(capsys, "solve", spec, "-r", str(r), "--force", "--max-nodes", str(budget))
+    doc = json.loads(got[1])
+    assert got[0] == code and doc["bracket"] == bracket
+    assert doc["nodes_expanded"] == budget + 1
+    assert doc["upper_bound"] == {"source": "local-search", "moves": moves}
+    g = families.build(spec)[0]
+    assert check_conditional(g, Coloring.from_json_dict(doc["witness"]), r).valid
+
+
+@pytest.mark.parametrize("name", sorted(kernel.backends()))
+def test_table_all_is_proven_by_the_local_search_on_one_node(capsys, monkeypatch, name):
+    # Under a one-node budget every golden row still reaches its exact value:
+    # only the nodes column changes.
+    monkeypatch.setattr(kernel, "_backend", kernel.backends()[name])
+    code, out, _ = run(capsys, "table", "all", "--max-nodes", "1")
+    golden = (Path(__file__).parents[1] / "condbench" / "table_all.csv").read_text()
+    keep = ("proposition", "instance", "n_vertices", "r", "formula", "exact", "match", "proven")
+    rows = [[row[c] for c in keep] for row in csv.DictReader(io.StringIO(out))]
+    assert code == 0
+    assert rows == [[row[c] for c in keep] for row in csv.DictReader(io.StringIO(golden))]
 
 
 def test_solve_requires_input(capsys):

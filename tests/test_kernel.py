@@ -11,8 +11,11 @@ top bit plane of the word state. The C kernel's search on several
 threads must give the serial answer for every thread count and every
 start of its helpers, also when the budget runs out next to where the
 search is split, and runs without a data race under ThreadSanitizer and
-without undefined behaviour under UndefinedBehaviorSanitizer. The
-loader's fallback is checked with no compiler on PATH."""
+without undefined behaviour under UndefinedBehaviorSanitizer. The two
+twins of the local search return the same colouring and move count on
+random graphs, beyond one 64-bit vertex word and under both sanitizers,
+and what they colour verifies. The loader's fallback is checked with no
+compiler on PATH."""
 
 import functools
 import os
@@ -28,7 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_graphs import graphs
 
-from condchrom import build, check_conditional, kernel
+from condchrom import _kernel_py, build, check_conditional, kernel, solver
+from condchrom.bounds import distinctness_graph
 from condchrom.graphs import Graph
 from condchrom.verify import Coloring
 
@@ -67,6 +71,11 @@ def _circulant(n, offsets):
 
 
 needs_c = pytest.mark.skipif("c" not in kernel.backends(), reason="the C kernel does not load")
+
+
+def _degree_order(g):
+    """The vertices by degree descending, then id: the solver's start order."""
+    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
 def _instance(spec, r):
@@ -268,9 +277,13 @@ def test_c_kernel_agrees_with_pure_on_the_top_bit_planes():
             assert got == want, (req[0], k, budget, threads)
 
 
-def _run_driver(exe, adj, req, k, budget, threads, spawn_after):
+def _run_driver(exe, adj, req, k, budget, threads, spawn_after, local=None):
+    """local: (start, max_moves) to run the local search at k as well."""
     lines = [f"{len(adj)} {k} {budget} {threads} {spawn_after}", " ".join(map(str, req))]
     lines += [" ".join(map(str, [len(nb), *nb])) for nb in adj]
+    if local is not None:
+        start, max_moves = local
+        lines += [f"{max_moves} {_kernel_py.TENURE} {_kernel_py.SEED}", " ".join(map(str, start))]
     return subprocess.run([str(exe)], input="\n".join(lines) + "\n", capture_output=True,
                           text=True, timeout=300)
 
@@ -300,10 +313,43 @@ def _sanitized_driver(tmp_path, flags, sanitizer):
 def _driver_result(exe, adj, req, k, budget, threads, spawn_after):
     """The driver's (status, colours, nodes); it must exit 0 with nothing on
     stderr, where a sanitizer reports."""
-    proc = _run_driver(exe, adj, req, k, budget, threads, spawn_after)
+    return _driver_lines(exe, adj, req, k, budget, threads, spawn_after)[0]
+
+
+def _driver_lines(exe, adj, req, k, budget, threads, spawn_after, local=None):
+    """The (status, colours, count) of each line the driver prints."""
+    proc = _run_driver(exe, adj, req, k, budget, threads, spawn_after, local)
     assert proc.stderr == "" and proc.returncode == 0, proc.stderr[:3000]
-    status, nodes, colors = proc.stdout.split()
-    return int(status), None if colors == "-" else [int(c) for c in colors.split(",")], int(nodes)
+    out = []
+    for line in proc.stdout.splitlines():
+        status, count, colors = line.split()
+        out.append((int(status), None if colors == "-" else [int(c) for c in colors.split(",")],
+                    int(count)))
+    return out
+
+
+@functools.cache
+def _local_rows():
+    """(adj, req, k, budget, search answer, start, local search answer) where
+    solve runs the local search on the benchmark's two budget-cut rows:
+    M(F_5) at r = 11 after 500,000 nodes at k = 12, and M(K_{4,4}) at r = 6
+    after 300,000 nodes at k = 7, where it fails, then at k = 8 (the search
+    there is cut after one node). The answers are the pure kernel's."""
+    pure, rows = kernel.backends()["pure"], []
+    for spec, r, k, budget in (("M(fr:5)", 11, 12, 500_000), ("M(kpart:4,4)", 6, 7, 300_000),
+                               ("M(kpart:4,4)", 6, 8, 1)):
+        g = build(spec)[0]
+        adj, req = _instance(spec, r)
+        start = solver.greedy_start(distinctness_graph(g, r), k, _degree_order(g))
+        rows.append((adj, req, k, budget, (kernel.BUDGET, None, budget + 1), start,
+                     pure.local_search(adj, req, k, start, solver.LOCAL_MOVES)))
+    return rows
+
+
+def _check_local_rows(exe):
+    for adj, req, k, budget, want, start, (colors, moves) in _local_rows():
+        got = _driver_lines(exe, adj, req, k, budget, 4, 1000, (start, solver.LOCAL_MOVES))
+        assert got == [want, (kernel.FOUND if colors else kernel.NONE, colors, moves)], k
 
 
 def test_parallel_search_has_no_data_race(tmp_path):
@@ -318,6 +364,7 @@ def test_parallel_search_has_no_data_race(tmp_path):
     for adj, req, k, budget, want in cases:
         assert _driver_result(exe, adj, req, k, budget, 4, 1000) == want, (len(adj), k)
     _check_budget_cut(exe)
+    _check_local_rows(exe)
 
 
 def _check_budget_cut(exe):
@@ -347,6 +394,7 @@ def test_kernel_has_no_undefined_behaviour(tmp_path):
         got = _driver_result(exe, *_instance(spec, r), k, budget, 4, 1000)
         assert got == (status, colors, nodes), spec
     _check_budget_cut(exe)
+    _check_local_rows(exe)
     # A requirement far below 0 acts as 0, without overflowing d - req.
     adj, req = [[1], [0, 2], [1]], [-2**63, 0, -1]
     want = kernel.backends()["pure"].search_coloring(adj, req, 3, 0)
@@ -374,6 +422,51 @@ def test_backends_agree_on_random_graphs(g):
                 results = {name: mod.search_coloring(adj, req, k, budget)
                            for name, mod in mods.items()}
                 assert len(set(map(repr, results.values()))) == 1, (r, k, budget, results)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs(max_n=14), data=st.data())
+def test_local_search_twins_agree_and_colorings_verify(g, data):
+    # From a random start or the solver's greedy start on the distinctness
+    # graph. A colouring found at k is a conditional colouring with at most
+    # k colours, so the kernel cannot refute k.
+    mods = kernel.backends()
+    r = data.draw(st.integers(1, max(g.max_degree(), 1)))
+    k = data.draw(st.integers(1, g.n + 1))
+    adj, req = g.adjacency_lists(), [min(g.degree(v), r) for v in range(g.n)]
+    if data.draw(st.booleans()):
+        start = solver.greedy_start(distinctness_graph(g, r), k, _degree_order(g))
+    else:
+        start = data.draw(st.lists(st.integers(1, k), min_size=g.n, max_size=g.n))
+    max_moves = data.draw(st.sampled_from([0, 1, 7, 60, 300]))
+    results = {name: mod.local_search(adj, req, k, start, max_moves) for name, mod in mods.items()}
+    assert len(set(map(repr, results.values()))) == 1, results
+    # The twins agree on requirements outside 0..d(v) too (C clamps them).
+    odd = [x + data.draw(st.sampled_from([-2**62, -1, 0, 1, 2**62])) for x in req]
+    assert len({repr(mod.local_search(adj, odd, k, start, max_moves))
+                for mod in mods.values()}) == 1, odd
+    colors, moves = results["pure"]
+    assert 0 <= moves <= max_moves
+    if colors is not None:
+        assert check_conditional(g, Coloring(tuple(colors), k), r).valid
+        assert mods["pure"].search_coloring(adj, req, k, 0)[0] != kernel.NONE
+
+
+@needs_c
+@pytest.mark.parametrize("spec, r, k, max_moves", [
+    ("cyc:130", 2, 4, 300),    # three vertex words; colours it in 44 moves
+    ("M(cyc:40)", 4, 5, 300),  # 80 vertices; k = 5 is not reached
+    ("kpart:" + ",".join(["1"] * 66), 1, 66, 40),
+])
+def test_local_search_twins_agree_beyond_one_vertex_word(spec, r, k, max_moves):
+    # The C twin keeps, per colour, a mask of the vertices that see it in
+    # ceil(n/64) words; K_66 at k = 66 also uses colours above 64.
+    g = build(spec)[0]
+    adj, req = g.adjacency_lists(), [min(g.degree(v), r) for v in range(g.n)]
+    start = [random.Random(v).randint(1, k) for v in range(g.n)]
+    want = kernel.backends()["pure"].local_search(adj, req, k, start, max_moves)
+    assert kernel.backends()["c"].local_search(adj, req, k, start, max_moves) == want
+    assert want[1] > 0
 
 
 _rng = random.Random(1)

@@ -6,8 +6,11 @@ from condchrom import (
     chi_r_exact,
     exists_conditional_coloring,
     families,
+    kernel,
+    solver,
     sweep,
 )
+from condchrom.bounds import distinctness_graph
 from condchrom.errors import ParameterError
 from condchrom.graphs import Graph
 from condchrom.kernel import backends
@@ -87,11 +90,12 @@ def test_exists_conditional_coloring():
 
 
 def test_budget_exhaustion():
+    # The budget stops the kernel at k = 6; the local search colours k = 6
+    # and closes the bracket, which was (6, 11) with the all-distinct hi.
     g, _ = build("M(fr:2)")
     res = chi_r_exact(g, 5, budget=5)
-    assert not res.proven
-    lo, hi = res.bracket
-    assert lo <= 6 <= hi
+    assert res.bracket == (6, 6) and res.proven
+    assert res.nodes_expanded == 6 and res.upper_source == "local-search"
     assert check_conditional(g, res.witness, 5).valid
 
     # k = 5 is refuted without search (some vertex needs 5 neighbor colors)
@@ -104,12 +108,67 @@ def test_budget_exhaustion():
 
 def test_bracket_counts_a_level_refuted_on_the_last_node():
     # Refuting k = 6 takes exactly the 815 budgeted nodes; k = 6 is refuted
-    # all the same, so the bracket starts at 7.
+    # all the same, so the bracket starts at 7. No node is left for k = 7,
+    # whose colouring the local search finds (hi was 15, then 7 for C_7).
     res = chi_r_exact(build("M(kpart:3,3)")[0], 5, budget=815)
-    assert res.bracket == (7, 15) and res.nodes_expanded == 815
-    assert not res.proven and res.chi_r == 15
+    assert res.bracket == (7, 7) and res.nodes_expanded == 815
+    assert res.proven and res.upper_source == "local-search"
     res = chi_r_exact(build("cyc:7")[0], 2, budget=7)
-    assert res.bracket == (4, 7) and not res.proven
+    assert res.bracket == (4, 4) and res.nodes_expanded == 7
+
+
+def test_upper_bound_names_its_source():
+    res = chi_r_exact(build("M(fr:2)")[0], 5)
+    assert (res.upper_source, res.local_moves) == ("kernel", 0)
+    assert res.to_json_dict()["upper_bound"] == {"source": "kernel", "moves": 0}
+    res = chi_r_exact(Graph(3, []), 2)
+    assert (res.upper_source, res.local_moves, res.bracket) == ("edgeless", 0, (1, 1))
+    res = chi_r_exact(build("M(kpart:4,4)")[0], 6, budget=1)
+    assert (res.upper_source, res.local_moves, res.bracket) == ("local-search", 511, (7, 8))
+    assert res.nodes_expanded == 2  # kernel nodes alone
+
+
+def test_local_search_gives_up_after_its_levels(monkeypatch):
+    # With one level, k = 7 fails its 500 moves and hi falls back to n.
+    monkeypatch.setattr(solver, "LOCAL_LEVELS", 1)
+    res = chi_r_exact(build("M(kpart:4,4)")[0], 6, budget=1)
+    assert (res.upper_source, res.local_moves, res.bracket) == ("all-distinct", 500, (7, 24))
+    assert res.witness.colors == tuple(range(1, 25))
+
+
+def test_local_search_coloring_is_used_only_once_verified(monkeypatch):
+    # A coloring that check_conditional rejects is never hi: here the first
+    # level returns one with a clash, and the next level's real one is used.
+    g = build("M(kpart:3,3)")[0]
+    real = kernel.local_search
+    calls = []
+
+    def clashing_first(adj, req, k, start, max_moves):
+        calls.append(k)
+        if len(calls) == 1:
+            return [1] * len(adj), 3
+        return real(adj, req, k, start, max_moves)
+
+    monkeypatch.setattr(kernel, "local_search", clashing_first)
+    res = chi_r_exact(g, 5, budget=815)
+    assert calls == [7, 8] and res.bracket == (7, 8) and res.local_moves > 3
+    assert check_conditional(g, res.witness, 5).valid
+    assert res.witness.colors_used == 8
+
+
+def test_greedy_start_colors_every_vertex_within_k(corpus):
+    for spec, g in corpus:
+        h = distinctness_graph(g, max(g.max_degree(), 1))
+        order = list(range(g.n))[::-1]
+        for k in (1, 2, g.n):
+            start = solver.greedy_start(h, k, order)
+            assert len(start) == g.n and all(1 <= c <= k for c in start), (spec, k)
+        # With n colors no two H-neighbours share one.
+        start = solver.greedy_start(h, g.n, order)
+        assert all(start[u] != start[v] for v in range(g.n) for u in h[v]), spec
+    # Out of colors, a vertex takes the one fewest colored neighbours have.
+    h = [{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}]
+    assert solver.greedy_start(h, 2, [0, 1, 2, 3]) == [1, 2, 1, 2]
 
 
 def test_budgeted_brackets_hold_chi_and_proven_means_closed(corpus):

@@ -8,7 +8,8 @@ reused. Any failure to build or load raises ImportError with the compiler's
 message, and `kernel._load` falls back to the pure kernel.
 
 Semantics are those of _kernel_py.search_coloring, node counts included,
-and a loop or a repeated neighbor raises the same ValueError. The C search
+and malformed input raises the same ValueError: a req of the wrong length,
+a neighbor id out of range, a loop or a repeated neighbor. The C search
 keeps one of two state layouts, chosen by n and k alone, and both give the
 same results. local_search is _kernel_py.local_search, move for move; the
 pure module's TENURE and SEED are passed to it.
@@ -29,11 +30,8 @@ import zlib
 from array import array
 from itertools import accumulate, chain
 
-from ._kernel_py import NOT_SIMPLE, SEED, TENURE
-
-FOUND = 0
-NONE = 1
-BUDGET = 2
+from ._kernel_py import (FOUND, NOT_SIMPLE, OUT_OF_RANGE, SEED, TENURE, check_req,
+                         check_start)
 
 _NOT_SIMPLE = -2  # condchrom_search's status for a loop or a repeated neighbor
 
@@ -115,17 +113,17 @@ def _cpus() -> int:
 def _csr(neighbors, req):
     """(indptr, indices, req) as arrays for the C kernel."""
     n = len(neighbors)
-    if len(req) != n:
-        raise ValueError(f"req has {len(req)} entries for {n} vertices")
+    check_req(req, n)
     indices = array("i", chain.from_iterable(neighbors))
     if indices and not (0 <= min(indices) and max(indices) < n):
-        raise ValueError("neighbor id out of range")
+        raise ValueError(OUT_OF_RANGE)
     indptr = array("i", accumulate(map(len, neighbors), initial=0))
     return indptr, indices, array("q", req)
 
 
 def local_search(neighbors, req, k, start, max_moves):
     """(colors or None, moves); see _kernel_py.local_search."""
+    check_start(neighbors, k, start)
     indptr, indices, req = _csr(neighbors, req)
     colors = array("i", start)
     moves = array("q", [0])

@@ -29,17 +29,35 @@ FOUND = 0
 NONE = 1
 BUDGET = 2
 NOT_SIMPLE = "a vertex is its own neighbor or has a repeated neighbor"
+OUT_OF_RANGE = "neighbor id out of range"
+
+
+def check_req(req, n):
+    """Raise ValueError unless `req` has one entry per vertex."""
+    if len(req) != n:
+        raise ValueError(f"req has {len(req)} entries for {n} vertices")
+
+
+def _check_ids(neighbors, req):
+    """check_req, then ValueError for a neighbor id outside 0..n-1: the
+    checks the C wrapper makes on the arrays it builds."""
+    n = len(neighbors)
+    check_req(req, n)
+    if any(nb and not (0 <= min(nb) and max(nb) < n) for nb in neighbors):
+        raise ValueError(OUT_OF_RANGE)
 
 
 def search_coloring(neighbors, req, k, budget):
     """Find colors[0..n-1] in 1..k satisfying C1 and |c(N(v))| >= req[v].
 
-    neighbors: sorted adjacency lists of a simple graph (ValueError for a
-    loop or a repeated neighbor); req[v] is the per-vertex
-    distinct-neighbor-color demand, refuted at once above d(v) or k - 1;
-    budget: max search nodes (0 = unlimited).
+    neighbors: sorted adjacency lists of a simple graph on 0..n-1
+    (ValueError for an id outside it, then for a loop or a repeated
+    neighbor); req[v] is the per-vertex distinct-neighbor-color demand,
+    one per vertex (ValueError otherwise, checked first), refuted at once
+    above d(v) or k - 1; budget: max search nodes (0 = unlimited).
     Returns (status, colors or None, nodes).
     """
+    _check_ids(neighbors, req)
     n = len(neighbors)
     if any(v in nb or len(set(nb)) < len(nb) for v, nb in enumerate(neighbors)):
         raise ValueError(NOT_SIMPLE)
@@ -122,6 +140,13 @@ SEED = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 
+def check_start(neighbors, k, start):
+    """Raise ValueError unless `start` gives every vertex a color in 1..k."""
+    if len(start) != len(neighbors) or not all(1 <= c <= k for c in start):
+        raise ValueError(f"start must give each of the {len(neighbors)} vertices "
+                         f"a color in 1..{k}")
+
+
 def local_search(neighbors, req, k, start, max_moves):
     """Tabu search for colors[0..n-1] in 1..k with no C1 clash and
     |c(N(v))| >= req[v] for every v, from the coloring `start`.
@@ -135,7 +160,9 @@ def local_search(neighbors, req, k, start, max_moves):
     reaches a score below the best so far. The search stops at score 0,
     after max_moves moves, or when no move is allowed.
 
-    Returns (colors or None, moves made).
+    Returns (colors or None, moves made), once check_start accepts start;
+    a req or a neighbor id that does not fit raises search_coloring's
+    ValueError.
 
     For a move of v from b to c, write s[u] = req[u] - distinct[u] for a
     neighbour u of v, and lose[u] when v is u's only neighbour colored b.
@@ -146,6 +173,8 @@ def local_search(neighbors, req, k, start, max_moves):
     s[u] == 0 and lose[u]: it adds 1 to each color it sees and, unless
     lose[u], -1 to every color.
     """
+    check_start(neighbors, k, start)
+    _check_ids(neighbors, req)
     n = len(neighbors)
     color = list(start)
     cnt = [[0] * (k + 1) for _ in range(n)]  # cnt[u][c]: neighbors of u colored c

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .graphs import Graph
+from .graphs import EDGE_LIMIT, Graph
 from .verify import check_vset_d2r
 
 CLIQUE = "clique"
@@ -99,17 +99,29 @@ def distinctness_graph(g: Graph, r: int) -> list[set[int]]:
     """Neighbour sets of H, the graph g plus every pair of neighbours of
     each vertex of degree <= r. Two vertices adjacent in H get different
     colours in every conditional coloring at level r: by C1, or by C2 at
-    their common neighbour w, whose d(w) <= r neighbours must all differ."""
+    their common neighbour w, whose d(w) <= r neighbours must all differ.
+
+    Raises ParameterError once H has more than graphs.EDGE_LIMIT edges."""
     if r < 1:
         raise ParameterError(f"r must be >= 1, got {r}")
-    adj = [set(g.neighbors(v)) for v in range(g.n)]
-    for w in range(g.n):
-        around = g.neighbors(w)
+    nbr = [g.neighbors(v) for v in range(g.n)]
+    # Each set holds its own vertex until the end, so the sets' total size,
+    # `entries`, is n plus twice the edge count of H once all are complete;
+    # the sets only grow, so it passes the cap only if H will.
+    adj = [{v, *nb} for v, nb in enumerate(nbr)]
+    entries, cap = 2 * g.m + g.n, 2 * EDGE_LIMIT + g.n
+    for around in nbr:
         if len(around) <= r:
             for u in around:
-                adj[u] |= around
-    for u in range(g.n):
-        adj[u].discard(u)
+                s = adj[u]
+                entries -= len(s)
+                s |= around
+                entries += len(s)
+                if entries > cap:
+                    raise ParameterError(f"the distinctness graph H at r = {r} has "
+                                         f"more than {EDGE_LIMIT} edges, its limit")
+    for u, s in enumerate(adj):
+        s.discard(u)
     return adj
 
 

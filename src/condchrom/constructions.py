@@ -19,7 +19,7 @@ its own parameters and then asks its own row, which refuses an r it does
 not cover. construct, predicted_chi_r, paper_indexing and `condchrom table`
 all read CASES; outside every case they refuse instead of extrapolating.
 Facts about a family's graph itself, its edge count and Delta, come from
-families (declared_size, declared_max_degree) or from the built graph.
+families (declared_size, declared_max_degree).
 """
 
 from __future__ import annotations
@@ -333,16 +333,12 @@ CASES = (
 _ROW = {c.proposition: c for c in CASES}
 
 
-def _parsed(spec: str | FamilySpec) -> FamilySpec:
-    return parse_spec(spec) if isinstance(spec, str) else spec
-
-
-def _covering_case(spec: FamilySpec, r: int, delta: Callable[[], int]):
+def _covering_case(spec: FamilySpec, r: int):
     """(row, params, painted) of the first row that covers (spec, r), painted
-    being what its paint gives, or None; delta() gives Delta when a row asks
-    for it. Raises ParameterError where families.build rejects the spec,
-    without building it."""
+    being what its paint gives, or None. Raises ParameterError where
+    families.build rejects the spec, without building it."""
     families.check_limits(spec)
+    delta = functools.partial(families.declared_max_degree, spec)
     return next(((c, p, painted) for c in CASES if (p := c.family(spec)) is not None
                  and (painted := c.paint(p, r, delta)) is not None), None)
 
@@ -363,7 +359,7 @@ def _stated(proposition: int, spec: str, r: int | None = None) -> ClaimedColorin
     no case of its row covers r."""
     row, spec = _ROW[proposition], parse_spec(spec)
     built = families.build(spec)
-    params, delta = row.family(spec), built[0].max_degree
+    params, delta = row.family(spec), functools.partial(families.declared_max_degree, spec)
     r = delta() if r is None else r
     painted = row.paint(params, r, delta)
     if painted is None:
@@ -452,7 +448,7 @@ def color_middle_bipartite(n1: int, n2: int, r: int) -> ClaimedColoring:
 def numbered_build(spec: str | FamilySpec) -> tuple[Graph, Provenance]:
     """families.build(spec) with the numbering of the first proposition that
     states the family; the builder's identity numbering where none does."""
-    spec = _parsed(spec)
+    spec = parse_spec(spec)
     built = families.build(spec)
     stated = next(((c.numbering, p) for c in CASES if (p := c.family(spec)) is not None),
                   None)
@@ -462,7 +458,7 @@ def numbered_build(spec: str | FamilySpec) -> tuple[Graph, Provenance]:
 def paper_indexing(spec: str | FamilySpec) -> Provenance:
     """Provenance (including the v_i bijection) for a supported family.
     Raises ParameterError for a line or middle graph no proposition states."""
-    spec = _parsed(spec)
+    spec = parse_spec(spec)
     _, prov = numbered_build(spec)
     if prov.scheme == "identity" and spec.tag in ("L", "M"):
         raise ParameterError(f"no proposition indexing for {spec}")
@@ -471,16 +467,14 @@ def paper_indexing(spec: str | FamilySpec) -> Provenance:
 
 def construct(spec: str | FamilySpec, r: int) -> ClaimedColoring:
     """The coloring of the first stated case that covers (family, r)."""
-    spec = _parsed(spec)
-    # One build serves the claim and, when a row asks for it, Delta.
-    built = functools.cache(functools.partial(families.build, spec))
-    hit = _covering_case(spec, r, lambda: built()[0].max_degree())
+    spec = parse_spec(spec)
+    hit = _covering_case(spec, r)
     if hit is None:
         stated = "; ".join(f"proposition {c.proposition} at {c.label}"
                            for c in CASES if c.family(spec) is not None)
         raise UnsupportedCaseError(f"no stated case covers {spec} at r = {r}; " + (
             f"stated: {stated}" if stated else "no proposition covers the family"))
-    return _claim(*hit, built())
+    return _claim(*hit, families.build(spec))
 
 
 def predicted_chi_r(spec: str | FamilySpec, r: int) -> int | None:
@@ -488,14 +482,14 @@ def predicted_chi_r(spec: str | FamilySpec, r: int) -> int | None:
 
     Returns None outside every case; never extrapolates.
     """
-    spec = _parsed(spec)
-    hit = _covering_case(spec, r, functools.partial(families.declared_max_degree, spec))
+    spec = parse_spec(spec)
+    hit = _covering_case(spec, r)
     return None if hit is None else hit[2][2]  # the painted value
 
 
 def covered_levels(spec: str | FamilySpec, proposition: int) -> list[int]:
     """The r in 1..Delta at which the row of `proposition` covers `spec`."""
-    spec = _parsed(spec)
+    spec = parse_spec(spec)
     families.check_limits(spec)  # ParameterError where the builders reject spec
     row = _ROW[proposition]
     params = row.family(spec)

@@ -83,8 +83,11 @@ class FamilySpec:
         return f"{self.tag}:{','.join(str(p) for p in self.params)}"
 
 
-def parse_spec(text: str) -> FamilySpec:
-    """Parse the family grammar; raises ParameterError with a position."""
+def parse_spec(text: str | FamilySpec) -> FamilySpec:
+    """Parse the family grammar; raises ParameterError with a position. A
+    FamilySpec is returned as it is."""
+    if isinstance(text, FamilySpec):
+        return text
     spec, pos = _parse_at(text, 0)
     rest = text[pos:].strip()
     if rest:
@@ -304,8 +307,7 @@ def _base(spec: FamilySpec) -> tuple:
 
 def build(spec: str | FamilySpec) -> tuple[Graph, Provenance]:
     """Build a graph from a family spec (string or parsed)."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
+    spec = parse_spec(spec)
     if spec.tag in ("L", "M"):
         return _transform(spec.tag, *build(spec.inner))
     builder, _, args = _base(spec)
@@ -316,8 +318,7 @@ def declared_size(spec: str | FamilySpec) -> tuple[int, int]:
     """(n, m) of build(spec) without building it: from the parameters, and
     for L(G) or M(G) from the degrees of G (built only when G is itself a
     line or middle graph). Raises the ParameterError build would."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
+    spec = parse_spec(spec)
     if spec.tag in ("L", "M"):
         return _transform_size(spec.tag, _degrees(spec.inner))
     return _size(_degrees(spec))
@@ -329,8 +330,7 @@ def check_limits(spec: str | FamilySpec) -> None:
     graph over the limits, from declared sizes, once per spec that passes:
     like declared_size, this builds only the G of L(G) or M(G) where G is a
     line or middle graph."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
+    spec = parse_spec(spec)
     # build checks G before L(G) or M(G); a G that is itself a transform is
     # checked when declared_size builds it.
     if spec.tag in ("L", "M") and spec.inner.tag not in ("L", "M"):
@@ -345,14 +345,11 @@ def declared_max_degree(spec: str | FamilySpec) -> int:
     of G, where edge uv of G has degree d(u) + d(v) - 2 in L(G) and
     d(u) + d(v) in M(G), the most there. Raises ParameterError where build
     would."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
+    spec = parse_spec(spec)
+    check_limits(spec)
     if spec.tag not in ("L", "M"):
-        degrees = _degrees(spec)
-        _check_size(str(spec), _size(degrees))
-        return max(d for d, _ in degrees)
+        return max(d for d, _ in _degrees(spec))
     g = build(spec.inner)[0]
-    _check_size(str(spec), _transform_size(spec.tag, _degree_sequence(g)))
     return max(g.degree(u) + g.degree(v) for u, v in g.edges()) - 2 * (spec.tag == "L")
 
 
@@ -361,8 +358,7 @@ def build_within(spec: str | FamilySpec, max_n: float) -> tuple[int, Graph | Non
     of the graph when n > max_n, without building it. A line or middle graph
     of a line or middle graph is built either way, since sizing it builds its
     inner graph; the builders' limits bound it."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
+    spec = parse_spec(spec)
     if spec.tag in ("L", "M") and spec.inner.tag in ("L", "M"):
         g = build(spec)[0]
         return g.n, (g if g.n <= max_n else None)

@@ -11,10 +11,7 @@ from __future__ import annotations
 import os
 
 from . import _kernel_py
-
-FOUND = _kernel_py.FOUND
-NONE = _kernel_py.NONE
-BUDGET = _kernel_py.BUDGET
+from ._kernel_py import BUDGET, FOUND, NONE  # search_coloring's statuses
 
 
 def _load():
@@ -41,11 +38,7 @@ def search_coloring(neighbors, req, k, budget=0):
 
 
 def local_search(neighbors, req, k, start, max_moves):
-    """(colors|None, moves); see _kernel_py.local_search. `start` must
-    color every vertex with a color in 1..k."""
-    if len(start) != len(neighbors) or not all(1 <= c <= k for c in start):
-        raise ValueError(f"start must give each of the {len(neighbors)} vertices "
-                         f"a color in 1..{k}")
+    """(colors|None, moves); see _kernel_py.local_search."""
     return _backend.local_search(neighbors, req, k, start, max_moves)
 
 

@@ -15,6 +15,7 @@ from test_graphs import graphs
 
 from condchrom import (
     basic_lower_bound,
+    bounds,
     best_lower_bound,
     build,
     check_distinct_set,
@@ -239,3 +240,15 @@ def test_distinct_clique_examples():
     with pytest.raises(ParameterError):
         distinct_clique(cycle(4)[0], 0)
 
+
+def test_distinctness_graph_stops_past_the_edge_limit(monkeypatch):
+    # The star K_{1,4} at r = 4 has H = K_5, 10 edges: at a limit of 10 it
+    # is built, at 9 it is refused before it is complete.
+    g = build("wd:2,4")[0]
+    monkeypatch.setattr(bounds, "EDGE_LIMIT", 10)
+    assert sum(map(len, bounds.distinctness_graph(g, 4))) == 20
+    monkeypatch.setattr(bounds, "EDGE_LIMIT", 9)
+    with pytest.raises(ParameterError, match="more than 9 edges"):
+        bounds.distinctness_graph(g, 4)
+    # Below r = 4 the centre adds nothing, so H is the star itself.
+    assert sum(map(len, bounds.distinctness_graph(g, 3))) == 8

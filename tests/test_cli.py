@@ -586,6 +586,31 @@ def test_table_all_builds_each_delta_once(capsys, monkeypatch):
     assert len(calls) <= 54
 
 
+def test_construct_after_table_all_builds_each_spec_once(capsys, monkeypatch):
+    # construct takes Delta from families.declared_max_degree, which `table
+    # all` has worked out already, so at r = Delta it builds the spec once
+    # (build builds the G of L(G) or M(G) on its way).
+    golden = Path(__file__).parents[1] / "condbench" / "table_all.csv"
+    families.declared_max_degree.cache_clear()
+    assert run(capsys, "table", "all")[0] == 0
+    rows = {(row["instance"], int(row["r"]))
+            for row in csv.DictReader(io.StringIO(golden.read_text()))}
+    at_delta = sorted((spec, r) for spec, r in rows if r == families.declared_max_degree(spec))
+    assert len(at_delta) == 18
+    build, calls = families.build, []
+
+    def counted(spec):
+        calls.append(str(spec))
+        return build(spec)
+
+    monkeypatch.setattr(families, "build", counted)
+    for spec, r in at_delta:
+        calls.clear()
+        assert run(capsys, "construct", spec, "-r", str(r), "--verify")[0] == 0
+        inner = families.parse_spec(spec).inner
+        assert calls == ([spec] if inner is None else [spec, str(inner)]), spec
+
+
 def _capped_cli(*argv):
     """The CLI in a child process under a 512 MB address-space limit, so an
     input that allocates without bound fails there, not in the test runner."""
@@ -613,6 +638,17 @@ def test_oversized_inputs_exit_2_before_building(tmp_path):
         assert proc.returncode == 2, (argv, proc.stderr)
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert _capped_cli("solve", "M(cyc:5)", "-r", "2").returncode == 0
+
+
+def test_a_distinctness_graph_over_the_edge_limit_exits_2():
+    # wd:2,5000 is the star K_{1,5000}; at r = 5000 its distinctness graph
+    # H is K_5001, 12.5 M edges, which would take several GB.
+    for argv in (["bounds", "wd:2,5000", "-r", "5000"],
+                 ["solve", "wd:2,5000", "-r", "5000", "--force"]):
+        proc = _capped_cli(*argv)
+        assert (proc.returncode, proc.stdout) == (2, ""), (argv, proc.stderr)
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, argv
+        assert "more than 1000000 edges" in proc.stderr
 
 
 def test_closed_stdout_exits_141_without_a_message(tmp_path):

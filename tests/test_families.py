@@ -142,6 +142,12 @@ def test_spec_parsing():
             parse_spec(bad)
 
 
+def test_parse_spec_returns_a_family_spec_unchanged():
+    spec = parse_spec("M(L(kpart:1,2))")
+    assert parse_spec(spec) is spec
+    assert build(spec)[0] == build("M(L(kpart:1,2))")[0]
+
+
 def test_nested_transform_allowed():
     g, prov = build("L(L(cyc:5))")
     assert g.n == 5

@@ -551,6 +551,46 @@ def test_kernel_rejects_loops_and_repeated_neighbours(name):
             search(adj, req, k, 0)
 
 
+@pytest.mark.parametrize("name", sorted(kernel.backends()))
+def test_kernel_rejects_a_req_or_neighbour_id_that_does_not_fit(name):
+    # In this order: req's length, then the ids, then (search_coloring
+    # only) loops and repeats. The local search checks its start first.
+    mod = kernel.backends()[name]
+    cases = [([[1], [0]], [1], "req has 1 entries for 2 vertices"),
+             ([[1], [0]], [1, 1, 1], "req has 3 entries for 2 vertices"),
+             ([[1, 5], [0]], [1], "req has 1 entries"),
+             ([[1], [0, 2]], [1, 1], "neighbor id out of range"),
+             ([[1], [-1, 0]], [1, 1], "neighbor id out of range"),
+             ([[0, 0], [5]], [1, 1], "neighbor id out of range")]
+    for adj, req, message in cases:
+        with pytest.raises(ValueError, match=message):
+            mod.search_coloring(adj, req, 3, 0)
+        with pytest.raises(ValueError, match=message):
+            mod.local_search(adj, req, 3, [1, 2], 10)
+    with pytest.raises(ValueError, match="start must give"):
+        mod.local_search([[1], [0, 2]], [1], 3, [1], 10)
+
+
+@pytest.mark.parametrize("name", sorted(kernel.backends()))
+def test_local_search_twins_reject_a_bad_start(name):
+    # A start with a color above k or too few entries once made the C twin
+    # write or read past its arrays, killing the interpreter, and the pure
+    # twin took [0, 1], which uses color 0, for a solution. So the calls run
+    # in a child process, where a crash fails this test, not the run.
+    script = ("from condchrom import kernel\n"
+              f"search = kernel.backends()[{name!r}].local_search\n"
+              "for start in ([1, 10**6], [1], [0, 1]):\n"
+              "    try:\n"
+              "        print(search([[1], [0]], [1, 1], 2, start, 10))\n"
+              "    except ValueError as e:\n"
+              "        print(e)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(kernel.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    message = "start must give each of the 2 vertices a color in 1..2\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, 3 * message, "")
+
+
 def _import_backend(tmp_path, backend):
     env = dict(os.environ, PATH="", XDG_CACHE_HOME=str(tmp_path),
                PYTHONPATH=str(Path(kernel.__file__).parents[1]),

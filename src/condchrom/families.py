@@ -210,9 +210,10 @@ def windmill(k: int, n: int) -> tuple[Graph, Provenance]:
 
 def friendship(n: int) -> tuple[Graph, Provenance]:
     """F_n = Wd(3,n)."""
-    _friendship_degrees(n)  # checks n; windmill checks the size
+    spec = f"fr:{n}"
+    _check_size(spec, _size(_friendship_degrees(n)))
     g, prov = windmill(3, n)
-    return g, replace(prov, spec=f"fr:{n}")
+    return g, replace(prov, spec=spec)
 
 
 def cycle(n: int) -> tuple[Graph, Provenance]:

@@ -3,10 +3,12 @@
 chi_r(G) is found by iterating the color budget k upward from the best
 lower bound and running the backtracking decision kernel at each level.
 The result is a bracket (lo, hi): every level below lo is refuted by a
-sound bound or by search, and the witness coloring uses hi colors. The
-witness is the kernel's, or, when the node budget stops the ladder first,
-a verified coloring from the kernel's local search, or else the all-distinct
-coloring. chi_r is proven exactly when lo == hi.
+sound bound or by search, and the witness coloring uses hi colors. Under a
+node budget, the kernel's local search colors first and the decision kernel
+searches only the levels below the hi that gives, so the budget goes on
+refutation alone. The witness is the kernel's, a verified coloring from the
+local search, or else the all-distinct coloring. chi_r is proven exactly
+when lo == hi.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ LOCAL_SEARCH = "local-search"
 ALL_DISTINCT = "all-distinct"
 EDGELESS = "edgeless"
 
-# When the node budget stops the ladder, the local search tries the levels
-# lo, lo + 1, ... below n, at most LOCAL_LEVELS of them, each for at most
-# LOCAL_MOVES moves.
+# A budgeted solve's local search tries the levels lb, lb + 1, ... below n,
+# at most LOCAL_LEVELS of them, each for at most LOCAL_MOVES moves. Where it
+# colors none and the budget stops the ladder at lo, it tries the levels from
+# lo on in the same way, skipping those it has failed.
 LOCAL_MOVES = 500
 LOCAL_LEVELS = 4
 
@@ -124,17 +127,21 @@ def greedy_start(h: list, k: int, order) -> list[int]:
     return color
 
 
-def _local_upper(g: Graph, r_eff: int, lo: int, adj, req):
-    """(witness or None, moves): the local search's coloring at the first
-    level from lo up that it colors and check_conditional accepts, its
-    colors renumbered 1..hi in increasing order. It tries at most
-    LOCAL_LEVELS levels, all below n, each from greedy_start on the
-    distinctness graph in the kernel's vertex order (degree descending,
-    then id)."""
-    h = distinctness_graph(g, r_eff)
+def _local_levels(lo: int, n: int) -> range:
+    """The levels the local search tries from lo: lo, lo + 1, ... below n,
+    at most LOCAL_LEVELS of them."""
+    return range(lo, min(lo + LOCAL_LEVELS, n))
+
+
+def _local_upper(g: Graph, r_eff: int, h: list, levels, adj, req):
+    """(witness or None, moves): the local search's coloring at the first of
+    `levels` that it colors and check_conditional accepts, its colors
+    renumbered 1..hi in increasing order. Each level starts from
+    greedy_start on h, the distinctness graph, in the kernel's vertex order
+    (degree descending, then id) and runs at most LOCAL_MOVES moves."""
     order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
     moves = 0
-    for k in range(lo, min(lo + LOCAL_LEVELS, g.n)):
+    for k in levels:
         start = greedy_start(h, k, order)
         colors, made = kernel.local_search(adj, req, k, start, LOCAL_MOVES)
         moves += made
@@ -153,12 +160,14 @@ def chi_r_exact(g: Graph, r: int, budget: int = 0) -> SolveResult:
 
     Levels k climb from the best lower bound until the kernel finds a
     coloring or the node budget (0 = unlimited) is spent. lo is the first
-    level not refuted. hi is the number of colors of the kernel's witness.
-    When the budget stops the ladder first, hi comes from the local search
-    (kernel.local_search), which climbs from lo and whose coloring is used
-    only once check_conditional accepts it; where it finds none, hi is n,
-    for the all-distinct coloring. The result is proven when lo == hi, and
-    its nodes_expanded counts kernel nodes alone.
+    level not refuted. Under a budget, the local search (kernel.local_search)
+    runs first, from the lower bound, and its coloring is used only once
+    check_conditional accepts it; the ladder then climbs only while lo < hi,
+    hi being that coloring's colors, or n for the all-distinct coloring. A
+    kernel witness gives hi its colors. Where the local search colored no
+    level and the budget stops the ladder, it runs again from lo on the
+    levels it has not tried. The result is proven when lo == hi, and its
+    nodes_expanded counts kernel nodes alone.
     """
     if g.n < 1:
         raise ParameterError("graph must have at least one vertex")
@@ -171,20 +180,35 @@ def chi_r_exact(g: Graph, r: int, budget: int = 0) -> SolveResult:
     lb = best_lower_bound(g, r_eff)
     adj = g.adjacency_lists()
     req = _requirements(g, r_eff)
+    # Unbudgeted solves run the ladder first, up to level n, until the
+    # benchmark's node pins are re-recorded (ROADMAP item 1); then this
+    # condition goes.
+    if budget:
+        h = distinctness_graph(g, r_eff)
+        tried = _local_levels(lb.value, g.n)
+        witness, moves = _local_upper(g, r_eff, h, tried, adj, req)
+        top = witness.k if witness else g.n
+    else:
+        witness, moves, top = None, 0, g.n + 1
     total_nodes = 0
-    status = kernel.BUDGET  # no search ran: a spent or negative budget
-    for lo in range(lb.value, g.n + 1):
+    lo, status = lb.value, kernel.NONE
+    while lo < top:
         remaining = budget - total_nodes if budget else 0
-        if budget and remaining <= 0:
+        if budget and remaining <= 0:  # a spent or negative budget
+            status = kernel.BUDGET
             break
         status, colors, nodes = kernel.search_coloring(adj, req, lo, remaining)
         total_nodes += nodes
         if status != kernel.NONE:
             break
+        lo += 1
     if status == kernel.FOUND:
         witness = Coloring(tuple(colors), max(colors))
         return SolveResult(r, witness, total_nodes, lb, (lo, witness.k))
-    witness, moves = _local_upper(g, r_eff, lo, adj, req)
+    if witness is None and status == kernel.BUDGET:
+        levels = [k for k in _local_levels(lo, g.n) if k not in tried]
+        witness, more = _local_upper(g, r_eff, h, levels, adj, req)
+        moves += more
     source = LOCAL_SEARCH
     if witness is None:
         witness, source = Coloring(tuple(range(1, g.n + 1)), g.n), ALL_DISTINCT

@@ -3,12 +3,17 @@
 These deliberately share no code with condchrom.solver or condchrom.bounds:
 plain recursive enumeration in vertex-id order, no saturation ordering, no
 incremental C2 counters, no branch and bound. random_c2_colorings samples
-assignments that satisfy C2 but need not be proper.
+assignments that satisfy C2 but need not be proper. The exceptions are the
+former designs kept to hold a rewrite to the same answers: clique_list_scan,
+and ladder_then_local_search, which puts the solver's own parts in their
+former order.
 """
 
 import random
 from itertools import combinations, product
 
+from condchrom import kernel, solver
+from condchrom.bounds import best_lower_bound
 from condchrom.errors import ParameterError
 from condchrom.verify import Coloring, check_conditional
 
@@ -177,6 +182,31 @@ def clique_list_scan(adj):
             best = list(current)
         stack.append(branches(nxt))
     return len(best), tuple(sorted(best))
+
+
+def ladder_then_local_search(g, r, budget):
+    """The (lo, hi) bracket of a solve of g (which has an edge) at level r
+    under a node budget > 0 in the former order: the kernel ladder climbs
+    from the best lower bound until it finds a coloring or the budget is
+    spent, and only then does the local search try the levels from lo on;
+    hi is n where it colors none."""
+    r_eff = min(r, g.max_degree())
+    adj = g.adjacency_lists()
+    req = [min(g.degree(v), r_eff) for v in range(g.n)]
+    spent = 0
+    for lo in range(best_lower_bound(g, r_eff).value, g.n + 1):
+        if spent >= budget:
+            break
+        status, colors, nodes = kernel.search_coloring(adj, req, lo, budget - spent)
+        spent += nodes
+        if status == kernel.FOUND:
+            return lo, max(colors)
+        if status == kernel.BUDGET:
+            break
+    levels = range(lo, min(lo + solver.LOCAL_LEVELS, g.n))
+    h = distinctness_graph(g, r_eff)
+    witness, _ = solver._local_upper(g, r_eff, h, levels, adj, req)
+    return lo, witness.k if witness else g.n
 
 
 def random_c2_colorings(

@@ -159,8 +159,8 @@ def test_solve_builds_each_graph_once(capsys, monkeypatch):
 
 
 def test_solve_budget_exit(capsys):
-    # The budget stops the kernel at k = 6, where the local search finds a
-    # coloring (before it, hi was 11 and the exit 3).
+    # The local search colours k = 6, the lower bound, before any kernel
+    # search (with the all-distinct coloring, hi would be 11 and the exit 3).
     code, out, _ = run(capsys, "solve", "M(fr:2)", "-r", "5", "--max-nodes", "3")
     doc = json.loads(out)
     assert code == 0 and doc["bracket"] == [6, 6]
@@ -185,13 +185,15 @@ def test_solve_budget_exit(capsys):
 ])
 def test_budget_cut_solve_takes_hi_from_the_local_search(capsys, spec, r, budget,
                                                          code, bracket, moves):
-    # The kernel cannot color M(F_5) at r = 11, k = 12 in 500,000 nodes; the
-    # local search does in 2 moves, so chi_11 = 12 is proven. On M(K_{4,4})
-    # at r = 6 it fails k = 7 and colors k = 8 (chi_6 = 8).
+    # The local search colors M(F_5) at r = 11, k = 12, the lower bound, in
+    # 2 moves, so chi_11 = 12 is proven with no kernel node (the kernel does
+    # not color it in 500,000). On M(K_{4,4}) at r = 6 it fails k = 7 and
+    # colors k = 8 (chi_6 = 8): the whole budget goes on refuting k = 7, and
+    # the bracket stays open.
     got = run(capsys, "solve", spec, "-r", str(r), "--force", "--max-nodes", str(budget))
     doc = json.loads(got[1])
     assert got[0] == code and doc["bracket"] == bracket
-    assert doc["nodes_expanded"] == budget + 1
+    assert doc["nodes_expanded"] == (budget + 1 if code == 3 else 0)
     assert doc["upper_bound"] == {"source": "local-search", "moves": moves}
     g = families.build(spec)[0]
     assert check_conditional(g, Coloring.from_json_dict(doc["witness"]), r).valid
@@ -199,14 +201,16 @@ def test_budget_cut_solve_takes_hi_from_the_local_search(capsys, spec, r, budget
 
 @pytest.mark.parametrize("name", sorted(kernel.backends()))
 def test_table_all_is_proven_by_the_local_search_on_one_node(capsys, monkeypatch, name):
-    # Under a one-node budget every golden row still reaches its exact value:
-    # only the nodes column changes.
+    # Under a one-node budget every golden row still reaches its exact value
+    # with no kernel node: the lower bound meets the local search's colouring
+    # or the all-distinct one, so only the nodes column changes, to 0.
     monkeypatch.setattr(kernel, "_backend", kernel.backends()[name])
     code, out, _ = run(capsys, "table", "all", "--max-nodes", "1")
     golden = (Path(__file__).parents[1] / "condbench" / "table_all.csv").read_text()
     keep = ("proposition", "instance", "n_vertices", "r", "formula", "exact", "match", "proven")
-    rows = [[row[c] for c in keep] for row in csv.DictReader(io.StringIO(out))]
-    assert code == 0
+    table = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and {row["nodes"] for row in table} == {"0"}
+    rows = [[row[c] for c in keep] for row in table]
     assert rows == [[row[c] for c in keep] for row in csv.DictReader(io.StringIO(golden))]
 
 
@@ -649,6 +653,16 @@ def test_a_distinctness_graph_over_the_edge_limit_exits_2():
         assert (proc.returncode, proc.stdout) == (2, ""), (argv, proc.stderr)
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, argv
         assert "more than 1000000 edges" in proc.stderr
+
+
+def test_an_oversized_friendship_spec_is_named_as_given(capsys):
+    # fr:50001 builds Wd(3,50001), 100,003 vertices; each command names the
+    # spec it was given, not the windmill's.
+    for argv in (["generate", "fr:50001"], ["solve", "fr:50001", "-r", "2", "--force"],
+                 ["construct", "fr:50001", "-r", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: fr:50001 has 100003 vertices"), (argv, err)
 
 
 def test_closed_stdout_exits_141_without_a_message(tmp_path):

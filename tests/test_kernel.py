@@ -331,10 +331,12 @@ def _driver_lines(exe, adj, req, k, budget, threads, spawn_after, local=None):
 @functools.cache
 def _local_rows():
     """(adj, req, k, budget, search answer, start, local search answer) where
-    solve runs the local search on the benchmark's two budget-cut rows:
-    M(F_5) at r = 11 after 500,000 nodes at k = 12, and M(K_{4,4}) at r = 6
-    after 300,000 nodes at k = 7, where it fails, then at k = 8 (the search
-    there is cut after one node). The answers are the pure kernel's."""
+    solve runs the local search on the benchmark's two budgeted rows:
+    M(F_5) at r = 11, k = 12, which it colours before any kernel search (the
+    kernel alone is cut there after 500,000 nodes), and M(K_{4,4}) at r = 6,
+    where it fails k = 7, then colours k = 8, and the kernel is cut after
+    300,000 nodes at k = 7 (the search at k = 8 is cut after one node). The
+    answers are the pure kernel's."""
     pure, rows = kernel.backends()["pure"], []
     for spec, r, k, budget in (("M(fr:5)", 11, 12, 500_000), ("M(kpart:4,4)", 6, 7, 300_000),
                                ("M(kpart:4,4)", 6, 8, 1)):

@@ -14,7 +14,12 @@ from condchrom.bounds import distinctness_graph
 from condchrom.errors import ParameterError
 from condchrom.graphs import Graph
 from condchrom.kernel import backends
-from oracles import chi_r_bruteforce, proper_colorings, random_c2_colorings
+from oracles import (
+    chi_r_bruteforce,
+    ladder_then_local_search,
+    proper_colorings,
+    random_c2_colorings,
+)
 
 
 def test_chi_r_paper_examples():
@@ -90,12 +95,12 @@ def test_exists_conditional_coloring():
 
 
 def test_budget_exhaustion():
-    # The budget stops the kernel at k = 6; the local search colours k = 6
-    # and closes the bracket, which was (6, 11) with the all-distinct hi.
+    # The local search colours k = 6, the lower bound, so the kernel never
+    # runs; the kernel alone needs more than 5 nodes there.
     g, _ = build("M(fr:2)")
     res = chi_r_exact(g, 5, budget=5)
     assert res.bracket == (6, 6) and res.proven
-    assert res.nodes_expanded == 6 and res.upper_source == "local-search"
+    assert res.nodes_expanded == 0 and res.upper_source == "local-search"
     assert check_conditional(g, res.witness, 5).valid
 
     # k = 5 is refuted without search (some vertex needs 5 neighbor colors)
@@ -107,9 +112,10 @@ def test_budget_exhaustion():
 
 
 def test_bracket_counts_a_level_refuted_on_the_last_node():
-    # Refuting k = 6 takes exactly the 815 budgeted nodes; k = 6 is refuted
-    # all the same, so the bracket starts at 7. No node is left for k = 7,
-    # whose colouring the local search finds (hi was 15, then 7 for C_7).
+    # The local search colours k = 7 first, so the kernel searches k = 6
+    # alone. Refuting it takes exactly the 815 budgeted nodes; k = 6 is
+    # refuted all the same, so the bracket starts at 7. C_7 at r = 2 is the
+    # same at k = 3 and 7 nodes.
     res = chi_r_exact(build("M(kpart:3,3)")[0], 5, budget=815)
     assert res.bracket == (7, 7) and res.nodes_expanded == 815
     assert res.proven and res.upper_source == "local-search"
@@ -134,11 +140,17 @@ def test_local_search_gives_up_after_its_levels(monkeypatch):
     res = chi_r_exact(build("M(kpart:4,4)")[0], 6, budget=1)
     assert (res.upper_source, res.local_moves, res.bracket) == ("all-distinct", 500, (7, 24))
     assert res.witness.colors == tuple(range(1, 25))
+    # On M(K_{3,3}) at r = 5 it fails k = 6, so the kernel climbs with
+    # hi = n and refutes k = 6 on the budget's last node; the second run
+    # colours k = 7, the one level it had not tried.
+    res = chi_r_exact(build("M(kpart:3,3)")[0], 5, budget=815)
+    assert (res.upper_source, res.local_moves, res.bracket) == ("local-search", 509, (7, 7))
 
 
 def test_local_search_coloring_is_used_only_once_verified(monkeypatch):
     # A coloring that check_conditional rejects is never hi: here the first
-    # level returns one with a clash, and the next level's real one is used.
+    # level, the lower bound 6, returns one with a clash, and the next
+    # level's real one is used; the kernel then refutes k = 6.
     g = build("M(kpart:3,3)")[0]
     real = kernel.local_search
     calls = []
@@ -151,9 +163,9 @@ def test_local_search_coloring_is_used_only_once_verified(monkeypatch):
 
     monkeypatch.setattr(kernel, "local_search", clashing_first)
     res = chi_r_exact(g, 5, budget=815)
-    assert calls == [7, 8] and res.bracket == (7, 8) and res.local_moves > 3
+    assert calls == [6, 7] and res.bracket == (7, 7) and res.local_moves > 3
     assert check_conditional(g, res.witness, 5).valid
-    assert res.witness.colors_used == 8
+    assert res.witness.colors_used == 7
 
 
 def test_greedy_start_colors_every_vertex_within_k(corpus):
@@ -181,6 +193,31 @@ def test_budgeted_brackets_hold_chi_and_proven_means_closed(corpus):
             assert lo <= chi <= hi and res.witness.k == hi, (spec, budget)
             assert res.proven == (lo == hi) and res.chi_r == hi, (spec, budget)
             assert check_conditional(g, res.witness, r).valid
+
+
+@pytest.mark.parametrize("name", sorted(backends()))
+def test_budgeted_solves_keep_the_ladder_first_brackets(corpus, monkeypatch, name):
+    # The local search runs before the ladder, so the kernel searches no
+    # level at or above a colouring the solve holds: only a kernel witness's
+    # own level reaches hi. Every bracket equals the former order's.
+    monkeypatch.setattr(kernel, "_backend", backends()[name])
+    real, levels = kernel.search_coloring, []
+
+    def recording(adj, req, k, budget=0):
+        levels.append(k)
+        return real(adj, req, k, budget)
+
+    for spec, g in corpus:
+        for r in range(1, g.max_degree() + 1):
+            for budget in (1, 7, 815):
+                want = ladder_then_local_search(g, r, budget)
+                levels.clear()
+                monkeypatch.setattr(kernel, "search_coloring", recording)
+                res = chi_r_exact(g, r, budget=budget)
+                monkeypatch.setattr(kernel, "search_coloring", real)
+                held = levels[:-1] if res.upper_source == "kernel" else levels
+                assert res.bracket == want, (spec, r, budget)
+                assert all(k < res.bracket[1] for k in held), (spec, r, budget, levels)
 
 
 def test_parameter_errors():

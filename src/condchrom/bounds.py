@@ -41,14 +41,19 @@ class BoundReport:
         }
 
 
-def _max_clique(adj: list) -> list[int]:
+def _max_clique(adj: list, floor: int = 0) -> list[int]:
     """Members of a maximum clique of the graph with neighbour sets `adj`,
-    by branch and bound with a greedy-coloring bound (Tomita-style)."""
+    by branch and bound with a greedy-coloring bound (Tomita-style); [] when
+    it has at most `floor` members. Only a branch that can beat
+    max(len(best), floor) is searched. Pruning takes away no branch that
+    holds a clique above the floor, and the candidate sets do not depend on
+    it, so a clique above the floor is the one that floor 0 finds."""
     rank = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
     pos = [0] * len(adj)
     for i, v in enumerate(rank):
         pos[v] = i
     best: list[int] = []
+    beat = floor  # max(len(best), floor)
 
     def branches(cands: list[int]) -> list:
         # [(vertex, color-class index) pairs, highest color first; the
@@ -76,15 +81,16 @@ def _max_clique(adj: list) -> list[int]:
     while stack:
         frame = stack[-1]
         step = next(frame[0], None)
-        if step is None or len(current) + step[1] <= len(best):
+        if step is None or len(current) + step[1] <= beat:
             stack.pop()
             if stack:
                 stack[-1][1].discard(current.pop())
             continue
         current.append(step[0])
         nxt = sorted(adj[step[0]] & frame[1], key=pos.__getitem__)
-        if not nxt and len(current) > len(best):
+        if not nxt and len(current) > beat:
             best = list(current)
+            beat = len(best)
         stack.append(branches(nxt))
     return best
 
@@ -249,10 +255,17 @@ def strongest(reports: list[BoundReport]) -> BoundReport:
     return max(reports, key=lambda rep: rep.value)
 
 
-def best_lower_bound(g: Graph, r: int) -> BoundReport:
+def best_lower_bound(g: Graph, r: int, h: list | None = None) -> BoundReport:
     """The largest of the min{r,Delta}+1 bound (when the graph has an edge)
-    and the distinctness-clique bound, with the winning certificate. The
-    latter is at least the clique and Vset-d2r bounds, so this is the value
-    of `strongest(lower_bounds(g, r))`, found without their searches."""
-    reports = [basic_lower_bound(g, r)] if g.m >= 1 else []
-    return strongest([*reports, distinct_clique(g, r)])
+    and the distinctness-clique bound, with the winning certificate; the
+    former wins a tie. The latter is at least the clique and Vset-d2r
+    bounds, so this is the value of `strongest(lower_bounds(g, r))`, found
+    without their searches. `h`, when given, is distinctness_graph(g, r).
+    The clique search on H looks only for a clique above the basic bound."""
+    if h is None:
+        h = distinctness_graph(g, r)
+    basic = basic_lower_bound(g, r) if g.m >= 1 else None
+    best = _max_clique(h, basic.value if basic else 0)
+    if basic and not best:
+        return basic
+    return BoundReport(len(best), DISTINCT, tuple(sorted(best)))

@@ -6,8 +6,11 @@ Exit codes: 0 success/valid, 1 invalid coloring or formula mismatch,
 141 stdout was closed before the output was written (128 + SIGPIPE, as for
 a process that SIGPIPE ends; nothing is printed).
 
-`main` builds the argument parser once per process, on its first call, and
-reuses it.
+`main` parses a command line that starts with a command with that
+command's parser alone, built on its first use and kept for the process.
+The full parser tree, built the same way, takes everything else: help, no
+command, an unknown command and words left over, whose usage and error it
+prints as ever.
 """
 
 from __future__ import annotations
@@ -219,59 +222,80 @@ def cmd_table(args) -> int:
     return EXIT_INVALID if mismatch else EXIT_OK
 
 
+def _generate_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("spec", help="family spec, e.g. wd:3,2 or M(cyc:5)")
+    p.add_argument("--format", choices=("col", "dot"), default="col")
+    p.add_argument("-o", "--output", help="output file (provenance sidecar written)")
+    p.set_defaults(func=cmd_generate)
+
+
+def _solve_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("spec", nargs="?", help="family spec")
+    p.add_argument("--file", help="DIMACS col file instead of a spec")
+    p.add_argument("-r", type=int, required=True)
+    p.add_argument("--max-nodes", type=non_negative_int, default=0)
+    p.add_argument("--force", action="store_true", help="ignore the size cap")
+    p.set_defaults(func=cmd_solve)
+
+
+def _construct_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("spec")
+    p.add_argument("-r", type=int, required=True)
+    p.add_argument("--verify", action="store_true")
+    p.set_defaults(func=cmd_construct)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph", help="DIMACS col file")
+    p.add_argument("coloring", help='coloring JSON {"k":., "colors":[..]}')
+    p.add_argument("-r", type=int, required=True)
+    p.set_defaults(func=cmd_verify)
+
+
+def _bounds_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("spec", nargs="?")
+    p.add_argument("--file")
+    p.add_argument("-r", type=int, required=True)
+    p.set_defaults(func=cmd_bounds)
+
+
+def _table_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("proposition", help="1..7 or 'all'")
+    p.add_argument("--k", help="range like 3..4")
+    p.add_argument("--n", help="range like 1..3")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--max-nodes", type=non_negative_int, default=0)
+    p.add_argument("--size-cap", type=non_negative_int, default=solver.DEFAULT_SIZE_CAP)
+    p.add_argument(
+        "--timing",
+        action="store_true",
+        help="append a ms column (non-deterministic output)",
+    )
+    p.set_defaults(func=cmd_table)
+
+
+# Each command's name, its help in the full tree's command list and the
+# function that adds its arguments to a parser.
+COMMANDS = {
+    "generate": ("emit a family graph as DIMACS col or DOT", _generate_args),
+    "solve": ("compute chi_r exactly", _solve_args),
+    "construct": ("emit a proposition's coloring", _construct_args),
+    "verify": ("check a coloring file against a graph file", _verify_args),
+    "bounds": ("lower-bound reports for an instance", _bounds_args),
+    "table": ("formula-vs-exact comparison table", _table_args),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level parser with one subparser per command."""
     p = argparse.ArgumentParser(
         prog="condchrom",
         description="Conditional (k,r)-coloring: families, solver, "
         "constructions, verification.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("generate", help="emit a family graph as DIMACS col or DOT")
-    g.add_argument("spec", help="family spec, e.g. wd:3,2 or M(cyc:5)")
-    g.add_argument("--format", choices=("col", "dot"), default="col")
-    g.add_argument("-o", "--output", help="output file (provenance sidecar written)")
-    g.set_defaults(func=cmd_generate)
-
-    s = sub.add_parser("solve", help="compute chi_r exactly")
-    s.add_argument("spec", nargs="?", help="family spec")
-    s.add_argument("--file", help="DIMACS col file instead of a spec")
-    s.add_argument("-r", type=int, required=True)
-    s.add_argument("--max-nodes", type=non_negative_int, default=0)
-    s.add_argument("--force", action="store_true", help="ignore the size cap")
-    s.set_defaults(func=cmd_solve)
-
-    c = sub.add_parser("construct", help="emit a proposition's coloring")
-    c.add_argument("spec")
-    c.add_argument("-r", type=int, required=True)
-    c.add_argument("--verify", action="store_true")
-    c.set_defaults(func=cmd_construct)
-
-    v = sub.add_parser("verify", help="check a coloring file against a graph file")
-    v.add_argument("graph", help="DIMACS col file")
-    v.add_argument("coloring", help='coloring JSON {"k":., "colors":[..]}')
-    v.add_argument("-r", type=int, required=True)
-    v.set_defaults(func=cmd_verify)
-
-    b = sub.add_parser("bounds", help="lower-bound reports for an instance")
-    b.add_argument("spec", nargs="?")
-    b.add_argument("--file")
-    b.add_argument("-r", type=int, required=True)
-    b.set_defaults(func=cmd_bounds)
-
-    t = sub.add_parser("table", help="formula-vs-exact comparison table")
-    t.add_argument("proposition", help="1..7 or 'all'")
-    t.add_argument("--k", help="range like 3..4")
-    t.add_argument("--n", help="range like 1..3")
-    t.add_argument("--format", choices=("csv", "json"), default="csv")
-    t.add_argument("--max-nodes", type=non_negative_int, default=0)
-    t.add_argument("--size-cap", type=non_negative_int, default=solver.DEFAULT_SIZE_CAP)
-    t.add_argument(
-        "--timing",
-        action="store_true",
-        help="append a ms column (non-deterministic output)",
-    )
-    t.set_defaults(func=cmd_table)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return p
 
 
@@ -280,8 +304,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command alone. Its prog is the one the full tree
+    gives that command's subparser, so its help and its errors read the same."""
+    p = argparse.ArgumentParser(prog=f"condchrom {name}")
+    COMMANDS[name][1](p)
+    return p
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the full tree parses it. A command line that starts
+    with a command and leaves nothing over is parsed by that command's parser
+    alone; everything else (help, no command, an unknown command, words left
+    over) goes to the full tree, which prints the top-level usage and exits 2
+    on words left over, as a bare command parser would not."""
+    if argv and argv[0] in COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

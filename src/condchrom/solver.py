@@ -177,14 +177,14 @@ def chi_r_exact(g: Graph, r: int, budget: int = 0) -> SolveResult:
         return SolveResult(r, witness, 0, BoundReport(1, "clique", (0,)), (1, 1),
                            EDGELESS)
 
-    lb = best_lower_bound(g, r_eff)
+    h = distinctness_graph(g, r_eff)
+    lb = best_lower_bound(g, r_eff, h)
     adj = g.adjacency_lists()
     req = _requirements(g, r_eff)
     # Unbudgeted solves run the ladder first, up to level n, until the
     # benchmark's node pins are re-recorded (ROADMAP item 1); then this
     # condition goes.
     if budget:
-        h = distinctness_graph(g, r_eff)
         tried = _local_levels(lb.value, g.n)
         witness, moves = _local_upper(g, r_eff, h, tried, adj, req)
         top = witness.k if witness else g.n

@@ -13,7 +13,7 @@ import random
 from itertools import combinations, product
 
 from condchrom import kernel, solver
-from condchrom.bounds import best_lower_bound
+from condchrom.bounds import basic_lower_bound, best_lower_bound, distinct_clique, strongest
 from condchrom.errors import ParameterError
 from condchrom.verify import Coloring, check_conditional
 
@@ -182,6 +182,14 @@ def clique_list_scan(adj):
             best = list(current)
         stack.append(branches(nxt))
     return len(best), tuple(sorted(best))
+
+
+def best_lower_bound_of_both(g, r):
+    """best_lower_bound as the strongest of two full reports: the basic
+    bound (when g has an edge), then the distinctness clique searched with
+    no floor; the earlier report wins a tie."""
+    reports = [basic_lower_bound(g, r)] if g.m >= 1 else []
+    return strongest([*reports, distinct_clique(g, r)])
 
 
 def ladder_then_local_search(g, r, budget):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    best_lower_bound_of_both,
     clique_list_scan,
     distinct_clique_bruteforce,
     distinctness_graph,
@@ -174,6 +175,18 @@ def test_best_lower_bound_winners():
     star = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4)])
     rep = best_lower_bound(star, 3)
     assert rep.value == 4 and rep.kind == "basic-r-delta"
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=14))
+def test_best_lower_bound_matches_both_full_reports(g):
+    # The clique search on H starts from the basic bound as its floor and
+    # may return nothing; the report (value, kind, certificate, exact) is
+    # the one the two full reports give, with or without a prebuilt H.
+    for r in range(1, g.max_degree() + 2):
+        expected = best_lower_bound_of_both(g, r)
+        assert best_lower_bound(g, r) == expected
+        assert best_lower_bound(g, r, bounds.distinctness_graph(g, r)) == expected
 
 
 def test_lower_bounds_lists_every_bound():

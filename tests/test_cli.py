@@ -528,22 +528,51 @@ def test_negative_budget_is_a_usage_error(capsys):
     assert code == 0
 
 
-def test_parser_is_built_once(monkeypatch, capsys):
-    build_parser, built = cli.build_parser, []
-
-    def counted():
-        built.append(1)
-        return build_parser()
-
+def test_a_command_line_builds_only_its_own_parser_once(monkeypatch, capsys):
+    # Each command's parser is built on its first use and kept; the full
+    # tree is not built for a command line that its command's parser takes.
+    added, trees = [], []
+    commands = {name: (help_text, lambda p, add=add, name=name: added.append(name) or add(p))
+                for name, (help_text, add) in cli.COMMANDS.items()}
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "COMMANDS", commands)
+    monkeypatch.setattr(cli, "build_parser", lambda: trees.append(1) or build_parser())
+    cli._command_parser.cache_clear()
     cli._parser.cache_clear()
-    monkeypatch.setattr(cli, "build_parser", counted)
     try:
         for argv in (["solve", "cyc:5", "-r", "2"], ["construct", "wd:3,2", "-r", "2"],
-                     ["table", "5", "--n", "4"], ["bounds", "cyc:5", "-r", "2"]):
+                     ["table", "5", "--n", "4"], ["bounds", "cyc:5", "-r", "2"],
+                     ["solve", "cyc:6", "-r", "2", "--max-nodes", "9"]):
             assert run(capsys, *argv)[0] == 0, argv
-        assert len(built) == 1
+        assert sorted(added) == ["bounds", "construct", "solve", "table"] and not trees
     finally:
+        cli._command_parser.cache_clear()
         cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "-h"] for name in cli.COMMANDS),
+    ["solve", "cyc:5"],  # no -r
+    ["construct", "wd:3,2", "-r", "two"],
+    ["table", "5", "--max-nodes", "-1"],
+    ["solve", "cyc:5", "-r", "2", "--bogus"],
+])
+def test_command_parser_prints_and_exits_as_the_full_tree(capsys, argv):
+    outcomes = []
+    for parse in (main, cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as exit_:
+            parse(argv)
+        out = capsys.readouterr()
+        outcomes.append((exit_.value.code, out.out, out.err))
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    if argv[-1] == "-h":
+        assert code == 0 and out.startswith(f"usage: condchrom {argv[0]} [-h]")
+    else:
+        assert code == 2 and out == ""
+        # Words left over are reported with the top-level usage.
+        top = argv[-1] == "--bogus"
+        assert err.startswith("usage: condchrom [-h]" if top else f"usage: condchrom {argv[0]}")
 
 
 def test_solve_is_set_by_its_options_alone(capsys, monkeypatch):

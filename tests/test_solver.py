@@ -1,6 +1,7 @@
 import pytest
 
 from condchrom import (
+    bounds,
     build,
     check_conditional,
     chi_r_exact,
@@ -145,6 +146,26 @@ def test_local_search_gives_up_after_its_levels(monkeypatch):
     # colours k = 7, the one level it had not tried.
     res = chi_r_exact(build("M(kpart:3,3)")[0], 5, budget=815)
     assert (res.upper_source, res.local_moves, res.bracket) == ("local-search", 509, (7, 7))
+
+
+@pytest.mark.parametrize("spec, r, budget, bracket", [
+    ("M(fr:2)", 5, 0, (6, 6)),
+    ("M(fr:5)", 11, 500_000, (12, 12)),
+    ("M(kpart:4,4)", 6, 1, (7, 8)),
+])
+def test_distinctness_graph_is_built_once_per_solve(monkeypatch, spec, r, budget, bracket):
+    # The lower bound and the local search share one H, also on a solve
+    # that the budget cuts.
+    built = []
+
+    def counted(g, r):
+        built.append(r)
+        return distinctness_graph(g, r)
+
+    monkeypatch.setattr(solver, "distinctness_graph", counted)
+    monkeypatch.setattr(bounds, "distinctness_graph", counted)
+    assert chi_r_exact(build(spec)[0], r, budget=budget).bracket == bracket
+    assert built == [r]
 
 
 def test_local_search_coloring_is_used_only_once_verified(monkeypatch):

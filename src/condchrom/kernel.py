@@ -1,17 +1,27 @@
 """Backend selection for the coloring search kernel and its local search.
 
-The compiled kernel (_kernel_c, built from _kernel.c on first use) is
-preferred when it builds and loads; CONDCHROM_BACKEND=pure forces the Python
-reference without touching the compiler, CONDCHROM_BACKEND=c fails loudly if
-the C kernel cannot be built. Both backends implement identical semantics.
+The compiled kernel (_kernel_c, built from _kernel.c on first use, one try
+per process) is preferred when it loads; CONDCHROM_BACKEND=pure forces the
+Python reference without touching the compiler, CONDCHROM_BACKEND=c fails
+loudly if it cannot be built. Both backends implement identical semantics.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 from . import _kernel_py
 from ._kernel_py import BUDGET, FOUND, NONE  # search_coloring's statuses
+
+
+@functools.cache
+def _compiled():  # the _kernel_c module, or the ImportError of its one try
+    try:
+        from . import _kernel_c
+    except ImportError as e:
+        return e
+    return _kernel_c
 
 
 def _load():
@@ -19,13 +29,11 @@ def _load():
     if choice not in ("auto", "c", "pure"):
         raise ValueError(f"CONDCHROM_BACKEND must be auto|c|pure, got {choice!r}")
     if choice in ("auto", "c"):
-        try:
-            from . import _kernel_c
-
-            return _kernel_c, "c"
-        except ImportError:
-            if choice == "c":
-                raise
+        c = _compiled()
+        if not isinstance(c, ImportError):
+            return c, "c"
+        if choice == "c":
+            raise c
     return _kernel_py, "pure"
 
 
@@ -44,11 +52,5 @@ def local_search(neighbors, req, k, start, max_moves):
 
 def backends():
     """All importable backends, for benchmarks and equivalence tests."""
-    out = {"pure": _kernel_py}
-    try:
-        from . import _kernel_c
-
-        out["c"] = _kernel_c
-    except ImportError:
-        pass
-    return out
+    c = _compiled()
+    return {"pure": _kernel_py} | ({} if isinstance(c, ImportError) else {"c": c})

@@ -6,9 +6,9 @@ The result is a bracket (lo, hi): every level below lo is refuted by a
 sound bound or by search, and the witness coloring uses hi colors. Under a
 node budget, the kernel's local search colors first and the decision kernel
 searches only the levels below the hi that gives, so the budget goes on
-refutation alone. The witness is the kernel's, a verified coloring from the
-local search, or else the all-distinct coloring. chi_r is proven exactly
-when lo == hi.
+refutation alone. After the ladder, the witness is the kernel's, a verified
+coloring from the local search, or else the all-distinct coloring; the local
+search's moves count whichever wins. chi_r is proven exactly when lo == hi.
 """
 
 from __future__ import annotations
@@ -48,17 +48,17 @@ class SolveResult:
     """A solve's bracket and witness. nodes_expanded counts kernel nodes
     alone; upper_source says where the witness, and so hi, came from (one
     of KERNEL, LOCAL_SEARCH, ALL_DISTINCT and EDGELESS), and local_moves
-    how many moves the local search made over all its levels (0 when it
-    did not run). Every field is deterministic; only `backend` differs
-    between backends."""
+    how many moves the local search made over all its levels, whatever the
+    source (0 when it did not run). Every field is deterministic; only
+    `backend` differs between backends."""
 
     r: int
     witness: Coloring
     nodes_expanded: int
     lower_bound_used: BoundReport
     bracket: tuple  # (lo, hi): lo <= chi_r <= hi, hi colors in the witness
-    upper_source: str = KERNEL
-    local_moves: int = 0
+    upper_source: str
+    local_moves: int
     backend: str = kernel.BACKEND_NAME
 
     @property
@@ -127,12 +127,6 @@ def greedy_start(h: list, k: int, order) -> list[int]:
     return color
 
 
-def _local_levels(lo: int, n: int) -> range:
-    """The levels the local search tries from lo: lo, lo + 1, ... below n,
-    at most LOCAL_LEVELS of them."""
-    return range(lo, min(lo + LOCAL_LEVELS, n))
-
-
 def _local_upper(g: Graph, r_eff: int, h: list, levels, adj, req):
     """(witness or None, moves): the local search's coloring at the first of
     `levels` that it colors and check_conditional accepts, its colors
@@ -163,11 +157,11 @@ def chi_r_exact(g: Graph, r: int, budget: int = 0) -> SolveResult:
     level not refuted. Under a budget, the local search (kernel.local_search)
     runs first, from the lower bound, and its coloring is used only once
     check_conditional accepts it; the ladder then climbs only while lo < hi,
-    hi being that coloring's colors, or n for the all-distinct coloring. A
-    kernel witness gives hi its colors. Where the local search colored no
-    level and the budget stops the ladder, it runs again from lo on the
-    levels it has not tried. The result is proven when lo == hi, and its
-    nodes_expanded counts kernel nodes alone.
+    hi being that coloring's colors, or n for the all-distinct coloring.
+    Where the local search colored no level and the budget stops the ladder,
+    it runs again from lo on the levels it has not tried. After the ladder a
+    kernel witness, if any, gives hi its colors; the moves count either way.
+    The result is proven when lo == hi; nodes_expanded counts kernel nodes.
     """
     if g.n < 1:
         raise ParameterError("graph must have at least one vertex")
@@ -175,7 +169,7 @@ def chi_r_exact(g: Graph, r: int, budget: int = 0) -> SolveResult:
     if g.m == 0:
         witness = Coloring((1,) * g.n, 1)
         return SolveResult(r, witness, 0, BoundReport(1, "clique", (0,)), (1, 1),
-                           EDGELESS)
+                           EDGELESS, 0)
 
     h = distinctness_graph(g, r_eff)
     lb = best_lower_bound(g, r_eff, h)
@@ -185,8 +179,8 @@ def chi_r_exact(g: Graph, r: int, budget: int = 0) -> SolveResult:
     # benchmark's node pins are re-recorded (ROADMAP item 1); then this
     # condition goes.
     if budget:
-        tried = _local_levels(lb.value, g.n)
-        witness, moves = _local_upper(g, r_eff, h, tried, adj, req)
+        first = range(lb.value, min(lb.value + LOCAL_LEVELS, g.n))
+        witness, moves = _local_upper(g, r_eff, h, first, adj, req)
         top = witness.k if witness else g.n
     else:
         witness, moves, top = None, 0, g.n + 1
@@ -202,14 +196,13 @@ def chi_r_exact(g: Graph, r: int, budget: int = 0) -> SolveResult:
         if status != kernel.NONE:
             break
         lo += 1
-    if status == kernel.FOUND:
-        witness = Coloring(tuple(colors), max(colors))
-        return SolveResult(r, witness, total_nodes, lb, (lo, witness.k))
-    if witness is None and status == kernel.BUDGET:
-        levels = [k for k in _local_levels(lo, g.n) if k not in tried]
-        witness, more = _local_upper(g, r_eff, h, levels, adj, req)
-        moves += more
     source = LOCAL_SEARCH
+    if status == kernel.FOUND:
+        witness, source = Coloring(tuple(colors), max(colors)), KERNEL
+    elif witness is None and status == kernel.BUDGET:
+        later = range(max(lo, first.stop), min(lo + LOCAL_LEVELS, g.n))
+        witness, more = _local_upper(g, r_eff, h, later, adj, req)
+        moves += more
     if witness is None:
         witness, source = Coloring(tuple(range(1, g.n + 1)), g.n), ALL_DISTINCT
     return SolveResult(r, witness, total_nodes, lb, (lo, witness.k), source, moves)

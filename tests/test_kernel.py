@@ -608,3 +608,27 @@ def test_without_a_compiler_auto_falls_back_and_c_fails(tmp_path):
     forced = _import_backend(tmp_path, "c")
     assert forced.returncode != 0
     assert "ImportError" in forced.stderr and "'cc'" in forced.stderr
+
+
+def test_a_process_runs_the_compiler_at_most_once(tmp_path):
+    # A failed import of _kernel_c leaves no module behind, so importing it
+    # again would compile again. A `cc` that fails counts its calls.
+    bin_dir, calls = tmp_path / "bin", tmp_path / "cc-calls"
+    bin_dir.mkdir()
+    (bin_dir / "cc").write_text(f"#!/bin/sh\necho cc >> '{calls}'\nexit 1\n")
+    (bin_dir / "cc").chmod(0o755)
+
+    def compiles(backend, script):
+        calls.write_text("")
+        env = dict(os.environ, PATH=str(bin_dir), XDG_CACHE_HOME=str(tmp_path / "cache"),
+                   PYTHONPATH=str(Path(kernel.__file__).parents[1]),
+                   CONDCHROM_BACKEND=backend)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        return proc.stdout, len(calls.read_text().splitlines())
+
+    script = ("import condchrom.kernel as k\n"
+              "print(k.BACKEND_NAME, sorted(k.backends()), sorted(k.backends()))")
+    assert compiles("auto", script) == ("pure ['pure'] ['pure']\n", 1)
+    assert compiles("pure", "import condchrom.kernel") == ("", 0)

@@ -1,4 +1,7 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_graphs import graphs
 
 from condchrom import (
     bounds,
@@ -133,6 +136,39 @@ def test_upper_bound_names_its_source():
     res = chi_r_exact(build("M(kpart:4,4)")[0], 6, budget=1)
     assert (res.upper_source, res.local_moves, res.bracket) == ("local-search", 511, (7, 8))
     assert res.nodes_expanded == 2  # kernel nodes alone
+
+
+# At r = 3 under a budget, the local search fails k = 5 in its 500 moves and
+# colours k = 6 in 1; the kernel then colours k = 5 in 9 nodes.
+KERNEL_AFTER_LOCAL = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 6), (1, 4), (1, 5), (2, 4),
+                               (2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (4, 6)])
+
+
+@pytest.mark.parametrize("name", sorted(backends()))
+def test_a_kernel_witness_keeps_the_local_search_moves(monkeypatch, name):
+    monkeypatch.setattr(kernel, "_backend", backends()[name])
+    res = chi_r_exact(KERNEL_AFTER_LOCAL, 3, budget=1000)
+    assert (res.bracket, res.nodes_expanded) == ((5, 5), 9)
+    assert res.to_json_dict()["upper_bound"] == {"source": "kernel", "moves": 501}
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=13), st.integers(1, 12), st.sampled_from([1, 7, 815, 10**6]))
+@example(KERNEL_AFTER_LOCAL, 3, 10**6)
+def test_local_moves_count_every_local_search_call(g, r, budget):
+    # Whichever source gives hi, local_moves is the sum of the moves of
+    # every local search the solve ran.
+    real, made = kernel.local_search, []
+
+    def spy(adj, req, k, start, max_moves):
+        colors, moves = real(adj, req, k, start, max_moves)
+        made.append(moves)
+        return colors, moves
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "local_search", spy)
+        res = chi_r_exact(g, r, budget=budget)
+    assert res.local_moves == sum(made)
 
 
 def test_local_search_gives_up_after_its_levels(monkeypatch):

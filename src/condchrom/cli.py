@@ -6,11 +6,13 @@ Exit codes: 0 success/valid, 1 invalid coloring or formula mismatch,
 141 stdout was closed before the output was written (128 + SIGPIPE, as for
 a process that SIGPIPE ends; nothing is printed).
 
-`main` parses a command line that starts with a command with that
-command's parser alone, built on its first use and kept for the process.
-The full parser tree, built the same way, takes everything else: help, no
-command, an unknown command and words left over, whose usage and error it
-prints as ever.
+One table, COMMANDS, declares each command's help, function and
+arguments. `main` reads a command line from it directly when the line is
+spelled in full and well formed (see `_quick_args`), with no argparse
+parser built. Any other line goes to the full argparse tree, which
+`build_parser` builds from the same table, on the first such line of a
+process: help, errors, abbreviated options and every other spelling
+argparse takes read, print and exit as ever.
 """
 
 from __future__ import annotations
@@ -222,67 +224,54 @@ def cmd_table(args) -> int:
     return EXIT_INVALID if mismatch else EXIT_OK
 
 
-def _generate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("spec", help="family spec, e.g. wd:3,2 or M(cyc:5)")
-    p.add_argument("--format", choices=("col", "dot"), default="col")
-    p.add_argument("-o", "--output", help="output file (provenance sidecar written)")
-    p.set_defaults(func=cmd_generate)
-
-
-def _solve_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("spec", nargs="?", help="family spec")
-    p.add_argument("--file", help="DIMACS col file instead of a spec")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--max-nodes", type=non_negative_int, default=0)
-    p.add_argument("--force", action="store_true", help="ignore the size cap")
-    p.set_defaults(func=cmd_solve)
-
-
-def _construct_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("spec")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=cmd_construct)
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("graph", help="DIMACS col file")
-    p.add_argument("coloring", help='coloring JSON {"k":., "colors":[..]}')
-    p.add_argument("-r", type=int, required=True)
-    p.set_defaults(func=cmd_verify)
-
-
-def _bounds_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("spec", nargs="?")
-    p.add_argument("--file")
-    p.add_argument("-r", type=int, required=True)
-    p.set_defaults(func=cmd_bounds)
-
-
-def _table_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("proposition", help="1..7 or 'all'")
-    p.add_argument("--k", help="range like 3..4")
-    p.add_argument("--n", help="range like 1..3")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--max-nodes", type=non_negative_int, default=0)
-    p.add_argument("--size-cap", type=non_negative_int, default=solver.DEFAULT_SIZE_CAP)
-    p.add_argument(
-        "--timing",
-        action="store_true",
-        help="append a ms column (non-deterministic output)",
-    )
-    p.set_defaults(func=cmd_table)
-
-
-# Each command's name, its help in the full tree's command list and the
-# function that adds its arguments to a parser.
+# Each command's name, its help in the full tree's command list, the
+# function that runs it and its arguments: each argument's flags and the
+# keywords that argparse's add_argument takes. build_parser and _quick_args
+# both read this table.
 COMMANDS = {
-    "generate": ("emit a family graph as DIMACS col or DOT", _generate_args),
-    "solve": ("compute chi_r exactly", _solve_args),
-    "construct": ("emit a proposition's coloring", _construct_args),
-    "verify": ("check a coloring file against a graph file", _verify_args),
-    "bounds": ("lower-bound reports for an instance", _bounds_args),
-    "table": ("formula-vs-exact comparison table", _table_args),
+    "generate": (
+        "emit a family graph as DIMACS col or DOT", cmd_generate,
+        (("spec",), dict(help="family spec, e.g. wd:3,2 or M(cyc:5)")),
+        (("--format",), dict(choices=("col", "dot"), default="col")),
+        (("-o", "--output"), dict(help="output file (provenance sidecar written)")),
+    ),
+    "solve": (
+        "compute chi_r exactly", cmd_solve,
+        (("spec",), dict(nargs="?", help="family spec")),
+        (("--file",), dict(help="DIMACS col file instead of a spec")),
+        (("-r",), dict(type=int, required=True)),
+        (("--max-nodes",), dict(type=non_negative_int, default=0)),
+        (("--force",), dict(action="store_true", help="ignore the size cap")),
+    ),
+    "construct": (
+        "emit a proposition's coloring", cmd_construct,
+        (("spec",), {}),
+        (("-r",), dict(type=int, required=True)),
+        (("--verify",), dict(action="store_true")),
+    ),
+    "verify": (
+        "check a coloring file against a graph file", cmd_verify,
+        (("graph",), dict(help="DIMACS col file")),
+        (("coloring",), dict(help='coloring JSON {"k":., "colors":[..]}')),
+        (("-r",), dict(type=int, required=True)),
+    ),
+    "bounds": (
+        "lower-bound reports for an instance", cmd_bounds,
+        (("spec",), dict(nargs="?")),
+        (("--file",), {}),
+        (("-r",), dict(type=int, required=True)),
+    ),
+    "table": (
+        "formula-vs-exact comparison table", cmd_table,
+        (("proposition",), dict(help="1..7 or 'all'")),
+        (("--k",), dict(help="range like 3..4")),
+        (("--n",), dict(help="range like 1..3")),
+        (("--format",), dict(choices=("csv", "json"), default="csv")),
+        (("--max-nodes",), dict(type=non_negative_int, default=0)),
+        (("--size-cap",), dict(type=non_negative_int, default=solver.DEFAULT_SIZE_CAP)),
+        (("--timing",), dict(action="store_true",
+                             help="append a ms column (non-deterministic output)")),
+    ),
 }
 
 
@@ -294,8 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
         "constructions, verification.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, func, *arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flags, keywords in arguments:
+            command.add_argument(*flags, **keywords)
+        command.set_defaults(func=func)
     return p
 
 
@@ -304,30 +296,64 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-@functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one command alone. Its prog is the one the full tree
-    gives that command's subparser, so its help and its errors read the same."""
-    p = argparse.ArgumentParser(prog=f"condchrom {name}")
-    COMMANDS[name][1](p)
-    return p
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv parsed as the full tree parses it. A command line that starts
-    with a command and leaves nothing over is parsed by that command's parser
-    alone; everything else (help, no command, an unknown command, words left
-    over) goes to the full tree, which prints the top-level usage and exits 2
-    on words left over, as a bare command parser would not."""
-    if argv and argv[0] in COMMANDS:
-        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return _parser().parse_args(argv)
+def _quick_args(argv: list[str]) -> argparse.Namespace | None:
+    """argv read from COMMANDS as the full tree reads it, or None where
+    argparse must read it. A line is read here when its first word is a
+    command, every word that starts with "-" is one of that command's option
+    strings in full, each valued option is followed by a word that does not
+    start with "-" and that its type converts into its choices, the other
+    words fill the positionals in order (only nargs="?" ones may stay empty)
+    and every required option is given. Help, errors, abbreviations, "-r7",
+    "--opt=v", negative values and "--" are all left to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, *arguments = COMMANDS[argv[0]]
+    values, options, positionals, required = {}, {}, [], set()
+    for flags, keywords in arguments:
+        if not flags[0].startswith("-"):
+            dest = flags[0]
+            positionals.append((dest, keywords))
+        else:
+            # argparse's dest: the first long flag, else the first flag.
+            long = [f for f in flags if f.startswith("--")]
+            dest = (long or flags)[0].lstrip("-").replace("-", "_")
+            options.update(dict.fromkeys(flags, (dest, keywords)))
+            if keywords.get("required"):
+                required.add(dest)
+        store_true = keywords.get("action") == "store_true"
+        values[dest] = keywords.get("default", False if store_true else None)
+    words = iter(argv[1:])
+    for word in words:
+        if word.startswith("-"):
+            if word not in options:
+                return None
+            dest, keywords = options[word]
+            if keywords.get("action") == "store_true":
+                values[dest] = True
+                continue
+            word = next(words, "-")
+            if word.startswith("-"):
+                return None
+        elif positionals:
+            dest, keywords = positionals.pop(0)
+        else:
+            return None
+        try:
+            value = keywords.get("type", str)(word)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[dest] = value
+        required.discard(dest)
+    if required or any(keywords.get("nargs") != "?" for _, keywords in positionals):
+        return None
+    return argparse.Namespace(command=argv[0], func=func, **values)
 
 
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _quick_args(argv) or _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

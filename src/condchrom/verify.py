@@ -22,6 +22,8 @@ class Coloring:
     k: int
 
     def __post_init__(self):
+        if self.k < 1:
+            raise InputError(f"k must be >= 1, got {self.k}")
         if any(c < 1 or c > self.k for c in self.colors):
             raise InputError(f"colors must lie in 1..{self.k}")
 

@@ -1,8 +1,10 @@
 import csv
+import importlib
 import io
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -528,26 +530,68 @@ def test_negative_budget_is_a_usage_error(capsys):
     assert code == 0
 
 
-def test_a_command_line_builds_only_its_own_parser_once(monkeypatch, capsys):
-    # Each command's parser is built on its first use and kept; the full
-    # tree is not built for a command line that its command's parser takes.
-    added, trees = [], []
-    commands = {name: (help_text, lambda p, add=add, name=name: added.append(name) or add(p))
-                for name, (help_text, add) in cli.COMMANDS.items()}
+def test_a_line_spelled_in_full_builds_no_parser(monkeypatch, capsys):
+    # A line spelled in full is read from COMMANDS alone; a line that needs
+    # argparse, here for the abbreviation --max, builds the full tree once
+    # and reads as the line spelled in full does.
+    trees = []
     build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "COMMANDS", commands)
     monkeypatch.setattr(cli, "build_parser", lambda: trees.append(1) or build_parser())
-    cli._command_parser.cache_clear()
     cli._parser.cache_clear()
     try:
         for argv in (["solve", "cyc:5", "-r", "2"], ["construct", "wd:3,2", "-r", "2"],
                      ["table", "5", "--n", "4"], ["bounds", "cyc:5", "-r", "2"],
                      ["solve", "cyc:6", "-r", "2", "--max-nodes", "9"]):
             assert run(capsys, *argv)[0] == 0, argv
-        assert sorted(added) == ["bounds", "construct", "solve", "table"] and not trees
+        assert not trees
+        full = run(capsys, "solve", "cyc:6", "-r", "2", "--max-nodes", "9")
+        assert run(capsys, "solve", "cyc:6", "-r", "2", "--max", "9") == full
+        assert len(trees) == 1 and full[0] == 0
     finally:
-        cli._command_parser.cache_clear()
         cli._parser.cache_clear()
+
+
+# Words for the lines below: values that int(), a choice or nothing at all
+# may take or refuse, and words only argparse reads.
+QUICK_VALUES = ["", "-1", "+3", " 4", "\u0663", "a b", "two", "3..4", "0", "7", "xml"]
+QUICK_JUNK = ["-h", "--", "-", "--max", "-r7", "--file=x", "nope"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of declared option strings, their valid and invalid
+    values, positional words and words only argparse reads, under a command
+    or an unknown one."""
+    name = draw(st.sampled_from([*cli.COMMANDS, "nope"]))
+    arguments = cli.COMMANDS[name][2:] if name in cli.COMMANDS else ()
+    flags = st.sampled_from([f for fs, _ in arguments for f in fs if f.startswith("-")]
+                            or QUICK_JUNK)
+    values = st.sampled_from([*QUICK_VALUES, *(c for _, kw in arguments
+                                               for c in kw.get("choices", ()))])
+    item = st.one_of(st.tuples(flags, values).map(list), flags.map(lambda f: [f]),
+                     values.map(lambda v: [v]), st.sampled_from(QUICK_JUNK).map(lambda j: [j]))
+    return [name, *(word for words in draw(st.lists(item, max_size=6)) for word in words)]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(argv=command_lines())
+def test_quick_args_reads_as_the_full_tree(argv):
+    quick = cli._quick_args(argv)
+    if quick is not None:
+        assert vars(quick) == vars(cli._parser().parse_args(argv)), argv
+
+
+def test_every_documented_and_benchmarked_line_takes_the_quick_path(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "condbench"))
+    workloads = importlib.import_module("workloads")
+    for make in workloads.WORKLOADS.values():
+        lines += [op.argv for op in make(1, tmp_path)]
+    assert len(lines) > 6 + 63
+    for argv in lines:
+        assert cli._quick_args(argv) is not None, argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,6 +14,7 @@ from condchrom import (
     lemma2_conclusion,
     paper_indexing,
 )
+from condchrom.cli import main
 from condchrom.constructions import color_middle_cycle
 from condchrom.errors import InputError, ParameterError, PreconditionError
 from condchrom.graphs import Graph
@@ -34,6 +35,19 @@ def test_coloring_validation():
     with pytest.raises(InputError):
         Coloring((1, 3), 2)
     assert Coloring((1, 3, 3), 3).colors_used == 2
+
+
+def test_declared_k_below_one_is_an_input_error(tmp_path, capsys):
+    # k > 0 in the paper's definition, also for a graph with no vertices.
+    for colors, k in (((), -3), ((1, 2, 1), -1), ((), 0)):
+        with pytest.raises(InputError, match=rf"^k must be >= 1, got {k}$"):
+            Coloring(colors, k)
+    gfile, cfile = tmp_path / "g.col", tmp_path / "c.json"
+    gfile.write_text("p edge 0 0\n")
+    cfile.write_text('{"k": -3, "colors": []}')
+    assert main(["verify", str(gfile), str(cfile), "-r", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: k must be >= 1, got -3\n")
 
 
 def test_check_proper():

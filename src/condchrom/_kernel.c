@@ -122,7 +122,31 @@
  * Every array is allocated by the calling thread before a helper starts.
  *
  * The end of the file holds condchrom_local_search, the twin of
- * _kernel_py.local_search, which shares nothing with the search above.
+ * _kernel_py.local_search, which shares nothing with the search above, and
+ * condchrom_max_clique, the twin of _kernel_py.max_clique, which shares
+ * only the renumbering (by_degree). The clique search works in the same
+ * numbering, so a vertex's rank is its new id, and it keeps every
+ * neighbour list sorted in it. Its state:
+ *   - Frames on an explicit stack, frame d branching on the vertices that
+ *     extend cur[0..d-1]. Frame 0 holds every vertex, and frame d + 1 the
+ *     neighbours of cur[d] among frame d's candidates, so the candidate
+ *     sets are nested and the frames' lists together hold at most n plus
+ *     the number of neighbour entries.
+ *   - lvl[u], the deepest frame whose candidates still hold u, -1 for none;
+ *     nesting makes this one number enough. u is a candidate of the top
+ *     frame d when lvl[u] == d. A branch on v that ends drops v to d - 1,
+ *     out of frame d; a popped frame hands its candidates back to the frame
+ *     below by setting their lvl to it.
+ *   - The steps of a frame. Its candidates are coloured greedily in
+ *     ascending order, each with the lowest class that none of its
+ *     neighbours coloured before it has; those are its neighbours below it
+ *     at the frame's level. Their classes are marked in mark[] with a stamp
+ *     raised once per coloured vertex, so no mark is ever cleared: a mark
+ *     cleared per vertex id would be wrong once the vertex recurs in a
+ *     deeper frame. The steps are laid out by (class, id) ascending and
+ *     taken from the top, class descending, then id descending.
+ *   - The prune of the pure twin: a frame at depth d is popped at the first
+ *     step whose class c has d + c <= max(clique size, floor).
  */
 
 #define _POSIX_C_SOURCE 200809L
@@ -147,7 +171,7 @@
 #define LOAD(x) __atomic_load_n(&(x), __ATOMIC_RELAXED)
 #define STORE(x, v) __atomic_store_n(&(x), (v), __ATOMIC_RELAXED)
 
-enum { FOUND = 0, NONE = 1, BUDGET = 2, NOMEM = -1, NOT_SIMPLE = -2 };
+enum { FOUND = 0, NONE = 1, BUDGET = 2, NOMEM = -1, NOT_SIMPLE = -2, OUT_OF_RANGE = -3 };
 
 /* How many nodes a busy worker expands between looks at the idle count, and
  * how many times an idle worker yields its CPU before it sleeps. */
@@ -916,12 +940,57 @@ static void *work(void *arg)
     }
 }
 
-/* Neighbours of v are indices[indptr[v] .. indptr[v+1]-1], all in [0, n).
+/* OUT_OF_RANGE when a neighbour id lies outside [0, n), else 0. */
+static int check_ids(int32_t n, const int32_t *indptr, const int32_t *indices)
+{
+    for (int32_t j = 0; j < indptr[n]; j++)
+        if (indices[j] < 0 || indices[j] >= n)
+            return OUT_OF_RANGE;
+    return 0;
+}
+
+/* The renumbering of condchrom_search and condchrom_max_clique: by
+ * (degree descending, id ascending), order[i] is the caller's id of new id
+ * i and rank[v] the new id of v. order and rank hold n and n + 1 zeroed
+ * ints. Returns 0, or, with nothing sorted, OUT_OF_RANGE or NOT_SIMPLE
+ * when a vertex is its own neighbour or has a neighbour twice. */
+static int by_degree(int32_t n, const int32_t *indptr, const int32_t *indices,
+                     int32_t *order, int32_t *rank)
+{
+    if (check_ids(n, indptr, indices))
+        return OUT_OF_RANGE;
+    /* The graph must be simple, which also keeps every degree below n.
+     * Until the sort fills it, order[u] == v + 1 marks u as a neighbour of
+     * v already seen. */
+    for (int32_t v = 0; v < n; v++) {
+        for (int32_t j = indptr[v]; j < indptr[v + 1]; j++) {
+            int32_t u = indices[j];
+            if (u == v || order[u] == v + 1)
+                return NOT_SIMPLE;
+            order[u] = v + 1;
+        }
+    }
+    /* Counting sort on the key n-1-degree, which is in 0..n-1 because the
+     * graph is simple. rank[key+1] counts the key, the prefix sums make
+     * rank[key] the first new id of that key, and then rank is inverted. */
+    for (int32_t v = 0; v < n; v++)
+        rank[n - (indptr[v + 1] - indptr[v])]++;
+    for (int32_t d = 1; d < n; d++)
+        rank[d] += rank[d - 1];
+    for (int32_t v = 0; v < n; v++)
+        order[rank[n - 1 - (indptr[v + 1] - indptr[v])]++] = v;
+    for (int32_t i = 0; i < n; i++)
+        rank[order[i]] = i;
+    return 0;
+}
+
+/* Neighbours of v are indices[indptr[v] .. indptr[v+1]-1].
  * The search runs on up to `threads` threads, starting the helpers after
  * spawn_after nodes; the result does not depend on either. On FOUND,
  * color[0..n-1] holds colours in 1..k; otherwise color may have been
- * written. Returns the status, NOT_SIMPLE when a vertex is its own
- * neighbour or has a neighbour twice, or NOMEM when an allocation fails;
+ * written. Returns the status, OUT_OF_RANGE when a neighbour id lies
+ * outside [0, n), NOT_SIMPLE when a vertex is its own neighbour or has a
+ * neighbour twice, or NOMEM when an allocation fails;
  * *nodes receives the node count. */
 int condchrom_search(int32_t n, const int32_t *indptr, const int32_t *indices,
                      const int64_t *req, int64_t k, int64_t budget,
@@ -942,18 +1011,9 @@ int condchrom_search(int32_t n, const int32_t *indptr, const int32_t *indices,
     int status = NOMEM;
     if (!order || !rank || !ptr || !idx)
         goto out;
-    /* The graph must be simple, which also keeps every degree below n.
-     * Until the sort fills it, order[u] == v + 1 marks u as a neighbour of
-     * v already seen. */
-    status = NOT_SIMPLE;
-    for (int32_t v = 0; v < n; v++) {
-        for (int32_t j = indptr[v]; j < indptr[v + 1]; j++) {
-            int32_t u = indices[j];
-            if (u == v || order[u] == v + 1)
-                goto out;
-            order[u] = v + 1;
-        }
-    }
+    status = by_degree(n, indptr, indices, order, rank);
+    if (status)
+        goto out;
     /* A vertex's neighbours avoid its own colour, so at most k-1 distinct
      * colours can ever appear around it, and at most d(v) ever can. */
     status = NONE;
@@ -984,17 +1044,6 @@ int condchrom_search(int32_t n, const int32_t *indptr, const int32_t *indices,
     if (!me || (WORDS(sh.w, sh.vw) && !nb))
         goto out;
 
-    /* Counting sort on the key n-1-degree, which is in 0..n-1 because the
-     * graph is simple. rank[key+1] counts the key, the prefix sums make
-     * rank[key] the first new id of that key, and then rank is inverted. */
-    for (int32_t v = 0; v < n; v++)
-        rank[n - (indptr[v + 1] - indptr[v])]++;
-    for (int32_t d = 1; d < n; d++)
-        rank[d] += rank[d - 1];
-    for (int32_t v = 0; v < n; v++)
-        order[rank[n - 1 - (indptr[v + 1] - indptr[v])]++] = v;
-    for (int32_t i = 0; i < n; i++)
-        rank[order[i]] = i;
     ptr[0] = 0;
     for (int32_t i = 0; i < n; i++) {
         int32_t v = order[i], deg = indptr[v + 1] - indptr[v];
@@ -1086,12 +1135,16 @@ INLINE int64_t ones(uint64_t x)
  *
  * color holds the start colouring (1..k) on entry and the last colouring on
  * return. Returns FOUND when that colouring has score 0, NONE when the moves
- * ran out or none was allowed, or NOMEM; *moves receives the moves made. */
+ * ran out or none was allowed, OUT_OF_RANGE when a neighbour id lies outside
+ * [0, n), or NOMEM; *moves receives the moves made. */
 int condchrom_local_search(int32_t n, const int32_t *indptr,
                            const int32_t *indices, const int64_t *req_in,
                            int32_t k, int32_t *color, int64_t max_moves,
                            int64_t tenure, uint64_t seed, int64_t *moves)
 {
+    *moves = 0;
+    if (check_ids(n, indptr, indices))
+        return OUT_OF_RANGE;
     size_t kw = (size_t)k + 1, vw = ((size_t)n + 63) / 64;
     int32_t *cnt = calloc(((size_t)n + 1) * kw, sizeof(int32_t));
     int64_t *tabu = calloc(((size_t)n + 1) * kw, sizeof(int64_t));
@@ -1208,5 +1261,127 @@ out:
     free(nz);
     free(distinct);
     free(req);
+    return status;
+}
+
+/* Compiled twin of _kernel_py.max_clique: the same branch and bound, step
+ * for step, so that both return the same members in the same order. The
+ * header of this file describes its state. Neighbours of v are
+ * indices[indptr[v] .. indptr[v+1]-1]. Returns 0 with the members of the
+ * clique found, in the caller's ids and in the order the search took them,
+ * in out[0..*out_len-1] (out holds n ints), or, as condchrom_search does,
+ * OUT_OF_RANGE, NOT_SIMPLE or NOMEM. */
+int condchrom_max_clique(int32_t n, const int32_t *indptr, const int32_t *indices,
+                         int32_t floor, int32_t *out, int32_t *out_len)
+{
+    *out_len = 0;
+    if (n == 0)
+        return 0;
+    size_t nn = (size_t)n + 2, m = (size_t)indptr[n];
+    int32_t *block = calloc(13 * nn + 4 * m, sizeof(int32_t));
+    int64_t *mark = calloc(nn, sizeof(int64_t));
+    int status = NOMEM;
+    if (!block || !mark)
+        goto out;
+    /* Per vertex: order, rank, ptr and tptr (the in-lists' offsets),
+     * lvl, cls, cur (the path, by depth) and tmp (a frame's candidates
+     * before its colouring); per frame: base and pos; per class: cnt; then
+     * idx, the in-lists t, and the steps, vertex sv and class sc. */
+    int32_t *order = block, *rank = order + nn, *ptr = rank + nn, *tptr = ptr + nn,
+            *lvl = tptr + nn, *cls = lvl + nn, *cur = cls + nn, *tmp = cur + nn,
+            *base = tmp + nn, *pos = base + nn, *cnt = pos + nn, *idx = cnt + nn,
+            *t = idx + m, *sv = t + m, *sc = sv + nn + m;
+    status = by_degree(n, indptr, indices, order, rank);
+    if (status)
+        goto out;
+    /* idx: the neighbour lists in new ids, each sorted, by transposing
+     * twice. t[tptr[x] ..] lists the vertices that have x as a neighbour,
+     * ascending, and idx[ptr[y] ..] then lists y's neighbours, ascending.
+     * cnt serves as the write cursors. */
+    for (size_t j = 0; j < m; j++)
+        tptr[rank[indices[j]] + 1]++;
+    for (int32_t i = 0; i < n; i++) {
+        tptr[i + 1] += tptr[i];
+        ptr[i + 1] = ptr[i] + indptr[order[i] + 1] - indptr[order[i]];
+    }
+    memcpy(cnt, tptr, (size_t)n * sizeof(int32_t));
+    for (int32_t i = 0; i < n; i++)
+        for (int32_t j = indptr[order[i]]; j < indptr[order[i] + 1]; j++)
+            t[cnt[rank[indices[j]]]++] = i;
+    memcpy(cnt, ptr, (size_t)n * sizeof(int32_t));
+    for (int32_t x = 0; x < n; x++)
+        for (int32_t j = tptr[x]; j < tptr[x + 1]; j++)
+            idx[cnt[t[j]]++] = x;
+
+    /* The root frame holds every vertex, all at level 0 (lvl is zeroed). */
+    int64_t stamp = 0;
+    int32_t depth = 0, c = n, beat = floor; /* beat: max(*out_len, floor) */
+    for (int32_t v = 0; v < n; v++)
+        tmp[v] = v;
+    while (depth >= 0) {
+        if (c) {
+            /* Colour frame depth's candidates tmp[0..c-1], ascending, each
+             * with the lowest class that none of its neighbours coloured
+             * before it has: those below it at level depth. Then lay them
+             * out as the frame's steps, by class, then id, ascending, so
+             * that pos walks them down. */
+            int32_t k = 0;
+            for (int32_t i = 0; i < c; i++) {
+                int32_t v = tmp[i], col = 1;
+                stamp++;
+                for (int32_t j = ptr[v]; j < ptr[v + 1] && idx[j] < v; j++)
+                    if (lvl[idx[j]] == depth)
+                        mark[cls[idx[j]]] = stamp;
+                while (mark[col] == stamp)
+                    col++;
+                cls[v] = col;
+                k = col > k ? col : k;
+            }
+            memset(cnt, 0, ((size_t)k + 2) * sizeof(int32_t));
+            for (int32_t i = 0; i < c; i++)
+                cnt[cls[tmp[i]] + 1]++;
+            for (int32_t col = 2; col <= k; col++)
+                cnt[col] += cnt[col - 1];
+            for (int32_t i = 0; i < c; i++) {
+                int32_t v = tmp[i], s = base[depth] + cnt[cls[v]]++;
+                sv[s] = v;
+                sc[s] = cls[v];
+            }
+            base[depth + 1] = base[depth] + c;
+            pos[depth] = base[depth + 1] - 1;
+            c = 0;
+        }
+        int32_t p = pos[depth];
+        if (p < base[depth] || depth + sc[p] <= beat) {
+            /* Pop the frame: its candidates go back to the frame below,
+             * and the vertex branched on there leaves that frame's. */
+            for (int32_t j = base[depth]; j < base[depth + 1]; j++)
+                lvl[sv[j]] = depth - 1;
+            if (--depth >= 0)
+                lvl[cur[depth]] = depth - 1;
+            continue;
+        }
+        pos[depth] = p - 1;
+        int32_t v = cur[depth] = sv[p];
+        for (int32_t j = ptr[v]; j < ptr[v + 1]; j++) {
+            if (lvl[idx[j]] == depth) {
+                tmp[c++] = idx[j];
+                lvl[idx[j]] = depth + 1;
+            }
+        }
+        if (c) {
+            depth++;
+        } else {
+            if (depth + 1 > beat) {
+                for (int32_t i = 0; i <= depth; i++)
+                    out[i] = order[cur[i]];
+                *out_len = beat = depth + 1;
+            }
+            lvl[v] = depth - 1;
+        }
+    }
+out:
+    free(block);
+    free(mark);
     return status;
 }

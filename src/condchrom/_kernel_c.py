@@ -12,12 +12,15 @@ and malformed input raises the same ValueError: a req of the wrong length,
 a neighbor id out of range, a loop or a repeated neighbor. The C search
 keeps one of two state layouts, chosen by n and k alone, and both give the
 same results. local_search is _kernel_py.local_search, move for move; the
-pure module's TENURE and SEED are passed to it.
+pure module's TENURE and SEED are passed to it. max_clique is
+_kernel_py.max_clique, step for step: the same members in the same order,
+and the same ValueError for an id out of range or a loop. The C functions
+check the ids themselves; the wrappers only build the arrays.
 
-Each call searches on as many threads as the process may run on
-(`os.sched_getaffinity`), starting the helpers only once the search has
-expanded SPAWN_AFTER nodes. Status, colouring and node count do not depend
-on the thread count or on timing. The header of _kernel.c describes the
+Each search_coloring call searches on as many threads as the process may
+run on (`os.sched_getaffinity`), starting the helpers only once the search
+has expanded SPAWN_AFTER nodes. Status, colouring and node count do not
+depend on the thread count or on timing. The header of _kernel.c describes the
 state layouts and how the search is split between threads.
 """
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import struct
 import sys
 import zlib
 from array import array
@@ -33,7 +37,8 @@ from itertools import accumulate, chain
 from ._kernel_py import (FOUND, NOT_SIMPLE, OUT_OF_RANGE, SEED, TENURE, check_req,
                          check_start)
 
-_NOT_SIMPLE = -2  # condchrom_search's status for a loop or a repeated neighbor
+# The C functions' statuses for malformed input.
+_ERRORS = {-2: NOT_SIMPLE, -3: OUT_OF_RANGE}
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _FLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
@@ -88,13 +93,15 @@ def _load():
     # the callers keep alive for the call.
     ptr, i32, i64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64
     search, local = lib.condchrom_search, lib.condchrom_local_search
+    clique = lib.condchrom_max_clique
     search.argtypes = [i32, ptr, ptr, ptr, i64, i64, i32, i64, ptr, ptr]
     local.argtypes = [i32, ptr, ptr, ptr, i32, ptr, i64, i64, ctypes.c_uint64, ptr]
-    search.restype = local.restype = ctypes.c_int
-    return search, local
+    clique.argtypes = [i32, ptr, ptr, i32, ptr, ptr]
+    search.restype = local.restype = clique.restype = ctypes.c_int
+    return search, local, clique
 
 
-_search, _local_search = _load()
+_search, _local_search, _max_clique = _load()
 
 
 def search_coloring(neighbors, req, k, budget):
@@ -110,15 +117,40 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _csr(neighbors, req):
-    """(indptr, indices, req) as arrays for the C kernel."""
-    n = len(neighbors)
-    check_req(req, n)
-    indices = array("i", chain.from_iterable(neighbors))
-    if indices and not (0 <= min(indices) and max(indices) < n):
-        raise ValueError(OUT_OF_RANGE)
+def _csr(neighbors, req=None):
+    """(indptr, indices, req) as arrays for the C kernel, which checks the
+    ids; req stays None when it is not given."""
+    if req is not None:
+        check_req(req, len(neighbors))
+        req = array("q", req)
     indptr = array("i", accumulate(map(len, neighbors), initial=0))
-    return indptr, indices, array("q", req)
+    # struct.pack reads the ids about twice as fast as array() does.
+    try:
+        packed = struct.pack(f"{indptr[-1]}i", *chain.from_iterable(neighbors))
+    except struct.error:  # an id that does not fit in a C int
+        raise ValueError(OUT_OF_RANGE) from None
+    return indptr, array("i", packed), req
+
+
+def _checked(status):
+    """status, once it is no error of the C kernel's."""
+    if status in _ERRORS:
+        raise ValueError(_ERRORS[status])
+    if status < 0:
+        raise MemoryError("C kernel: allocation failed")
+    return status
+
+
+def max_clique(adj, floor=0):
+    """Members of a maximum clique above `floor`, or []; see
+    _kernel_py.max_clique."""
+    n = len(adj)
+    indptr, indices, _ = _csr(adj)
+    out, size = array("i", bytes(4 * n)), array("i", [0])
+    # A floor below 0 prunes as 0 does and one above n as n does.
+    _checked(_max_clique(n, indptr.buffer_info()[0], indices.buffer_info()[0],
+                         max(0, min(floor, n)), out.buffer_info()[0], size.buffer_info()[0]))
+    return out[:size[0]].tolist()
 
 
 def local_search(neighbors, req, k, start, max_moves):
@@ -127,7 +159,7 @@ def local_search(neighbors, req, k, start, max_moves):
     indptr, indices, req = _csr(neighbors, req)
     colors = array("i", start)
     moves = array("q", [0])
-    status = _local_search(
+    status = _checked(_local_search(
         len(neighbors),
         indptr.buffer_info()[0],
         indices.buffer_info()[0],
@@ -138,9 +170,7 @@ def local_search(neighbors, req, k, start, max_moves):
         TENURE,
         SEED,
         moves.buffer_info()[0],
-    )
-    if status < 0:
-        raise MemoryError("C kernel: allocation failed")
+    ))
     return (colors.tolist() if status == FOUND else None), moves[0]
 
 
@@ -153,7 +183,7 @@ def _search_coloring(neighbors, req, k, budget, threads, spawn_after):
     nodes = array("q", [0])
     # Every k < 1 fails at once and every budget < 0 stops at the first
     # node, so clamping both into int64 keeps the result.
-    status = _search(
+    status = _checked(_search(
         n,
         indptr.buffer_info()[0],
         indices.buffer_info()[0],
@@ -164,11 +194,7 @@ def _search_coloring(neighbors, req, k, budget, threads, spawn_after):
         spawn_after,
         colors.buffer_info()[0],
         nodes.buffer_info()[0],
-    )
-    if status == _NOT_SIMPLE:
-        raise ValueError(NOT_SIMPLE)
-    if status < 0:
-        raise MemoryError("C kernel: allocation failed")
+    ))
     if status == FOUND:
         return FOUND, colors.tolist(), nodes[0]
     return status, None, nodes[0]

@@ -1,6 +1,8 @@
 """Pure-Python backtracking kernel for the conditional coloring decision
-problem. Reference semantics: the compiled kernel (_kernel.c, loaded by
-_kernel_c) must produce byte-identical results, including node counts.
+problem, with its local search and the maximum clique search. Reference
+semantics: the compiled kernel (_kernel.c, loaded by _kernel_c) must
+produce byte-identical results, including node counts, move counts and
+clique members in their order.
 
 Search: DSATUR-style dynamic vertex order (max saturation, then max degree,
 then min id), colors tried ascending, and symmetry breaking by allowing at
@@ -38,11 +40,10 @@ def check_req(req, n):
         raise ValueError(f"req has {len(req)} entries for {n} vertices")
 
 
-def _check_ids(neighbors, req):
-    """check_req, then ValueError for a neighbor id outside 0..n-1: the
-    checks the C wrapper makes on the arrays it builds."""
+def _check_ids(neighbors):
+    """ValueError for a neighbor id outside 0..n-1, as the C kernel checks
+    the ids it is given."""
     n = len(neighbors)
-    check_req(req, n)
     if any(nb and not (0 <= min(nb) and max(nb) < n) for nb in neighbors):
         raise ValueError(OUT_OF_RANGE)
 
@@ -57,7 +58,8 @@ def search_coloring(neighbors, req, k, budget):
     above d(v) or k - 1; budget: max search nodes (0 = unlimited).
     Returns (status, colors or None, nodes).
     """
-    _check_ids(neighbors, req)
+    check_req(req, len(neighbors))
+    _check_ids(neighbors)
     n = len(neighbors)
     if any(v in nb or len(set(nb)) < len(nb) for v, nb in enumerate(neighbors)):
         raise ValueError(NOT_SIMPLE)
@@ -174,7 +176,8 @@ def local_search(neighbors, req, k, start, max_moves):
     lose[u], -1 to every color.
     """
     check_start(neighbors, k, start)
-    _check_ids(neighbors, req)
+    check_req(req, len(neighbors))
+    _check_ids(neighbors)
     n = len(neighbors)
     color = list(start)
     cnt = [[0] * (k + 1) for _ in range(n)]  # cnt[u][c]: neighbors of u colored c
@@ -234,3 +237,65 @@ def local_search(neighbors, req, k, start, max_moves):
         score += top
         best = min(best, score)
     return (color if score == 0 else None), moves
+
+
+def max_clique(adj, floor=0):
+    """Members of a maximum clique of the graph with neighbour sets `adj`,
+    by branch and bound with a greedy-coloring bound (Tomita-style); [] when
+    it has at most `floor` members. Only a branch that can beat
+    max(len(best), floor) is searched. Pruning takes away no branch that
+    holds a clique above the floor, and the candidate sets do not depend on
+    it, so a clique above the floor is the one that floor 0 finds. The
+    members come in the order the search took them.
+
+    A neighbor id outside 0..n-1 raises ValueError, then a vertex that is
+    its own neighbor; the C twin also refuses a repeated neighbor, which a
+    set cannot hold."""
+    _check_ids(adj)
+    if any(v in nb for v, nb in enumerate(adj)):
+        raise ValueError(NOT_SIMPLE)
+    rank = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
+    pos = [0] * len(adj)
+    for i, v in enumerate(rank):
+        pos[v] = i
+    best: list[int] = []
+    beat = floor  # max(len(best), floor)
+
+    def branches(cands: list[int]) -> list:
+        # [(vertex, color-class index) pairs, highest color first; the
+        # candidates as a set]. `cands` is in root rank order. Each class is
+        # kept as a set as well, so testing a vertex against it costs at
+        # most the vertex's degree.
+        classes: list[tuple[list[int], set[int]]] = []
+        for v in cands:
+            for members, cls in classes:
+                if adj[v].isdisjoint(cls):
+                    members.append(v)
+                    cls.add(v)
+                    break
+            else:
+                classes.append(([v], {v}))
+        ordered = [(v, ci) for ci, (members, _) in enumerate(classes, start=1)
+                   for v in members]
+        return [reversed(ordered), set(cands)]
+
+    # Depth-first on an explicit stack: the frame at depth i branches on the
+    # vertices that extend current[:i]; when a branch is done, its vertex
+    # leaves the candidates of the frame below.
+    current: list[int] = []
+    stack = [branches(rank)]
+    while stack:
+        frame = stack[-1]
+        step = next(frame[0], None)
+        if step is None or len(current) + step[1] <= beat:
+            stack.pop()
+            if stack:
+                stack[-1][1].discard(current.pop())
+            continue
+        current.append(step[0])
+        nxt = sorted(adj[step[0]] & frame[1], key=pos.__getitem__)
+        if not nxt and len(current) > beat:
+            best = list(current)
+            beat = len(best)
+        stack.append(branches(nxt))
+    return best

@@ -6,6 +6,9 @@ edge (a vertex of degree Delta sees min{r, Delta} colors, none of them its
 own), maximization of Vset-d2r certificates (a Vset-d2r of size s forces
 chi_r >= s), and the distinctness clique, a set of vertices that must all
 get different colors. The last dominates the clique and Vset-d2r bounds.
+
+Both cliques come from kernel.max_clique, the Tomita-Seki branch and bound
+of _kernel_py.max_clique, which runs in the compiled kernel when it loads.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import kernel
 from .errors import ParameterError
 from .graphs import EDGE_LIMIT, Graph
 from .verify import check_vset_d2r
@@ -41,63 +45,9 @@ class BoundReport:
         }
 
 
-def _max_clique(adj: list, floor: int = 0) -> list[int]:
-    """Members of a maximum clique of the graph with neighbour sets `adj`,
-    by branch and bound with a greedy-coloring bound (Tomita-style); [] when
-    it has at most `floor` members. Only a branch that can beat
-    max(len(best), floor) is searched. Pruning takes away no branch that
-    holds a clique above the floor, and the candidate sets do not depend on
-    it, so a clique above the floor is the one that floor 0 finds."""
-    rank = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
-    pos = [0] * len(adj)
-    for i, v in enumerate(rank):
-        pos[v] = i
-    best: list[int] = []
-    beat = floor  # max(len(best), floor)
-
-    def branches(cands: list[int]) -> list:
-        # [(vertex, color-class index) pairs, highest color first; the
-        # candidates as a set]. `cands` is in root rank order. Each class is
-        # kept as a set as well, so testing a vertex against it costs at
-        # most the vertex's degree.
-        classes: list[tuple[list[int], set[int]]] = []
-        for v in cands:
-            for members, cls in classes:
-                if adj[v].isdisjoint(cls):
-                    members.append(v)
-                    cls.add(v)
-                    break
-            else:
-                classes.append(([v], {v}))
-        ordered = [(v, ci) for ci, (members, _) in enumerate(classes, start=1)
-                   for v in members]
-        return [reversed(ordered), set(cands)]
-
-    # Depth-first on an explicit stack: the frame at depth i branches on the
-    # vertices that extend current[:i]; when a branch is done, its vertex
-    # leaves the candidates of the frame below.
-    current: list[int] = []
-    stack = [branches(rank)]
-    while stack:
-        frame = stack[-1]
-        step = next(frame[0], None)
-        if step is None or len(current) + step[1] <= beat:
-            stack.pop()
-            if stack:
-                stack[-1][1].discard(current.pop())
-            continue
-        current.append(step[0])
-        nxt = sorted(adj[step[0]] & frame[1], key=pos.__getitem__)
-        if not nxt and len(current) > beat:
-            best = list(current)
-            beat = len(best)
-        stack.append(branches(nxt))
-    return best
-
-
 def clique_number(g: Graph) -> BoundReport:
     """Exact maximum clique of g. Intended for desk-scale graphs."""
-    best = _max_clique([g.neighbors(v) for v in range(g.n)])
+    best = kernel.max_clique([g.neighbors(v) for v in range(g.n)])
     return BoundReport(len(best), CLIQUE, tuple(sorted(best)))
 
 
@@ -134,7 +84,7 @@ def distinctness_graph(g: Graph, r: int) -> list[set[int]]:
 def distinct_clique(g: Graph, r: int) -> BoundReport:
     """Maximum clique of H, the distinctness graph of g at level r. Every
     clique of g and every Vset-d2r is a clique of H."""
-    best = _max_clique(distinctness_graph(g, r))
+    best = kernel.max_clique(distinctness_graph(g, r))
     return BoundReport(len(best), DISTINCT, tuple(sorted(best)))
 
 
@@ -265,7 +215,7 @@ def best_lower_bound(g: Graph, r: int, h: list | None = None) -> BoundReport:
     if h is None:
         h = distinctness_graph(g, r)
     basic = basic_lower_bound(g, r) if g.m >= 1 else None
-    best = _max_clique(h, basic.value if basic else 0)
+    best = kernel.max_clique(h, basic.value if basic else 0)
     if basic and not best:
         return basic
     return BoundReport(len(best), DISTINCT, tuple(sorted(best)))

@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import constructions, families, solver
 # lower_bounds calls bounds.clique_number, not this binding; it stays because
@@ -65,6 +66,48 @@ def non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, written directly for the
+    types of the CLI's documents: dicts with string keys, lists and tuples,
+    strings, ints, True, False and None. Any other value is left to
+    json.dumps and indented to its place."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, pad: str, out: list[str]) -> None:
+    """Append obj's text to out; pad is a newline and obj's indentation."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        inner = pad + "  "
+        if not obj:
+            out.append("[]")
+        elif all(type(value) is int for value in obj):  # a coloring, in one join
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, obj))}{pad}]")
+        else:
+            sep = "["
+            for value in obj:
+                out.append(sep + inner)
+                _write(value, inner, out)
+                sep = ","
+            out.append(pad + "]")
+    elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        inner, sep = pad + "  ", "{"
+        for key, value in obj.items():
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write(value, inner, out)
+            sep = ","
+        out.append(pad + "}" if obj else "{}")
+    else:
+        out.append(json.dumps(obj, indent=2).replace("\n", pad))
 
 
 def _read_text(path: str) -> str:
@@ -116,8 +159,7 @@ def cmd_generate(args) -> int:
         with open(args.output, "w") as fh:
             fh.write(out)
         with open(args.output + ".provenance.json", "w") as fh:
-            json.dump(prov.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write(_dumps(prov.to_json_dict()) + "\n")
     else:
         sys.stdout.write(out)
     return EXIT_OK
@@ -126,7 +168,7 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     g = _load_graph(args, math.inf if args.force else solver.DEFAULT_SIZE_CAP)
     res = solver.chi_r_exact(g, args.r, budget=args.max_nodes)
-    print(json.dumps(res.to_json_dict(), indent=2))
+    print(_dumps(res.to_json_dict()))
     return EXIT_OK if res.proven else EXIT_BUDGET
 
 
@@ -141,7 +183,7 @@ def cmd_construct(args) -> int:
         out["verification"]["claimed_k_matches_colors_used"] = exact_k
         if not (report.valid and exact_k):
             code = EXIT_INVALID
-    print(json.dumps(out, indent=2))
+    print(_dumps(out))
     return code
 
 
@@ -156,7 +198,7 @@ def cmd_verify(args) -> int:
     except (ValueError, RecursionError) as e:
         raise InputError(f"{args.coloring}: cannot read JSON ({e})") from None
     report = check_conditional(g, Coloring.from_json_dict(doc), args.r)
-    print(json.dumps(report.to_json_dict(), indent=2))
+    print(_dumps(report.to_json_dict()))
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
@@ -171,7 +213,7 @@ def cmd_bounds(args) -> int:
     if basic:
         out["basic_r_delta"] = basic[0].to_json_dict()
     out["distinct_clique"] = distinct.to_json_dict()
-    print(json.dumps(out, indent=2))
+    print(_dumps(out))
     return EXIT_OK
 
 
@@ -207,7 +249,7 @@ def cmd_table(args) -> int:
 
     mismatch = any(row["match"] is False for row in rows)
     if args.format == "json":
-        print(json.dumps(rows, indent=2))
+        print(_dumps(rows))
     else:
         cols = ["proposition", "instance", "n_vertices", "r", "formula", "exact",
                 "match", "proven", "nodes"]

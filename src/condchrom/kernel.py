@@ -1,4 +1,5 @@
-"""Backend selection for the coloring search kernel and its local search.
+"""Backend selection for the kernel's three searches: the coloring search,
+its local search and the maximum clique search behind every lower bound.
 
 The compiled kernel (_kernel_c, built from _kernel.c on first use, one try
 per process) is preferred when it loads; CONDCHROM_BACKEND=pure forces the
@@ -48,6 +49,12 @@ def search_coloring(neighbors, req, k, budget=0):
 def local_search(neighbors, req, k, start, max_moves):
     """(colors|None, moves); see _kernel_py.local_search."""
     return _backend.local_search(neighbors, req, k, start, max_moves)
+
+
+def max_clique(adj, floor=0):
+    """Members of a maximum clique above `floor`, or []; see
+    _kernel_py.max_clique."""
+    return _backend.max_clique(adj, floor)
 
 
 def backends():

@@ -70,6 +70,38 @@ def test_generate_bad_spec(capsys):
     assert "error:" in err
 
 
+# Nested documents of the types the CLI writes, and some it does not:
+# floats, keys that are not strings, subclasses of int, str and dict, and
+# text outside ASCII.
+_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+            | st.floats() | st.text() | st.sampled_from(["", "a\"b\\c\n\t", "\u00e9\U0001f600\x7f"]))
+_documents = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)
+                   | st.dictionaries(st.integers() | st.booleans() | st.none(), inner, max_size=3)),
+    max_leaves=40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_documents)
+def test_dumps_writes_what_json_dumps_writes(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_dumps_writes_subclasses_as_json_dumps_does():
+    import enum
+
+    class Level(enum.IntEnum):
+        TOP = 3
+
+    class Name(str):
+        pass
+
+    doc = {"a": [Level.TOP, Name("x"), {Name("k"): (1.5, float("nan"))}], "b": {}, "c": []}
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
 def test_solve_json(capsys):
     code, out, _ = run(capsys, "solve", "M(cyc:4)", "-r", "3")
     assert code == 0

@@ -14,10 +14,15 @@ search is split, and runs without a data race under ThreadSanitizer and
 without undefined behaviour under UndefinedBehaviorSanitizer. The two
 twins of the local search return the same colouring and move count on
 random graphs, beyond one 64-bit vertex word and under both sanitizers,
-and what they colour verifies. The loader's fallback is checked with no
+and what they colour verifies. The two twins of the clique search return
+the same members in the same order on random graphs and their
+distinctness graphs at every floor, on K_100 (100 levels deep) and on the
+1,500-vertex distinctness graph of C_1500, and under
+UndefinedBehaviorSanitizer. The loader's fallback is checked with no
 compiler on PATH."""
 
 import functools
+import inspect
 import os
 import random
 import shutil
@@ -32,7 +37,7 @@ from hypothesis import strategies as st
 from test_graphs import graphs
 
 from condchrom import _kernel_py, build, check_conditional, kernel, solver
-from condchrom.bounds import distinctness_graph
+from condchrom.bounds import basic_lower_bound, distinctness_graph
 from condchrom.graphs import Graph
 from condchrom.verify import Coloring
 
@@ -354,6 +359,27 @@ def _check_local_rows(exe):
         assert got == [want, (kernel.FOUND if colors else kernel.NONE, colors, moves)], k
 
 
+def _driver_clique(exe, adj, floor):
+    """The driver's clique members, in the order the search took them."""
+    lines = [f"clique {len(adj)} {floor}", *(" ".join(map(str, [len(nb), *nb])) for nb in adj)]
+    proc = subprocess.run([str(exe)], input="\n".join(lines) + "\n", capture_output=True,
+                          text=True, timeout=300)
+    assert proc.stderr == "" and proc.returncode == 0, proc.stderr[:3000]
+    size, members = proc.stdout.split()
+    return [] if members == "-" else [int(v) for v in members.split(",")]
+
+
+def _check_cliques(exe):
+    """The clique search on the distinctness graphs of M(K_{4,4}) at r = 6,
+    M(F_30) at r = 61 and C_1500 at r = 2, with floor 0 and with the basic
+    bound as the floor, against the pure twin."""
+    for spec, r in (("M(kpart:4,4)", 6), ("M(fr:30)", 61), ("cyc:1500", 2)):
+        g = build(spec)[0]
+        h = distinctness_graph(g, r)
+        for floor in (0, basic_lower_bound(g, r).value):
+            assert _driver_clique(exe, h, floor) == _kernel_py.max_clique(h, floor), (spec, floor)
+
+
 def test_parallel_search_has_no_data_race(tmp_path):
     # The 65-vertex graph keeps the counter state, the others the word state.
     exe = _sanitized_driver(tmp_path, ["-fsanitize=thread"], "ThreadSanitizer")
@@ -385,7 +411,7 @@ def _check_budget_cut(exe):
 def test_kernel_has_no_undefined_behaviour(tmp_path):
     # The searches at 63 to 65 vertices and 62 to 64 colours and on the top
     # bit planes on one thread and on two, the hard pins on four, a budget
-    # cut on two and four, and requirements far below 0.
+    # cut on two and four, requirements far below 0, and the clique search.
     exe = _sanitized_driver(tmp_path, ["-fsanitize=undefined", "-fno-sanitize-recover=undefined"],
                             "UndefinedBehaviorSanitizer")
     for adj, req, k, budget, want in _boundary_cases() + _top_plane_cases():
@@ -401,6 +427,7 @@ def test_kernel_has_no_undefined_behaviour(tmp_path):
     adj, req = [[1], [0, 2], [1]], [-2**63, 0, -1]
     want = kernel.backends()["pure"].search_coloring(adj, req, 3, 0)
     assert _driver_result(exe, adj, req, 3, 0, 1, 0) == want
+    _check_cliques(exe)
 
 
 @pytest.mark.parametrize("name", sorted(kernel.backends()))
@@ -410,6 +437,50 @@ def test_kernel_handles_deep_graphs(name):
     status, colors, _ = search(g.adjacency_lists(), [2] * g.n, 4, 0)
     assert status == kernel.FOUND
     assert check_conditional(g, Coloring(tuple(colors), 4), 2).valid
+
+
+@pytest.mark.parametrize("name", sorted(kernel.backends()))
+def test_max_clique_handles_deep_graphs(name):
+    # K_100 branches 100 levels deep, and C_1500's distinctness graph at
+    # r = 2 has 1,500 vertices; neither search may use the call stack.
+    max_clique = kernel.backends()[name].max_clique
+    k100 = [set(range(100)) - {v} for v in range(100)]
+    h = distinctness_graph(build("cyc:1500")[0], 2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        assert sorted(max_clique(k100)) == list(range(100))
+        assert max_clique(k100, 100) == []
+        assert len(max_clique(h)) == 3 and max_clique(h, 3) == []
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.skipif(len(kernel.backends()) < 2, reason="only one backend loads")
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=14))
+def test_max_clique_twins_agree(g):
+    # On g and on its distinctness graph at every r in 1..Delta, with every
+    # floor from 0 to omega + 1: the same members in the same order, the
+    # floor-0 clique when it has more members than the floor, else [].
+    adjs = [[g.neighbors(v) for v in range(g.n)]]
+    adjs += [distinctness_graph(g, r) for r in range(1, g.max_degree() + 1)]
+    for adj in adjs:
+        top = _kernel_py.max_clique(adj)
+        for floor in range(len(top) + 2):
+            results = {name: mod.max_clique(adj, floor) for name, mod in kernel.backends().items()}
+            assert list(results.values()) == [top if len(top) > floor else []] * len(results), (
+                floor, results)
+
+
+@pytest.mark.parametrize("name", sorted(kernel.backends()))
+def test_max_clique_rejects_an_id_out_of_range_then_a_loop(name):
+    max_clique = kernel.backends()[name].max_clique
+    for adj in ([{1}], [{1}, {-1, 0}], [{0}, {5}], [{2**40}]):
+        with pytest.raises(ValueError, match="neighbor id out of range"):
+            max_clique(adj)
+    with pytest.raises(ValueError, match="its own neighbor"):
+        max_clique([{1}, {0, 1}])
 
 
 @pytest.mark.skipif(len(kernel.backends()) < 2, reason="only one backend loads")
@@ -563,7 +634,8 @@ def test_kernel_rejects_a_req_or_neighbour_id_that_does_not_fit(name):
              ([[1, 5], [0]], [1], "req has 1 entries"),
              ([[1], [0, 2]], [1, 1], "neighbor id out of range"),
              ([[1], [-1, 0]], [1, 1], "neighbor id out of range"),
-             ([[0, 0], [5]], [1, 1], "neighbor id out of range")]
+             ([[0, 0], [5]], [1, 1], "neighbor id out of range"),
+             ([[1], [2**40]], [1, 1], "neighbor id out of range")]
     for adj, req, message in cases:
         with pytest.raises(ValueError, match=message):
             mod.search_coloring(adj, req, 3, 0)

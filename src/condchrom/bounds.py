@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernel
-from .errors import ParameterError
+from .errors import ParameterError, check_level
 from .graphs import EDGE_LIMIT, Graph
 from .verify import check_vset_d2r
 
@@ -58,8 +58,7 @@ def distinctness_graph(g: Graph, r: int) -> list[set[int]]:
     their common neighbour w, whose d(w) <= r neighbours must all differ.
 
     Raises ParameterError once H has more than graphs.EDGE_LIMIT edges."""
-    if r < 1:
-        raise ParameterError(f"r must be >= 1, got {r}")
+    check_level(r)
     nbr = [g.neighbors(v) for v in range(g.n)]
     # Each set holds its own vertex until the end, so the sets' total size,
     # `entries`, is n plus twice the edge count of H once all are complete;
@@ -90,8 +89,7 @@ def distinct_clique(g: Graph, r: int) -> BoundReport:
 
 def basic_lower_bound(g: Graph, r: int) -> BoundReport:
     """The cited bound chi_r(G) >= min{r, Delta} + 1."""
-    if r < 1:
-        raise ParameterError(f"r must be >= 1, got {r}")
+    check_level(r)
     if g.n < 2 or g.m < 1:
         raise ParameterError("bound needs a graph with at least one edge")
     return BoundReport(min(r, g.max_degree()) + 1, BASIC)
@@ -123,8 +121,7 @@ def max_vset_d2r(
     replaced only by a larger set, so the stop changes neither the value
     nor the certificate, only `exact`.
     """
-    if r < 1:
-        raise ParameterError(f"r must be >= 1, got {r}")
+    check_level(r)
     adj = [g.neighbors(v) for v in range(g.n)]
     low = [len(adj[v]) <= r for v in range(g.n)]
     if ceiling is None:
@@ -132,50 +129,60 @@ def max_vset_d2r(
     best: list[int] = []
     nodes = 0
 
+    def linked(u1: int, u2: int, pool: set[int]) -> bool:
+        # Adjacent, or a potential witness (a set member, present or
+        # future) is adjacent to both.
+        return u2 in adj[u1] or not (adj[u1] & adj[u2]).isdisjoint(pool)
+
     def coverable(chosen: tuple[int, ...], pool: set[int]) -> bool:
-        # Every chosen pair must be adjacent or still have a potential
-        # witness (a set member, present or future) adjacent to both.
-        for i, u1 in enumerate(chosen):
-            for u2 in chosen[i + 1 :]:
-                if u2 in adj[u1]:
-                    continue
-                if not (adj[u1] & adj[u2] & pool):
-                    return False
-        return True
+        return all(linked(u1, u2, pool) for i, u1 in enumerate(chosen) for u2 in chosen[i + 1 :])
 
     for a in (v for v in range(g.n) if low[v]):
         reach = adj[a].union(*(adj[w] for w in adj[a] if low[w] and w > a))
         cands = [a, *sorted(v for v in reach if low[v] and v > a)]
         if len(cands) <= len(best):
             continue
-        # Depth-first over (next candidate index, chosen so far); the
-        # include child is pushed last so that it is expanded first. Both
-        # children are tested when their parent is expanded: `coverable`
-        # reads neither `best` nor the budget, so the order of tests does
-        # not change the search.
-        stack: list[tuple[int, tuple[int, ...]]] = [(1, (a,))]
+        # Depth-first over (next candidate index, chosen so far, whether
+        # chosen is a Vset-d2r: True, False or None where not yet known);
+        # the include child is pushed last so that it is expanded first.
+        # Every node's chosen is coverable within its pool, chosen plus the
+        # candidates from the index on, and each child keeps that, so a
+        # child tests only the pairs its step can break: (u, v) for the
+        # include child, and for the exclude child the pairs that may have
+        # had v as their only witness, those inside chosen & N(v).
+        stack: list[tuple[int, tuple[int, ...], bool | None]] = [(1, (a,), True)]
         while stack:
-            idx, chosen = stack.pop()
+            idx, chosen, vset = stack.pop()
             nodes += 1
             if nodes > budget:
                 break
-            if len(chosen) > len(best) and coverable(chosen, set(chosen)):
-                best = list(chosen)
-                if len(best) >= ceiling:
-                    break
+            if len(chosen) > len(best):
+                if vset is None:
+                    vset = coverable(chosen, set(chosen))
+                if vset:
+                    best = list(chosen)
+                    if len(best) >= ceiling:
+                        break
             if idx == len(cands):
                 continue
             if len(chosen) + (len(cands) - idx) <= len(best):
                 continue
             v = cands[idx]
-            pool = set(chosen) | set(cands[idx:])
-            with_v = chosen + (v,)
-            include = coverable(with_v, pool)
+            pool = set(chosen).union(cands[idx:])
+            include = all(linked(u, v, pool) for u in chosen)
             pool.discard(v)
-            if coverable(chosen, pool):
-                stack.append((idx + 1, chosen))
+            near = tuple(u for u in chosen if u in adj[v])
+            if coverable(near, pool):
+                stack.append((idx + 1, chosen, vset))
             if include:
-                stack.append((idx + 1, with_v))
+                with_v = chosen + (v,)
+                # v keeps every pair inside chosen linked; a chosen that is
+                # not a Vset-d2r may become one with v, so that is unknown.
+                grown = None
+                if vset:
+                    inside = set(with_v)
+                    grown = all(linked(u, v, inside) for u in chosen)
+                stack.append((idx + 1, with_v, grown))
         if nodes > budget or len(best) >= ceiling:
             break
     if best:

@@ -41,22 +41,10 @@ EXIT_INVALID = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_PIPE = 141
-
-
-# The instances `condchrom table P` checks. A grid's parameters are the
-# ranges it takes, --k and --n, with their defaults; each instance is listed
-# at every r in 1..Delta where a case of P covers it.
-TABLE_GRIDS = {
-    1: lambda k=(3, 4), n=(1, 2, 3): [f"wd:{a},{b}" for a in k for b in n],
-    2: lambda k=(3,), n=(1, 2, 3): [f"L(wd:{a},{b})" for a in k for b in n],
-    3: lambda n=(1, 2, 3): [f"L(fr:{b})" for b in n],
-    4: lambda: [f"M(kpart:{s})" for s in ("1,1,1", "1,2", "2,2", "1,1,2")],
-    5: lambda n=(4, 5, 6, 7): [f"M(cyc:{b})" for b in n],
-    6: lambda n=(1, 2): [f"M(fr:{b})" for b in n],
-    7: lambda: [f"M(kpart:{s})" for s in ("1,2", "2,2")],
-}
-# F_1 = K_{1,1,1}: after M(F_1), M(kpart:1,1,1) is checked through proposition 4.
-CROSS_CHECKS = {"M(fr:1)": [("M(kpart:1,1,1)", 4)]}
+# The propositions `condchrom table` checks, in number order, and their ids
+# as its help and errors name them.
+PROPOSITIONS = sorted(constructions.CASES, key=lambda c: c.proposition)
+PROPOSITION_IDS = f"{PROPOSITIONS[0].proposition}..{PROPOSITIONS[-1].proposition} or 'all'"
 
 
 def non_negative_int(text: str) -> int:
@@ -218,23 +206,24 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_table(args) -> int:
-    props = [p for p in TABLE_GRIDS if args.proposition in ("all", str(p))]
-    if not props:
-        raise InputError(f"unknown proposition id {args.proposition!r} (1..7 or 'all')")
+    cases = [c for c in PROPOSITIONS if args.proposition in ("all", str(c.proposition))]
+    if not cases:
+        raise InputError(f"unknown proposition id {args.proposition!r} ({PROPOSITION_IDS})")
     ranges = {opt: _parse_range(text) for opt, text in (("k", args.k), ("n", args.n)) if text}
     # A grid takes the ranges its parameters name. `table all` gives each grid
     # those it takes; a range that the one grid asked for ignores is an error.
-    takes = {prop: inspect.signature(TABLE_GRIDS[prop]).parameters for prop in props}
+    takes = {c: inspect.signature(c.grid).parameters for c in cases}
     if args.proposition != "all":
-        (prop,) = props
-        for opt in sorted(ranges.keys() - takes[prop].keys()):
-            accepted = " and ".join(f"--{o}" for o in takes[prop]) or "no range"
-            raise InputError(f"table {prop} takes no --{opt}; it takes {accepted}")
+        (case,) = cases
+        for opt in sorted(ranges.keys() - takes[case].keys()):
+            accepted = " and ".join(f"--{o}" for o in takes[case]) or "no range"
+            raise InputError(f"table {case.proposition} takes no --{opt}; it takes {accepted}")
     listed = [
-        (prop, spec, r)
-        for prop in props
-        for instance in TABLE_GRIDS[prop](**{o: v for o, v in ranges.items() if o in takes[prop]})
-        for spec, cases_of in [(instance, prop), *CROSS_CHECKS.get(instance, [])]
+        (c.proposition, spec, r)
+        for c in cases
+        for instance in c.grid(**{o: v for o, v in ranges.items() if o in takes[c]})
+        for spec, cases_of in [(instance, c.proposition),
+                               *constructions.CROSS_CHECKS.get(instance, [])]
         for r in constructions.covered_levels(spec, cases_of)
     ]
     swept = solver.sweep([(spec, r) for _, spec, r in listed],
@@ -305,7 +294,7 @@ COMMANDS = {
     ),
     "table": (
         "formula-vs-exact comparison table", cmd_table,
-        (("proposition",), dict(help="1..7 or 'all'")),
+        (("proposition",), dict(help=PROPOSITION_IDS)),
         (("--k",), dict(help="range like 3..4")),
         (("--n",), dict(help="range like 1..3")),
         (("--format",), dict(choices=("csv", "json"), default="csv")),

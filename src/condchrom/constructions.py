@@ -1,7 +1,7 @@
 """Explicit coloring constructions, one per closed-form proposition.
 
 Each proposition states its formula over its own 1-based numbering v_1,
-v_2, ... of the vertices. A Numbering writes that numbering once, as the
+v_2, ... of the vertices. Its row writes that numbering once, as the
 origins of the vertices in paper order; `_numbered` turns it into
 Provenance.paper_pos of the graph families.build returns (the builders
 number nothing). Formulas are reproduced as printed, never repaired: where
@@ -9,9 +9,10 @@ a formula fails for a parameter value the verifier reports the violation
 and callers surface it.
 
 CASES holds one row per proposition, the only place its facts live: its
-family, its numbering and its `paint`, the one statement of its split over
-r. For an r, paint decides whether a case covers it, the case's value and
-its color formula; coverage and value are read nowhere else. `_claim` is
+family, its numbering, its `paint`, the one statement of its split over
+r, and the grid of instances `condchrom table` checks. For an r, paint
+decides whether a case covers it, the case's value and its color
+formula; coverage and value are read nowhere else. `_claim` is
 the one path from a painted case to a ClaimedColoring: it numbers the
 built spec and evaluates the formula at each v_i. construct takes the
 first row that covers (family, r); each public color_* constructor checks
@@ -32,7 +33,7 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from . import families
-from .errors import ParameterError, UnsupportedCaseError
+from .errors import ParameterError, UnsupportedCaseError, check_level
 from .families import EDGE, VERTEX, FamilySpec, Provenance, parse_spec
 from .graphs import Graph
 from .verify import Coloring
@@ -67,16 +68,6 @@ class ClaimedColoring:
         return d
 
 
-class Numbering(NamedTuple):
-    """A proposition's v_1, v_2, ...: `order(params)` lists the vertex
-    origins ("vertex", v) / ("edge", (u, w)) in paper order. Without an
-    order the paper's numbering is the order the builder emits: windmill
-    blades and parts are consecutive id ranges, edges lexicographic."""
-
-    scheme: str
-    order: Callable | None = None
-
-
 def _middle_cycle_order(n: int) -> list:
     """M(C_n): v_1..v_n the cycle vertices, v_{n+i} the edge joining v_i
     and v_{(i mod n)+1}."""
@@ -102,25 +93,17 @@ def _middle_multipartite_order(sizes) -> list:
     return edges + [(VERTEX, v) for v in range(len(part))]
 
 
-IDENTITY = Numbering("identity")
-LINE_WINDMILL = Numbering("line-windmill")
-MIDDLE_CYCLE = Numbering("middle-cycle", _middle_cycle_order)
-MIDDLE_FRIENDSHIP = Numbering("middle-friendship", _middle_friendship_order)
-MIDDLE_BIPARTITE = Numbering("middle-bipartite")
-MIDDLE_MULTIPARTITE = Numbering("middle-multipartite", _middle_multipartite_order)
-
-
-def _numbered(built: tuple, numbering: Numbering, params=None) -> tuple:
-    """(graph, provenance) of `built` with paper_pos as `numbering` states
-    it for `params`; raises ValueError if its order is not a permutation of
-    the graph's vertex origins."""
+def _numbered(built: tuple, row: Case, params) -> tuple:
+    """(graph, provenance) of `built` with paper_pos as the numbering of
+    `row` states it for `params`; raises ValueError if its order is not a
+    permutation of the graph's vertex origins."""
     g, prov = built
-    order = prov.origin if numbering.order is None else tuple(numbering.order(params))
+    order = prov.origin if row.order is None else tuple(row.order(params))
     if len(order) != len(prov.origin) or set(order) != set(prov.origin):
-        raise ValueError(f"the {numbering.scheme} numbering does not fit {prov.spec}")
+        raise ValueError(f"the {row.scheme} numbering does not fit {prov.spec}")
     pos = {o: i for i, o in enumerate(order, 1)}
     paper_pos = tuple(pos[o] for o in prov.origin)
-    return g, replace(prov, paper_pos=paper_pos, scheme=numbering.scheme)
+    return g, replace(prov, paper_pos=paper_pos, scheme=row.scheme)
 
 
 class _Wd(NamedTuple):
@@ -298,20 +281,29 @@ def _paint_middle_multipartite(s: tuple, r: int, delta):
 
 
 class Case(NamedTuple):
-    """The cases of one proposition: `family(spec)` gives its parameters
-    (None for other families); `numbering` is the v_1, v_2, ... its formulas
-    use; `paint(params, r, delta)` is the one statement of its split over r.
-    It gives (case, r_values, value, formula) for the case that covers r,
-    value being the claimed chi_r and formula(i) the published color of
-    v_i, or None where no case covers r. Delta comes as a function, called
-    only where a case reads it. A case stated at r = Delta covers every
-    r >= Delta; `label` names the r the cases cover, for messages."""
+    """One proposition: `family(spec)` gives its parameters (None for other
+    families). `scheme` names its numbering v_1, v_2, ..., which
+    `order(params)` lists as the vertex origins ("vertex", v) / ("edge",
+    (u, w)) in paper order; where `order` is None the numbering is the
+    order the builder emits (windmill blades and parts are consecutive id
+    ranges, edges lexicographic). `paint(params, r, delta)` is the one
+    statement of its split over r. It gives (case, r_values, value,
+    formula) for the case that covers r, value being the claimed chi_r and
+    formula(i) the published color of v_i, or None where no case covers r.
+    Delta comes as a function, called only where a case reads it. A case
+    stated at r = Delta covers every r >= Delta; `label` names the r the
+    cases cover, for messages. `grid` lists the instances `condchrom table`
+    checks: its parameters are the ranges it takes, --k and --n, with their
+    defaults, and each instance is listed at every r in 1..Delta where the
+    row covers it."""
 
     proposition: int
     label: str
     family: Callable
-    numbering: Numbering
+    scheme: str
+    order: Callable | None
     paint: Callable
+    grid: Callable
 
 
 # construct and predicted_chi_r take the first row that covers (family, r),
@@ -320,16 +312,26 @@ class Case(NamedTuple):
 # (both state L(F_n) at r = Delta) and 7 before 4 (both state M(K_{1,n2})
 # at r = n2 + 1 = Delta).
 CASES = (
-    Case(1, "r >= 2", _windmill, IDENTITY, _paint_windmill),
-    Case(2, "r = Delta", _of("L", _windmill), LINE_WINDMILL, _paint_line_windmill),
-    Case(3, "2 <= r < Delta for n >= 2, r = Delta", _of("L", _friendship), LINE_WINDMILL,
-         _paint_line_friendship),
-    Case(5, "r in {2, 3} for n >= 4", _of("M", _cycle), MIDDLE_CYCLE, _paint_middle_cycle),
-    Case(6, "2 <= r <= 2n+1, r = Delta", _of("M", _friendship), MIDDLE_FRIENDSHIP,
-         _paint_middle_friendship),
-    Case(7, "1 <= r <= n2+1", _of("M", _two_parts), MIDDLE_BIPARTITE, _paint_middle_bipartite),
-    Case(4, "r = Delta", _of("M", _parts), MIDDLE_MULTIPARTITE, _paint_middle_multipartite),
+    Case(1, "r >= 2", _windmill, "identity", None, _paint_windmill,
+         lambda k=(3, 4), n=(1, 2, 3): [f"wd:{a},{b}" for a in k for b in n]),
+    Case(2, "r = Delta", _of("L", _windmill), "line-windmill", None, _paint_line_windmill,
+         lambda k=(3,), n=(1, 2, 3): [f"L(wd:{a},{b})" for a in k for b in n]),
+    Case(3, "2 <= r < Delta for n >= 2, r = Delta", _of("L", _friendship), "line-windmill",
+         None, _paint_line_friendship, lambda n=(1, 2, 3): [f"L(fr:{b})" for b in n]),
+    Case(5, "r in {2, 3} for n >= 4", _of("M", _cycle), "middle-cycle", _middle_cycle_order,
+         _paint_middle_cycle, lambda n=(4, 5, 6, 7): [f"M(cyc:{b})" for b in n]),
+    Case(6, "2 <= r <= 2n+1, r = Delta", _of("M", _friendship), "middle-friendship",
+         _middle_friendship_order, _paint_middle_friendship,
+         lambda n=(1, 2): [f"M(fr:{b})" for b in n]),
+    Case(7, "1 <= r <= n2+1", _of("M", _two_parts), "middle-bipartite", None,
+         _paint_middle_bipartite, lambda: [f"M(kpart:{s})" for s in ("1,2", "2,2")]),
+    Case(4, "r = Delta", _of("M", _parts), "middle-multipartite", _middle_multipartite_order,
+         _paint_middle_multipartite,
+         lambda: [f"M(kpart:{s})" for s in ("1,1,1", "1,2", "2,2", "1,1,2")]),
 )
+# F_1 = K_{1,1,1}: after M(F_1), `condchrom table` checks M(kpart:1,1,1)
+# through proposition 4.
+CROSS_CHECKS = {"M(fr:1)": [("M(kpart:1,1,1)", 4)]}
 _ROW = {c.proposition: c for c in CASES}
 
 
@@ -346,7 +348,7 @@ def _covering_case(spec: FamilySpec, r: int):
 def _claim(row: Case, params, painted: tuple, built: tuple) -> ClaimedColoring:
     """The coloring that `painted`, the result of row.paint, gives on
     `built`, over the row's numbering, with the painted value as the claim."""
-    g, prov = _numbered(built, row.numbering, params)
+    g, prov = _numbered(built, row, params)
     case, r_values, claimed_k, formula = painted
     colors = tuple(formula(i) for i in prov.paper_pos)
     coloring = Coloring(colors, max(max(colors), claimed_k))
@@ -429,8 +431,7 @@ def color_middle_friendship(n: int, r: int) -> ClaimedColoring:
     """
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
-    if r < 1:
-        raise ParameterError(f"r must be >= 1, got {r}")
+    check_level(r)
     return _stated(6, f"M(fr:{n})", r)
 
 
@@ -440,8 +441,7 @@ def color_middle_bipartite(n1: int, n2: int, r: int) -> ClaimedColoring:
         raise ParameterError(f"part sizes must be >= 1, got ({n1},{n2})")
     if n1 > n2:
         n1, n2 = n2, n1
-    if r < 1:
-        raise ParameterError(f"r must be >= 1, got {r}")
+    check_level(r)
     return _stated(7, f"M(kpart:{n1},{n2})", r)
 
 
@@ -450,8 +450,7 @@ def numbered_build(spec: str | FamilySpec) -> tuple[Graph, Provenance]:
     states the family; the builder's identity numbering where none does."""
     spec = parse_spec(spec)
     built = families.build(spec)
-    stated = next(((c.numbering, p) for c in CASES if (p := c.family(spec)) is not None),
-                  None)
+    stated = next(((c, p) for c in CASES if (p := c.family(spec)) is not None), None)
     return built if stated is None else _numbered(built, *stated)
 
 

@@ -15,3 +15,9 @@ class UnsupportedCaseError(ValueError):
 
 class PreconditionError(RuntimeError):
     """A stated precondition of a theorem-level operation does not hold."""
+
+
+def check_level(r: int) -> None:
+    """Raise ParameterError unless the level r is at least 1."""
+    if r < 1:
+        raise ParameterError(f"r must be >= 1, got {r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import kernel
 from .bounds import BoundReport, best_lower_bound, distinctness_graph
-from .errors import ParameterError
+from .errors import ParameterError, check_level
 from .graphs import Graph
 from .verify import Coloring, check_conditional
 
@@ -85,8 +85,7 @@ class SolveResult:
 
 
 def _normalized_r(g: Graph, r: int) -> int:
-    if r < 1:
-        raise ParameterError(f"r must be >= 1, got {r}")
+    check_level(r)
     return min(r, g.max_degree()) if g.m > 0 else 0
 
 

@@ -8,9 +8,9 @@ sees at least min{d(v), r} distinct colors in its neighborhood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import InputError, ParameterError, PreconditionError
+from .errors import InputError, PreconditionError, check_level
 from .graphs import Graph
 
 
@@ -94,19 +94,16 @@ def check_proper(g: Graph, c: Coloring) -> ConditionalReport:
 
 
 def check_conditional(g: Graph, c: Coloring, r: int) -> ConditionalReport:
-    """Full C1 + C2 report at level r."""
-    if r < 1:
-        raise ParameterError(f"r must be >= 1, got {r}")
-    _check_total(g, c)
-    c1 = check_proper(g, c).c1_violations
+    """Full C1 + C2 report at level r: check_proper's, with the C2 violations."""
+    check_level(r)
+    proper = check_proper(g, c)
     c2 = []
     for v in range(g.n):
         seen = len({c.colors[u] for u in g.neighbors(v)})
         required = min(g.degree(v), r)
         if seen < required:
             c2.append((v, seen, required))
-    surjective, used = _surjectivity(c)
-    return ConditionalReport(c1, tuple(c2), surjective, used)
+    return replace(proper, c2_violations=tuple(c2))
 
 
 def check_c3(g: Graph, r: int) -> tuple[bool, dict]:
@@ -115,8 +112,7 @@ def check_c3(g: Graph, r: int) -> tuple[bool, dict]:
     Returns (verdict, witnesses); witnesses maps each edge to its smallest
     witness when the verdict is true.
     """
-    if r < 1:
-        raise ParameterError(f"r must be >= 1, got {r}")
+    check_level(r)
     witnesses: dict[tuple[int, int], int] = {}
     for u, v in g.edges():
         w = next(
@@ -136,8 +132,7 @@ def check_c3(g: Graph, r: int) -> tuple[bool, dict]:
 def _pairs_linked(g: Graph, members, r: int, witness) -> bool:
     """True iff every pair of members is adjacent or has a common neighbour
     w with witness(w). InputError on an out-of-range id."""
-    if r < 1:
-        raise ParameterError(f"r must be >= 1, got {r}")
+    check_level(r)
     s = sorted(set(members))
     for v in s:
         g._check_vertex(v)

@@ -5,15 +5,23 @@ plain recursive enumeration in vertex-id order, no saturation ordering, no
 incremental C2 counters, no branch and bound. random_c2_colorings samples
 assignments that satisfy C2 but need not be proper. The exceptions are the
 former designs kept to hold a rewrite to the same answers: clique_list_scan,
-and ladder_then_local_search, which puts the solver's own parts in their
-former order.
+max_vset_d2r_pairwise, and ladder_then_local_search, which puts the
+solver's own parts in their former order.
 """
 
 import random
 from itertools import combinations, product
 
 from condchrom import kernel, solver
-from condchrom.bounds import basic_lower_bound, best_lower_bound, distinct_clique, strongest
+from condchrom.bounds import (
+    DEFAULT_VSET_BUDGET,
+    VSET,
+    BoundReport,
+    basic_lower_bound,
+    best_lower_bound,
+    distinct_clique,
+    strongest,
+)
 from condchrom.errors import ParameterError
 from condchrom.verify import Coloring, check_conditional
 
@@ -182,6 +190,58 @@ def clique_list_scan(adj):
             best = list(current)
         stack.append(branches(nxt))
     return len(best), tuple(sorted(best))
+
+
+def max_vset_d2r_pairwise(g, r, budget=DEFAULT_VSET_BUDGET, *, ceiling=None):
+    """max_vset_d2r as it was before its children tested only the pairs
+    their step can change: every node re-checks every pair of its chosen
+    set, once for the incumbent and once for each child. The same search
+    tree, node count and report, so a rewrite can be held to it."""
+    adj = [g.neighbors(v) for v in range(g.n)]
+    low = [len(adj[v]) <= r for v in range(g.n)]
+    if ceiling is None:
+        ceiling = float("inf")
+    best = []
+    nodes = 0
+
+    def coverable(chosen, pool):
+        for i, u1 in enumerate(chosen):
+            for u2 in chosen[i + 1 :]:
+                if u2 not in adj[u1] and not (adj[u1] & adj[u2] & pool):
+                    return False
+        return True
+
+    for a in (v for v in range(g.n) if low[v]):
+        reach = adj[a].union(*(adj[w] for w in adj[a] if low[w] and w > a))
+        cands = [a, *sorted(v for v in reach if low[v] and v > a)]
+        if len(cands) <= len(best):
+            continue
+        stack = [(1, (a,))]
+        while stack:
+            idx, chosen = stack.pop()
+            nodes += 1
+            if nodes > budget:
+                break
+            if len(chosen) > len(best) and coverable(chosen, set(chosen)):
+                best = list(chosen)
+                if len(best) >= ceiling:
+                    break
+            if idx == len(cands):
+                continue
+            if len(chosen) + (len(cands) - idx) <= len(best):
+                continue
+            v = cands[idx]
+            pool = set(chosen) | set(cands[idx:])
+            with_v = chosen + (v,)
+            include = coverable(with_v, pool)
+            pool.discard(v)
+            if coverable(chosen, pool):
+                stack.append((idx + 1, chosen))
+            if include:
+                stack.append((idx + 1, with_v))
+        if nodes > budget or len(best) >= ceiling:
+            break
+    return BoundReport(len(best), VSET, tuple(sorted(best)), exact=nodes <= budget)
 
 
 def best_lower_bound_of_both(g, r):

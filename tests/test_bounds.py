@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     best_lower_bound_of_both,
@@ -11,6 +11,7 @@ from oracles import (
     distinct_clique_bruteforce,
     distinctness_graph,
     max_vset_d2r_bruteforce,
+    max_vset_d2r_pairwise,
 )
 from test_graphs import graphs
 
@@ -29,6 +30,7 @@ from condchrom import (
 )
 from condchrom.bounds import DEFAULT_VSET_BUDGET, lower_bounds, strongest
 from condchrom.errors import ParameterError
+from condchrom.families import middle_graph
 from condchrom.graphs import Graph
 
 
@@ -156,6 +158,27 @@ def test_max_vset_ceiling_stops_at_the_same_set(g, budget):
         assert (capped.value, capped.certificate) == (full.value, full.certificate)
         assert capped.exact or not full.exact
         assert strongest(lower_bounds(g, r)).exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs(max_n=14),
+                 graphs(max_n=5).filter(lambda g: g.m).map(lambda g: middle_graph(g)[0])),
+       st.one_of(st.none(), st.integers(0, 8)))
+@example(build("M(fr:2)")[0], None)
+@example(build("M(kpart:2,3)")[0], None)
+@example(build("L(wd:4,2)")[0], 5)
+def test_max_vset_matches_the_pairwise_search(g, ceiling):
+    # Testing only the pairs that a step can change keeps the former
+    # search's tree: the same value, certificate and exactness at every
+    # budget and ceiling, whether or not the ceiling bounds the sets. A
+    # budget ends the search at a node, so a different tree shows as a
+    # different report at some budget. In a middle graph many pairs have
+    # one common neighbour, so dropping a candidate often leaves a pair of
+    # the set without a witness.
+    for r in range(1, g.max_degree() + 2):
+        for budget in (*range(1, 51), DEFAULT_VSET_BUDGET):
+            assert (max_vset_d2r(g, r, budget, ceiling=ceiling)
+                    == max_vset_d2r_pairwise(g, r, budget, ceiling=ceiling)), budget
 
 
 def test_best_lower_bound_winners():

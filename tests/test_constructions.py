@@ -15,7 +15,7 @@ from condchrom import (
     predicted_chi_r,
 )
 from condchrom import families
-from condchrom.constructions import MIDDLE_CYCLE, MIDDLE_MULTIPARTITE, _numbered, covered_levels
+from condchrom.constructions import _ROW, _numbered, covered_levels
 from condchrom.errors import ParameterError, UnsupportedCaseError
 from conftest import CORPUS_SPECS
 
@@ -316,9 +316,9 @@ def test_construct_builds_the_inner_graph_once(monkeypatch):
 
 def test_numbering_must_permute_the_vertices():
     built = build("M(cyc:5)")
-    _numbered(built, MIDDLE_CYCLE, 5)
+    _numbered(built, _ROW[5], 5)
     for n in (4, 6):
         with pytest.raises(ValueError):
-            _numbered(built, MIDDLE_CYCLE, n)
+            _numbered(built, _ROW[5], n)
     with pytest.raises(ValueError):
-        _numbered(build("M(kpart:1,2,1)"), MIDDLE_MULTIPARTITE, (1, 1, 2))
+        _numbered(build("M(kpart:1,2,1)"), _ROW[4], (1, 1, 2))

@@ -11,13 +11,6 @@ from .bounds import (
 )
 from .constructions import (
     ClaimedColoring,
-    chi_windmill,
-    color_line_friendship,
-    color_line_windmill_delta,
-    color_middle_bipartite,
-    color_middle_cycle,
-    color_middle_friendship,
-    color_middle_multipartite_delta,
     construct,
     paper_indexing,
     predicted_chi_r,

@@ -12,14 +12,12 @@ CASES holds one row per proposition, the only place its facts live: its
 family, its numbering, its `paint`, the one statement of its split over
 r, and the grid of instances `condchrom table` checks. For an r, paint
 decides whether a case covers it, the case's value and its color
-formula; coverage and value are read nowhere else. `_claim` is
-the one path from a painted case to a ClaimedColoring: it numbers the
-built spec and evaluates the formula at each v_i. construct takes the
-first row that covers (family, r); each public color_* constructor checks
-its own parameters and then asks its own row, which refuses an r it does
-not cover. construct, predicted_chi_r, paper_indexing and `condchrom table`
-all read CASES; outside every case they refuse instead of extrapolating.
-Facts about a family's graph itself, its edge count and Delta, come from
+formula; coverage and value are read nowhere else. construct(spec, r) is
+the only way to a coloring: it takes the first row that covers (family,
+r), numbers the built spec and evaluates the row's formula at each v_i.
+construct, predicted_chi_r, paper_indexing and `condchrom table` all read
+CASES; outside every case they refuse instead of extrapolating. Facts
+about a family's graph itself, its edge count and Delta, come from
 families (declared_size, declared_max_degree).
 """
 
@@ -33,7 +31,7 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from . import families
-from .errors import ParameterError, UnsupportedCaseError, check_level
+from .errors import ParameterError, UnsupportedCaseError
 from .families import EDGE, VERTEX, FamilySpec, Provenance, parse_spec
 from .graphs import Graph
 from .verify import Coloring
@@ -151,6 +149,10 @@ def _of(transform: str, match):
 
 # Case.paint of each row, in proposition order: (case, r_values, value,
 # formula) of the case that covers r, or None where none does.
+#
+# The paper proves Wd(k, n)'s chi_r without exhibiting a coloring. The
+# witness here reuses the color block 2..k on every blade (r < k), or walks
+# min{r, Delta} colors around the center (r >= k).
 def _paint_windmill(w: _Wd, r: int, delta):
     if r < 2:
         return None
@@ -170,7 +172,10 @@ def _paint_line_windmill(w: _Wd, r: int, delta):
 def _paint_line_friendship(n: int, r: int, delta):
     if r >= delta():  # proposition 2 at k = 3
         return _paint_line_windmill(_Wd(3, n), r, delta)
-    if n < 2 or r < 2:
+    # The small-r case is stated for n >= 2. L(F_1) = K_3 has Delta = 2, so
+    # no r with 2 <= r < Delta exists; the formula would need 3 > 2n colors
+    # there, and its middle range 2n+1..3n-1 is empty.
+    if r < 2:
         return None
 
     def formula(i: int) -> int:
@@ -219,6 +224,11 @@ def _paint_middle_cycle(n: int, r: int, delta):
     return "r=2,n odd", (2,), 3, formula
 
 
+# All three formulas are evaluated as printed. At n = 1 the literal
+# constants 3 and 4 of the two small-r formulas collide with the color of
+# an adjacent outer edge, 2n+1 = 3 at r <= 2n and 2n+2 = 4 at r = 2n+1: the
+# verifier reports the clash, which is reproduced on purpose rather than
+# repaired. The claimed values are still right.
 def _paint_middle_friendship(n: int, r: int, delta):
     def small(i: int) -> int:
         if 1 <= i <= 2 * n + 1:
@@ -353,96 +363,6 @@ def _claim(row: Case, params, painted: tuple, built: tuple) -> ClaimedColoring:
     colors = tuple(formula(i) for i in prov.paper_pos)
     coloring = Coloring(colors, max(max(colors), claimed_k))
     return ClaimedColoring(g, prov, coloring, claimed_k, tuple(r_values), row.proposition, case)
-
-
-def _stated(proposition: int, spec: str, r: int | None = None) -> ClaimedColoring:
-    """The claim of `proposition` on `spec` at r (at Delta when r is None),
-    once the caller has checked the parameters; UnsupportedCaseError where
-    no case of its row covers r."""
-    row, spec = _ROW[proposition], parse_spec(spec)
-    built = families.build(spec)
-    params, delta = row.family(spec), functools.partial(families.declared_max_degree, spec)
-    r = delta() if r is None else r
-    painted = row.paint(params, r, delta)
-    if painted is None:
-        raise UnsupportedCaseError(f"proposition {proposition} states {spec} only at "
-                                   f"{row.label}, not at r = {r}; use the solver")
-    return _claim(row, params, painted, built)
-
-
-def chi_windmill(k: int, n: int, r: int) -> tuple[int, ClaimedColoring]:
-    """Closed form for Wd(k,n) plus a certified witness coloring.
-
-    The published statement proves existence without exhibiting colorings;
-    the witness here colors blades with reused color blocks (small r) or
-    walks min{r,Delta} colors around the center (large r).
-    """
-    if k < 3 or n < 1:
-        raise ParameterError(f"need k >= 3 and n >= 1, got ({k},{n})")
-    if r < 2:
-        raise ParameterError("the case analysis starts at r = 2; use the solver")
-    claim = _stated(1, f"wd:{k},{n}", r)
-    return claim.claimed_k, claim
-
-
-def color_line_windmill_delta(k: int, n: int) -> ClaimedColoring:
-    """L(Wd(k,n)) at r = Delta: z = n(k-1) + C(k-1,2) colors."""
-    if k < 3 or n < 1:
-        raise ParameterError(f"need k >= 3 and n >= 1, got ({k},{n})")
-    return _stated(2, f"L(wd:{k},{n})")
-
-
-def color_line_friendship(n: int, r: int) -> ClaimedColoring:
-    """L(F_n): 2n colors for r < Delta, 2n+1 at r = Delta.
-
-    n = 1 is rejected: the small-r formula's middle range is empty there
-    and L(F_1) = K_3 already needs 3 > 2n colors.
-    """
-    if n < 2:
-        raise ParameterError(
-            "n >= 2 required: at n = 1 the published small-r formula "
-            "degenerates (L(F_1) = K_3 has clique number 3 > 2n)"
-        )
-    if r < 2:
-        raise ParameterError("the case analysis starts at r = 2; use the solver")
-    return _stated(3, f"L(fr:{n})", r)
-
-
-def color_middle_multipartite_delta(sizes: list[int]) -> ClaimedColoring:
-    """M(K_{n1..nk}) at r = Delta: k + l colors (l = edge count)."""
-    if len(sizes) < 2:
-        raise ParameterError("need at least two parts")
-    return _stated(4, "M(kpart:" + ",".join(str(s) for s in sizes) + ")")
-
-
-def color_middle_cycle(n: int, r: int) -> ClaimedColoring:
-    """M(C_n) for n >= 4: 3 colors at r = 2, 4 colors at r = 3."""
-    if n < 4:
-        raise ParameterError("stated for n >= 4; use the solver for smaller n")
-    return _stated(5, f"M(cyc:{n})", r)
-
-
-def color_middle_friendship(n: int, r: int) -> ClaimedColoring:
-    """M(F_n): 2n+1 colors for r <= 2n, 2n+2 at r = 2n+1, 2n+4 at r = Delta.
-
-    All three case formulas are evaluated exactly as published; at n = 1
-    the small-r formula's literal constants collide with color 2n+1 = 3
-    (the verifier flags this), which is surfaced rather than repaired.
-    """
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
-    check_level(r)
-    return _stated(6, f"M(fr:{n})", r)
-
-
-def color_middle_bipartite(n1: int, n2: int, r: int) -> ClaimedColoring:
-    """M(K_{n1,n2}) with n1 <= n2: n2+1 colors for r <= n2, n2+2 at r = n2+1."""
-    if n1 < 1 or n2 < 1:
-        raise ParameterError(f"part sizes must be >= 1, got ({n1},{n2})")
-    if n1 > n2:
-        n1, n2 = n2, n1
-    check_level(r)
-    return _stated(7, f"M(kpart:{n1},{n2})", r)
 
 
 def numbered_build(spec: str | FamilySpec) -> tuple[Graph, Provenance]:

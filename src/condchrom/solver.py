@@ -175,7 +175,7 @@ def chi_r_exact(g: Graph, r: int, budget: int = 0) -> SolveResult:
     adj = g.adjacency_lists()
     req = _requirements(g, r_eff)
     # Unbudgeted solves run the ladder first, up to level n, until the
-    # benchmark's node pins are re-recorded (ROADMAP item 1); then this
+    # benchmark's node pins are re-recorded (ROADMAP item 1b); then this
     # condition goes.
     if budget:
         first = range(lb.value, min(lb.value + LOCAL_LEVELS, g.n))

@@ -9,15 +9,13 @@ from condchrom import (
     check_c3,
     check_conditional,
     chi_r_exact,
-    chi_windmill,
     clique_number,
-    color_line_windmill_delta,
-    color_middle_cycle,
+    construct,
+    declared_max_degree,
     max_vset_d2r,
     predicted_chi_r,
 )
 from condchrom.cli import main
-from condchrom.errors import ParameterError
 from oracles import chromatic_number_bruteforce, random_c2_colorings
 
 
@@ -34,7 +32,7 @@ def test_criterion_1_windmill_closed_form():
         for n in (1, 2, 3):
             delta = n * (k - 1)
             for r in range(2, delta + 1):
-                expected, _ = chi_windmill(k, n, r)
+                expected = construct(f"wd:{k},{n}", r).claimed_k
                 assert _chi(f"wd:{k},{n}", r) == expected, (k, n, r)
                 checked += 1
     print(f"[PASS] criterion 1: Wd(k,n) closed form exact on {checked} (k,n,r) points")
@@ -47,7 +45,8 @@ def test_criterion_2_line_windmill_delta():
     constructions = 0
     for k in (3, 4):
         for n in (1, 2, 3):
-            claim = color_line_windmill_delta(k, n)
+            spec = f"L(wd:{k},{n})"
+            claim = construct(spec, declared_max_degree(spec))
             rep = check_conditional(claim.graph, claim.coloring, claim.graph.max_degree())
             assert rep.valid and claim.coloring.colors_used == claim.claimed_k, (k, n)
             constructions += 1
@@ -64,20 +63,15 @@ def test_criterion_3_line_friendship():
         for r in range(2, delta):
             assert _chi(f"L(fr:{n})", r) == 2 * n, (n, r)
         assert _chi(f"L(fr:{n})", delta) == 2 * n + 1
-    # n = 1 anomaly: exact value recorded, no small-r formula claim
+    # n = 1: L(F_1) = K_3 has Delta = 2, so there is no small-r claim; at
+    # r = Delta the claim is proposition 2's 2n+1 = 3, the exact value
     assert _chi("L(fr:1)", 2) == 3
     assert predicted_chi_r("L(fr:1)", 1) is None
-    try:
-        from condchrom import color_line_friendship
-
-        color_line_friendship(1, 2)
-    except ParameterError:
-        pass
-    else:
-        raise AssertionError("n=1 small-r construction should be rejected")
+    claim = construct("L(fr:1)", 2)
+    assert (claim.proposition, claim.claimed_k) == (2, 3)
     print(
         "[PASS] criterion 3: chi_r(L(F_n)) = 2n (r < Delta) and 2n+1 (r = Delta) "
-        "for n in {2,3}; n=1 anomaly recorded (exact 3, no formula claim)"
+        "for n in {2,3}; n=1 recorded (exact 3 at Delta = 2, no small-r claim)"
     )
 
 
@@ -100,7 +94,7 @@ def test_criterion_5_middle_cycle():
     verified = 0
     for n in range(4, 51):
         for r in (2, 3):
-            claim = color_middle_cycle(n, r)
+            claim = construct(f"M(cyc:{n})", r)
             assert check_conditional(claim.graph, claim.coloring, r).valid, (n, r)
             verified += 1
     print(

@@ -4,18 +4,12 @@ from condchrom import (
     build,
     check_conditional,
     chi_r_exact,
-    chi_windmill,
-    color_line_friendship,
-    color_line_windmill_delta,
-    color_middle_bipartite,
-    color_middle_cycle,
-    color_middle_friendship,
-    color_middle_multipartite_delta,
     construct,
+    declared_max_degree,
     predicted_chi_r,
 )
 from condchrom import families
-from condchrom.constructions import _ROW, _numbered, covered_levels
+from condchrom.constructions import CASES, _ROW, _numbered, covered_levels
 from condchrom.errors import ParameterError, UnsupportedCaseError
 from conftest import CORPUS_SPECS
 
@@ -26,15 +20,19 @@ def assert_claim_valid(claim, r):
     assert claim.coloring.colors_used == claim.claimed_k
 
 
+def at_delta(spec):
+    return construct(spec, declared_max_degree(spec))
+
+
 def test_windmill_formula_values():
-    assert chi_windmill(3, 2, 2)[0] == 3
-    assert chi_windmill(4, 2, 3)[0] == 4
-    assert chi_windmill(4, 2, 4)[0] == 5  # r >= k: min{r, n(k-1)} + 1
-    assert chi_windmill(3, 2, 9)[0] == 5  # capped at Delta = 4
-    with pytest.raises(ParameterError):
-        chi_windmill(2, 1, 2)
-    with pytest.raises(ParameterError):
-        chi_windmill(3, 1, 1)
+    assert construct("wd:3,2", 2).claimed_k == 3
+    assert construct("wd:4,2", 3).claimed_k == 4
+    assert construct("wd:4,2", 4).claimed_k == 5  # r >= k: min{r, n(k-1)} + 1
+    assert construct("wd:3,2", 9).claimed_k == 5  # capped at Delta = 4
+    with pytest.raises(UnsupportedCaseError):
+        construct("wd:2,1", 2)  # Wd(k, n) is stated for k >= 3
+    with pytest.raises(UnsupportedCaseError):
+        construct("wd:3,1", 1)  # the case analysis starts at r = 2
 
 
 def test_windmill_witnesses_valid():
@@ -42,82 +40,85 @@ def test_windmill_witnesses_valid():
         for n in (1, 2, 3):
             delta = n * (k - 1)
             for r in range(2, delta + 1):
-                value, claim = chi_windmill(k, n, r)
-                assert_claim_valid(claim, r)
+                assert_claim_valid(construct(f"wd:{k},{n}", r), r)
 
 
 def test_line_windmill_delta():
-    claim = color_line_windmill_delta(3, 2)
+    claim = at_delta("L(wd:3,2)")
     assert claim.claimed_k == 5  # z = n(k-1) + C(k-1,2)
     assert_claim_valid(claim, claim.graph.max_degree())
     # the first z positions keep their own index as color
     for i in range(1, 6):
         assert claim.paper_color(i) == i
-    claim = color_line_windmill_delta(4, 3)
+    claim = at_delta("L(wd:4,3)")
     assert claim.claimed_k == 12
     assert_claim_valid(claim, claim.graph.max_degree())
 
 
 def test_line_friendship():
-    claim = color_line_friendship(2, 3)
-    assert claim.claimed_k == 4  # 2n below Delta
+    claim = construct("L(fr:2)", 3)
+    assert (claim.proposition, claim.claimed_k) == (3, 4)  # 2n below Delta
     assert_claim_valid(claim, 3)
     # fidelity: v_{2n+1}..v_{3n-1} reuse color 2n, v_{3n} reuses color 1
     assert claim.paper_color(5) == 4
     assert claim.paper_color(6) == 1
-    claim = color_line_friendship(2, 6)  # r = Delta = 2n+2... capped
-    assert claim.claimed_k == 5  # 2n+1
+    # At r >= Delta = 2n proposition 2 answers first, with 2n+1 colors.
+    claim = construct("L(fr:2)", 6)
+    assert (claim.proposition, claim.claimed_k) == (2, 5)
     assert_claim_valid(claim, claim.graph.max_degree())
-    with pytest.raises(ParameterError):
-        color_line_friendship(1, 2)
+    # L(F_1) = K_3 has Delta = 2: no small-r case, 3 colors at r = Delta.
+    claim = construct("L(fr:1)", 2)
+    assert (claim.proposition, claim.claimed_k) == (2, 3)
+    with pytest.raises(UnsupportedCaseError):
+        construct("L(fr:1)", 1)
 
 
 def test_middle_multipartite_delta():
-    for sizes, expect in (([1, 1, 1], 6), ([1, 2], 4), ([2, 2], 6), ([1, 1, 2], 8),
-                          ([2, 1, 1], 8), ([3, 1, 2], 14), ([3, 2], 8)):
-        claim = color_middle_multipartite_delta(sizes)
+    for sizes, expect in (("1,1,1", 6), ("1,2", 4), ("2,2", 6), ("1,1,2", 8),
+                          ("2,1,1", 8), ("3,1,2", 14), ("3,2", 8)):
+        claim = at_delta(f"M(kpart:{sizes})")
         assert claim.claimed_k == expect  # k + l
         assert_claim_valid(claim, claim.graph.max_degree())
     with pytest.raises(ParameterError):
-        color_middle_multipartite_delta([3])
+        construct("M(kpart:3)", 2)
 
 
 def test_middle_cycle():
     for n in range(4, 13):
         for r in (2, 3):
-            claim = color_middle_cycle(n, r)
+            claim = construct(f"M(cyc:{n})", r)
             assert claim.claimed_k == r + 1
             assert_claim_valid(claim, r)
-    with pytest.raises(ParameterError):
-        color_middle_cycle(3, 2)
     with pytest.raises(UnsupportedCaseError):
-        color_middle_cycle(5, 4)
+        construct("M(cyc:3)", 2)  # stated for n >= 4
+    with pytest.raises(UnsupportedCaseError):
+        construct("M(cyc:5)", 4)
 
 
 def test_middle_cycle_large_instances():
     # the formulas stay valid far beyond solver range
     for n in (49, 50):
         for r in (2, 3):
-            assert_claim_valid(color_middle_cycle(n, r), r)
+            assert_claim_valid(construct(f"M(cyc:{n})", r), r)
 
 
 def test_middle_friendship_cases():
     for n in (2, 3):
         for r in range(2, 2 * n + 1):
-            claim = color_middle_friendship(n, r)
+            claim = construct(f"M(fr:{n})", r)
             assert claim.claimed_k == 2 * n + 1
             assert_claim_valid(claim, r)
-        claim = color_middle_friendship(n, 2 * n + 1)
+        claim = construct(f"M(fr:{n})", 2 * n + 1)
         assert claim.claimed_k == 2 * n + 2
         assert_claim_valid(claim, 2 * n + 1)
-        claim = color_middle_friendship(n, 2 * n + 2)
+        claim = construct(f"M(fr:{n})", 2 * n + 2)
         assert claim.claimed_k == 2 * n + 4
         assert_claim_valid(claim, 2 * n + 2)
 
 
 def test_middle_friendship_fidelity_pins():
     # case 1 at n=2: v_{2n+2} and v_{2n+3} carry the literal constants 3, 4
-    claim = color_middle_friendship(2, 2)
+    claim = construct("M(fr:2)", 2)
     assert claim.paper_color(6) == 3
     assert claim.paper_color(7) == 4
     # outer vertices alternate colors 1 and 2
@@ -132,7 +133,7 @@ def test_middle_friendship_n1_anomaly():
     2n+2, producing adjacent equal colors. Reproduced as published; the
     verifier reports the clash and the exact solver still gives 2n+1."""
     for r in (2, 3):
-        claim = color_middle_friendship(1, r)
+        claim = construct("M(fr:1)", r)
         rep = check_conditional(claim.graph, claim.coloring, r)
         assert not rep.valid
         assert rep.c1_violations  # a genuine C1 clash, not a C2 shortfall
@@ -140,62 +141,59 @@ def test_middle_friendship_n1_anomaly():
     assert chi_r_exact(g, 2).chi_r == 3  # the claimed value is still right
     assert chi_r_exact(g, 3).chi_r == 4
     # the r = Delta case is unaffected at n = 1
-    assert_claim_valid(color_middle_friendship(1, 4), 4)
+    assert_claim_valid(construct("M(fr:1)", 4), 4)
 
 
 def test_middle_bipartite():
     for (n1, n2) in ((1, 2), (2, 2), (2, 3), (3, 3)):
         for r in range(1, n2 + 1):
-            claim = color_middle_bipartite(n1, n2, r)
+            claim = construct(f"M(kpart:{n1},{n2})", r)
             assert claim.claimed_k == n2 + 1
             assert_claim_valid(claim, r)
-        claim = color_middle_bipartite(n1, n2, n2 + 1)
+        claim = construct(f"M(kpart:{n1},{n2})", n2 + 1)
         assert claim.claimed_k == n2 + 2
         assert_claim_valid(claim, n2 + 1)
-    assert color_middle_bipartite(3, 1, 1).claimed_k == 4  # sizes auto-sorted
-    with pytest.raises(UnsupportedCaseError):
-        color_middle_bipartite(2, 2, 4)
+    assert construct("M(kpart:3,1)", 1).claimed_k == 4  # sizes auto-sorted
+    # Above n2 + 1, at Delta = 4, proposition 4 answers.
+    assert construct("M(kpart:2,2)", 4).proposition == 4
 
 
-def _constructor_calls():
-    """(constructor, args, proposition, spec, r) over each public
-    constructor's valid parameters and r in 1..Delta; r is None where the
-    constructor colours at r = Delta."""
-    calls = [(lambda k, n, r: chi_windmill(k, n, r)[1], (k, n, r), 1, f"wd:{k},{n}", r)
-             for k in (3, 4) for n in (1, 2) for r in range(2, n * (k - 1) + 1)]
-    calls += [(color_line_windmill_delta, (k, n), 2, f"L(wd:{k},{n})", None)
-              for k in (3, 4) for n in (1, 2)]
-    calls += [(color_line_friendship, (n, r), 3, f"L(fr:{n})", r)
-              for n in (2, 3) for r in range(2, 2 * n + 1)]
-    calls += [(color_middle_multipartite_delta, (s,), 4, f"M(kpart:{','.join(map(str, s))})",
-               None) for s in ([1, 1, 1], [1, 2], [2, 2], [3, 1, 2])]
-    calls += [(color_middle_cycle, (n, r), 5, f"M(cyc:{n})", r)
-              for n in (4, 5, 6, 7) for r in range(1, 5)]
-    calls += [(color_middle_friendship, (n, r), 6, f"M(fr:{n})", r)
-              for n in (1, 2, 3) for r in range(1, 2 * n + 3)]
-    calls += [(color_middle_bipartite, (n1, n2, r), 7, f"M(kpart:{min(n1, n2)},{max(n1, n2)})", r)
-              for n1, n2 in ((1, 2), (2, 2), (3, 1), (2, 3)) for r in range(1, n1 + n2 + 1)]
-    return calls
+# Each row's grid, and the shapes where two rows state the same graph: L(F_n)
+# and L(Wd(3, n)) under propositions 2 and 3, M(K_{1,n2}) under 7 and 4.
+ATTRIBUTION_SPECS = list(dict.fromkeys(
+    [spec for row in CASES for spec in row.grid()]
+    + [f"M(kpart:1,{b})" for b in range(1, 8)]
+    + [f"M(kpart:{a},{b})" for a in range(1, 5) for b in range(a, 6)]
+    + [f"L(fr:{n})" for n in range(1, 8)] + [f"L(wd:3,{n})" for n in range(1, 6)]))
 
 
-def test_constructors_claim_only_where_their_row_covers():
-    wrong, messages = [], []
-    for fn, args, prop, spec, r in _constructor_calls():
-        delta = build(spec)[0].max_degree()
-        covered = (delta if r is None else r) in covered_levels(spec, prop)
-        try:
-            claim = fn(*args)
-        except UnsupportedCaseError as exc:
-            claimed = False
-            messages.append(str(exc))
-        else:
-            claimed = True
-            assert (claim.proposition, claim.provenance.spec) == (prop, spec), args
-        if claimed != covered:
-            wrong.append((prop, args))
-    assert not wrong
-    # The one refusal names the proposition, the spec and the r its cases cover.
-    assert all(m.startswith("proposition ") and " only at " in m for m in messages), messages
+def test_construct_claims_through_the_first_covering_row():
+    for spec in ATTRIBUTION_SPECS:
+        for r in range(1, declared_max_degree(spec) + 1):
+            covering = [row.proposition for row in CASES
+                        if r in covered_levels(spec, row.proposition)]
+            try:
+                claim = construct(spec, r)
+            except UnsupportedCaseError as exc:
+                assert not covering, (spec, r)
+                assert str(exc).startswith(f"no stated case covers {spec} at r = {r}; ")
+            else:
+                assert covering and claim.proposition == covering[0], (spec, r, covering)
+                assert claim.provenance.spec == spec
+
+
+def test_each_covering_row_paints_the_predicted_value():
+    # `table P` lists the r where row P covers a spec, but sweep's formula
+    # value is predicted_chi_r's, the first covering row's: they must agree.
+    listed = 0
+    for spec in ATTRIBUTION_SPECS:
+        delta, parsed = declared_max_degree(spec), families.parse_spec(spec)
+        for row in CASES:
+            for r in covered_levels(spec, row.proposition):
+                painted = row.paint(row.family(parsed), r, lambda: delta)
+                assert painted[2] == predicted_chi_r(spec, r), (spec, row.proposition, r)
+                listed += 1
+    assert listed == 223
 
 
 def test_construct_dispatcher():

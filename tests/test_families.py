@@ -3,8 +3,8 @@ from oracles import is_connected
 
 from condchrom import (
     build,
-    color_middle_multipartite_delta,
     complete_multipartite,
+    construct,
     cycle,
     declared_max_degree,
     declared_size,
@@ -271,10 +271,11 @@ def test_middle_bipartite_indexing():
 
 
 def test_middle_multipartite_indexing_scheme():
-    claim = color_middle_multipartite_delta([1, 2])
+    claim = construct("M(kpart:2,2)", 4)  # Delta = 4
+    assert claim.proposition == 4
     g, prov = claim.graph, claim.provenance
     # v_1..v_l are the edge vertices, then the partition vertices in order.
-    l = 2
+    l = 4
     for i in range(1, l + 1):
         assert prov.origin[prov.internal_of(i)][0] == "edge"
     for i in range(l + 1, g.n + 1):

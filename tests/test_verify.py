@@ -11,11 +11,11 @@ from condchrom import (
     check_distinct_set,
     check_proper,
     check_vset_d2r,
+    construct,
     lemma2_conclusion,
     paper_indexing,
 )
 from condchrom.cli import main
-from condchrom.constructions import color_middle_cycle
 from condchrom.errors import InputError, ParameterError, PreconditionError
 from condchrom.graphs import Graph
 from condchrom.verify import Coloring
@@ -59,7 +59,7 @@ def test_check_proper():
 
 
 def test_check_proper_middle_cycle_construction():
-    claim = color_middle_cycle(5, 2)
+    claim = construct("M(cyc:5)", 2)
     assert check_proper(claim.graph, claim.coloring).valid
 
 
@@ -69,7 +69,7 @@ def test_check_conditional():
     assert not rep.valid
     assert len(rep.c2_violations) == 4
     assert all(seen == 1 and req == 2 for _, seen, req in rep.c2_violations)
-    claim = color_middle_cycle(4, 3)
+    claim = construct("M(cyc:4)", 3)
     assert check_conditional(claim.graph, claim.coloring, 3).valid
     with pytest.raises(ParameterError):
         check_conditional(k3(), Coloring((1, 2, 3), 3), 0)
@@ -185,9 +185,7 @@ def test_vset_monotone_in_r():
 
 def test_lemma2_conclusion():
     assert lemma2_conclusion(k3(), Coloring((1, 2, 3), 3), 2)
-    from condchrom.constructions import color_middle_multipartite_delta
-
-    claim = color_middle_multipartite_delta([1, 1, 1])
+    claim = construct("M(kpart:1,1,1)", 4)  # Delta = 4
     assert lemma2_conclusion(claim.graph, claim.coloring, claim.graph.max_degree())
     with pytest.raises(PreconditionError, match="C3"):
         lemma2_conclusion(Graph(2, [(0, 1)]), Coloring((1, 2), 2), 1)
